@@ -64,8 +64,9 @@ chaos-race:
 	go test -race -run 'TestClassifyTransport|TestDriveClassifies' ./internal/loadgen
 
 # The golden-regression suite: exact funnel metrics, growth series,
-# and report tables of the seeded study — sequential, parallel (-jobs),
-# record-sharded (-shards), and both combined, all byte-identical.
+# and report tables of the seeded study — one batch per month, parallel
+# (-jobs), record-sharded (-shards), both combined, and streamed in
+# 1- and 509-record chunks, all byte-identical.
 # Refresh after an intentional methodology change with:
 #   go test ./internal/core -run TestGolden -update
 golden:

@@ -23,11 +23,11 @@
 // final checkpoint, and -resume picks up where the run stopped —
 // producing byte-identical output to an uninterrupted run.
 //
-// -growth reads stream each vendor-month in fixed-size record batches
-// (-chunk), so resident memory is bounded by the batch plus the month's
-// validated working set instead of the raw corpus; -chunk 0 restores
-// the materializing read. Output is byte-identical either way, at any
-// -jobs × -shards × -chunk combination.
+// Every read streams its vendor-month through the inference in
+// fixed-size record batches, so a month's raw corpus never sits in
+// memory at once; what stays resident is the month's validated
+// certificate records plus its HTTP(S) header index. Output is
+// byte-identical at any -jobs × -shards combination.
 //
 // Exit codes: 0 success; 1 failure; 2 usage error; 3 the -growth run
 // completed but with reduced coverage (dropped vendor-months or
@@ -43,6 +43,7 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -127,12 +128,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	growth := fs.Bool("growth", false, "run every snapshot on disk and print growth series")
 	storePath := fs.String("store", "", "freeze the inferred footprints into a footstore file (serve it with offnetd)")
 	tolerant := fs.Bool("tolerant", true, "skip malformed corpus records within -max-bad; in -growth, drop corrupt vendor-months instead of aborting")
-	maxBad := fs.Float64("max-bad", 0.05, "per-file error budget: max fraction of malformed records a tolerant read accepts (0 = zero tolerance)")
+	maxBad := fs.Float64("max-bad", 0.05, "per-file error budget: max fraction (at most 1) of malformed records a tolerant read accepts (0 = zero tolerance)")
 	checkpoint := fs.String("checkpoint", "", "with -growth: persist each completed snapshot to this directory (crash-safe)")
 	resume := fs.Bool("resume", false, "with -checkpoint: reload intact checkpoints instead of recomputing (manifest must match)")
 	jobs := fs.Int("jobs", 1, "with -growth: parallel per-snapshot inference workers (output is identical at any setting)")
 	shards := fs.Int("shards", 0, "per-snapshot record shards; 0 picks NumCPU divided across -jobs workers (output is identical at any setting)")
-	chunk := fs.Int("chunk", corpus.DefaultChunkSize, "with -growth: stream each vendor-month in record batches of this size, bounding memory; 0 = materialize each month in full (output is identical at any setting)")
 	snapTimeout := fs.Duration("snapshot-timeout", 30*time.Minute, "with -growth: per-snapshot watchdog deadline; a stuck snapshot is retried then dropped (0 disables)")
 	metricsPath := fs.String("metrics", "", "write the run's metrics (pipeline funnel, corpus, retry, checkpoint accounting) to this JSON file")
 	verbose := fs.Bool("v", false, "print a human-readable pipeline-funnel summary after the run")
@@ -169,8 +169,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *shards < 0 {
 		return usageError(fmt.Errorf("-shards must be non-negative (0 = auto)"))
 	}
-	if *chunk < 0 {
-		return usageError(fmt.Errorf("-chunk must be non-negative (0 = materialize)"))
+	if math.IsNaN(*maxBad) || math.IsInf(*maxBad, 0) || *maxBad > 1 {
+		// NaN would otherwise pass every budget comparison and silently
+		// accept a fully corrupt month.
+		return usageError(fmt.Errorf("-max-bad must be a fraction no greater than 1, got %v", *maxBad))
 	}
 	if *shards == 0 {
 		// Auto: split the machine's cores across the -jobs snapshot
@@ -204,7 +206,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			checkpoint: *checkpoint,
 			resume:     *resume,
 			jobs:       *jobs,
-			chunk:      *chunk,
 			timeout:    *snapTimeout,
 			metrics:    reg,
 		}
@@ -239,12 +240,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if !ok {
 		return fmt.Errorf("invalid snapshot %q", *snapLabel)
 	}
-	snap, stats, err := corpus.ReadWithStats(*dir, corpus.Vendor(*vendor), s, opts)
+	st, err := corpus.OpenStream(*dir, corpus.Vendor(*vendor), s, opts)
 	if err != nil {
 		return fmt.Errorf("reading corpus: %w", err)
 	}
-	reportSkips(stdout, *vendor, s, stats)
-	res := pipeline.Run(snap)
+	inf, err := pipeline.InferSnapshotStream(st)
+	if err != nil {
+		return fmt.Errorf("reading corpus: %w", err)
+	}
+	reportSkips(stdout, *vendor, s, st.Stats)
+	res := inf.Result
 	printSnapshot(stdout, res, *vendor, s)
 	if *storePath != "" {
 		st, err := footstore.FromResult(res, prefixSource(pipeline, s))
@@ -509,7 +514,6 @@ type growthOptions struct {
 	checkpoint string
 	resume     bool
 	jobs       int
-	chunk      int // record-batch size for streaming reads; 0 materializes
 	timeout    time.Duration
 	metrics    *obs.Registry
 }
@@ -523,7 +527,6 @@ type growthOptions struct {
 // reduced coverage reported; in strict mode the first read error aborts
 // the run. Returns the study plus the number of dropped snapshots.
 func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, dir string, vendor corpus.Vendor, opts corpus.ReadOptions, gopt growthOptions) (*core.StudyResult, int, error) {
-	opts.ChunkSize = gopt.chunk
 	var ckDir *runstate.Dir
 	if gopt.checkpoint != "" {
 		fp, err := runstate.CorpusFingerprint(dir)
@@ -566,28 +569,9 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, d
 		}
 		return err
 	}
-	source := func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
-		snap, stats, err := corpus.ReadWithStats(dir, vendor, s, opts)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, nil // months the corpus doesn't cover
-			}
-			return nil, classify(s, err)
-		}
-		if stats != nil {
-			mu.Lock()
-			statsBy[s] = stats
-			mu.Unlock()
-		}
-		return snap, nil
-	}
-	// streamSource is the -chunk > 0 equivalent: the study runner pulls
-	// each vendor-month as chunked record batches instead of a
-	// materialized Snapshot. Error classification is identical, and —
-	// matching ReadWithStats, which reports stats only for months it
-	// read in full — a month's stats are recorded only once all three
-	// record streams have completed cleanly.
-	streamSource := func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+	// A month's stats are recorded only once all three record streams
+	// have completed cleanly, so only months read in full report skips.
+	source := func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 		st, err := corpus.OpenStream(dir, vendor, s, opts)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
@@ -648,13 +632,7 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, d
 		cfg.Persist = ckDir.Save
 	}
 
-	var sr *core.StudyResult
-	var runErr error
-	if gopt.chunk > 0 {
-		sr, runErr = pipeline.RunStudyStream(ctx, streamSource, cfg)
-	} else {
-		sr, runErr = pipeline.RunStudyConfig(ctx, source, cfg)
-	}
+	sr, runErr := pipeline.RunStudyStream(ctx, source, cfg)
 	if restoredN > 0 {
 		fmt.Fprintf(stdout, "resume: reused %d checkpointed snapshot(s) from %s\n", restoredN, gopt.checkpoint)
 	}

@@ -280,75 +280,28 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 	}
 }
 
-// TestOffnetmapChunkInvariance pins the -chunk determinism contract end
-// to end: a growth run that streams the corpus in record batches — even
-// one record per batch, and combined with worker and shard parallelism
-// — must produce byte-identical study output and metrics counters to
-// the materializing read (-chunk 0).
-func TestOffnetmapChunkInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a corpus on disk")
-	}
-	dir := t.TempDir()
-	if err := worldgenEquivalent(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	counters := func(path string) []byte {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := obs.ParseSnapshot(raw)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", path, err)
-		}
-		out, err := json.Marshal(snap.Counters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	runOnce := func(name string, extra ...string) ([]byte, string) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		var out strings.Builder
-		args := append([]string{"-corpus", dir, "-growth", "-metrics", path, "-v"}, extra...)
-		if err := run(context.Background(), args, &out); err != nil {
-			t.Fatal(err)
-		}
-		return counters(path), out.String()
-	}
-	norm := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "wrote metrics ") {
-				keep = append(keep, line)
+// TestOffnetmapUsageErrors pins the flag validation: each bad value is
+// a usage error (exit 2) raised before any corpus is read — the corpus
+// directory here is empty, so reaching the read would fail with exit 1
+// instead. A non-finite or above-1 -max-bad would otherwise disable the
+// error budget: no skip count ever exceeds NaN or Inf times the total.
+func TestOffnetmapUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"jobs zero", []string{"-jobs", "0"}},
+		{"negative shards", []string{"-shards", "-1"}},
+		{"max-bad NaN", []string{"-max-bad", "NaN"}},
+		{"max-bad Inf", []string{"-max-bad", "Inf"}},
+		{"max-bad above one", []string{"-max-bad", "1.5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			err := run(context.Background(), append([]string{"-corpus", t.TempDir(), "-growth"}, tc.args...), &out)
+			if code := exitStatus(err); code != exitUsage {
+				t.Fatalf("exit %d (%v), want %d", code, err, exitUsage)
 			}
-		}
-		return strings.Join(keep, "\n")
-	}
-
-	mat, matText := runOnce("chunk0.json", "-chunk", "0", "-jobs", "1", "-shards", "1")
-	one, oneText := runOnce("chunk1.json", "-chunk", "1", "-jobs", "1", "-shards", "1")
-	def, defText := runOnce("chunkdef.json", "-jobs", "2", "-shards", "2")
-	if !reflect.DeepEqual(mat, one) {
-		t.Errorf("counters differ between -chunk 0 and -chunk 1:\n%s\n%s", mat, one)
-	}
-	if !reflect.DeepEqual(mat, def) {
-		t.Errorf("counters differ between -chunk 0 and the default chunk under -jobs 2 -shards 2:\n%s\n%s", mat, def)
-	}
-	if a, b := norm(matText), norm(oneText); a != b {
-		t.Errorf("stdout differs between -chunk 0 and -chunk 1:\n%s\n%s", a, b)
-	}
-	if a, b := norm(matText), norm(defText); a != b {
-		t.Errorf("stdout differs between -chunk 0 and the default chunk under -jobs 2 -shards 2:\n%s\n%s", a, b)
-	}
-
-	var discard strings.Builder
-	err := run(context.Background(), []string{"-corpus", dir, "-growth", "-chunk", "-1"}, &discard)
-	if err == nil || !strings.Contains(err.Error(), "-chunk") {
-		t.Errorf("-chunk -1 should be a usage error, got: %v", err)
+		})
 	}
 }

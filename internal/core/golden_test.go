@@ -50,29 +50,10 @@ type goldenHG struct {
 	ConfirmedIPs  int `json:"confirmed_ips"`
 }
 
-// runGoldenStudy executes the seeded study at the given worker and
-// record-shard counts and freezes everything the golden file pins.
-func runGoldenStudy(t *testing.T, jobs, shards int) *goldenStudy {
-	t.Helper()
-	reg := obs.NewRegistry("golden")
-	p := testPipeline(DefaultOptions())
-	p.Metrics = reg
-	p.Shards = shards
-	profile := scanners.Rapid7Profile()
-	sr, err := p.RunStudyConfig(context.Background(), func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
-		return scanners.Scan(testWorld, profile, s), nil
-	}, StudyConfig{Jobs: jobs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return freezeGolden(t, reg, sr)
-}
-
-// runGoldenStudyStream executes the same seeded study through the
-// streaming engine — RunStudyStream over chunked record batches — and
-// freezes the identical observable set. The determinism contract says
-// the bytes must match the materializing run at any chunk size.
-func runGoldenStudyStream(t *testing.T, jobs, shards, chunk int) *goldenStudy {
+// runGoldenStudy executes the seeded study at the given worker,
+// record-shard, and chunk sizes and freezes everything the golden file
+// pins.
+func runGoldenStudy(t *testing.T, jobs, shards, chunk int) *goldenStudy {
 	t.Helper()
 	reg := obs.NewRegistry("golden")
 	p := testPipeline(DefaultOptions())
@@ -80,11 +61,7 @@ func runGoldenStudyStream(t *testing.T, jobs, shards, chunk int) *goldenStudy {
 	p.Shards = shards
 	profile := scanners.Rapid7Profile()
 	sr, err := p.RunStudyStream(context.Background(), func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
-		snap := scanners.Scan(testWorld, profile, s)
-		if snap == nil {
-			return nil, nil
-		}
-		return corpus.StreamOf(snap, chunk), nil
+		return corpus.StreamOf(scanners.Scan(testWorld, profile, s), chunk), nil
 	}, StudyConfig{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +140,14 @@ func compareGolden(t *testing.T, got *goldenStudy) {
 	}
 }
 
-// TestGoldenStudyRapid7 runs the seeded study sequentially and compares
-// every frozen number against the golden file.
+// TestGoldenStudyRapid7 runs the seeded study sequentially, each month
+// validated as one batch before matching, and compares every frozen
+// number against the golden file.
 func TestGoldenStudyRapid7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full seeded study")
 	}
-	got := runGoldenStudy(t, 1, 1)
+	got := runGoldenStudy(t, 1, 1, 1<<30)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -193,7 +171,7 @@ func TestGoldenJobsInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudy(t, 4, 1))
+	compareGolden(t, runGoldenStudy(t, 4, 1, 0))
 }
 
 // TestGoldenShardsInvariance reruns the study with each snapshot's
@@ -207,7 +185,7 @@ func TestGoldenShardsInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudy(t, 1, 4))
+	compareGolden(t, runGoldenStudy(t, 1, 4, 0))
 }
 
 // TestGoldenJobsShardsInvariance stacks both axes — a snapshot worker
@@ -220,13 +198,13 @@ func TestGoldenJobsShardsInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudy(t, 2, 2))
+	compareGolden(t, runGoldenStudy(t, 2, 2, 0))
 }
 
-// TestGoldenChunkInvariance runs the study through the streaming engine
-// at a pathological chunk size of one record per batch — every fold
-// boundary exercised — stacked with a worker pool, and demands the
-// exact golden bytes the materializing sequential run froze.
+// TestGoldenChunkInvariance runs the study at a pathological chunk size
+// of one record per batch — every fold boundary exercised — stacked with
+// a worker pool, and demands the exact golden bytes the single-batch
+// sequential run froze.
 func TestGoldenChunkInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full seeded study")
@@ -234,7 +212,7 @@ func TestGoldenChunkInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudyStream(t, 4, 1, 1))
+	compareGolden(t, runGoldenStudy(t, 4, 1, 1))
 }
 
 // TestGoldenJobsShardsChunkInvariance stacks all three execution knobs —
@@ -247,5 +225,5 @@ func TestGoldenJobsShardsChunkInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudyStream(t, 2, 2, 509))
+	compareGolden(t, runGoldenStudy(t, 2, 2, 509))
 }

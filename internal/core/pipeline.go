@@ -2,8 +2,8 @@
 // methodology for inferring hypergiant off-net footprints from TLS
 // certificate and HTTP(S) header scan corpuses (§4).
 //
-// The pipeline is dataset-agnostic: it consumes corpus.Snapshot records,
-// an IP-to-AS mapper, and an AS-to-organization registry, and never
+// The pipeline is dataset-agnostic: it consumes corpus.Stream record
+// batches (in-memory snapshots through corpus.StreamOf), an IP-to-AS mapper, and an AS-to-organization registry, and never
 // touches simulator ground truth. Its five steps mirror the paper:
 //
 //  1. validate every certificate chain (§4.1);
@@ -94,16 +94,15 @@ type Pipeline struct {
 	// instrumentation at effectively zero cost.
 	Metrics *obs.Registry
 
-	// Shards bounds the intra-snapshot fan-out: Run splits its
-	// per-record loops (§4.1 validation and each hypergiant's two
-	// record scans) into this many contiguous ranges on as many
-	// goroutines, and builds the header indexes concurrently. Zero or
-	// one means fully sequential. The output is byte-identical at any
-	// setting — partial results fold in shard order (see shard.go) — so
-	// Shards, like StudyConfig.Jobs, is an execution knob: deliberately
-	// not part of Options, and excluded from checkpoint manifests.
+	// Shards bounds the intra-snapshot fan-out: inference splits its
+	// per-record loops (§4.1 validation of each record batch and each
+	// hypergiant's two record scans) into this many contiguous ranges on
+	// as many goroutines. Zero or one means sequential record loops.
+	// The output is byte-identical at any setting — partial results fold
+	// in shard order (see shard.go) — so Shards, like StudyConfig.Jobs,
+	// is an execution knob: deliberately not part of Options, and
+	// excluded from checkpoint manifests.
 	Shards int
-
 }
 
 // shardScratchPool pools validateShard partials so chunked reads and
@@ -210,50 +209,17 @@ type record struct {
 	expired  bool // invalid solely because the leaf expired
 }
 
-// Run executes the methodology over one corpus snapshot.
+// Run executes the methodology over one in-memory corpus snapshot. It
+// is InferSnapshotStream over corpus.StreamOf, which never fails, so a
+// materialized snapshot goes through the same engine as a streamed read.
 func (p *Pipeline) Run(snap *corpus.Snapshot) *Result {
-	m := p.Metrics
-	runStart := time.Now()
-	res := &Result{
-		Vendor:          snap.Vendor,
-		Snapshot:        snap.Snapshot,
-		InvalidByReason: make(map[string]int),
-		PerHG:           make(map[hg.ID]*HGResult, hg.Count),
-	}
-	mapper := p.Mapper(snap.Snapshot)
-
-	// The header indexes are independent of validation, so with
-	// sharding enabled they build concurrently with step 1 on two extra
-	// goroutines instead of serializing after it.
-	var httpsIdx, httpIdx map[netmodel.IP][]hg.Header
-	var idxWG sync.WaitGroup
-	if p.Shards > 1 {
-		idxWG.Add(2)
-		go func() { defer idxWG.Done(); httpsIdx = snap.HTTPSHeadersByIP() }()
-		go func() { defer idxWG.Done(); httpIdx = snap.HTTPHeadersByIP() }()
-	}
-
-	valStart := time.Now()
-	records := p.validate(snap, res, mapper)
-	m.Histogram("funnel.validate_ns").Since(valStart)
-
-	if p.Shards > 1 {
-		idxWG.Wait()
-	} else {
-		httpsIdx = snap.HTTPSHeadersByIP()
-		httpIdx = snap.HTTPHeadersByIP()
-	}
-
-	p.matchAndCount(res, records, httpsIdx, httpIdx)
-	m.Histogram("funnel.run_ns").Since(runStart)
-	return res
+	inf, _ := p.InferSnapshotStream(corpus.StreamOf(snap, 0))
+	return inf.Result
 }
 
 // matchAndCount is the post-validation half of the methodology — the
 // per-hypergiant match/confirm passes (steps 2–5), the corpus-wide IP
-// split, and every per-snapshot funnel counter. It is shared verbatim
-// by the materializing (Run) and streaming (RunStream) paths, so the
-// two can never emit different counter sets for the same records.
+// split, and every per-snapshot funnel counter.
 func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) {
 	m := p.Metrics
 	matchStart := time.Now()
@@ -283,23 +249,19 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 	}
 }
 
-// validate is step 1: verify every chain and annotate records with
-// their origin AS. Invalid chains are dropped (counted by reason)
-// except expired-only leaves, which are kept flagged for the Fig 3
-// envelope. The record loop shards across Pipeline.Shards goroutines;
-// partials fold in shard order, so the returned slice preserves corpus
-// order and every tally is byte-identical at any shard count.
-func (p *Pipeline) validate(snap *corpus.Snapshot, res *Result, mapper IPMapper) []record {
-	at := snap.ScanTime()
-	n := len(snap.Certs)
-	parts := make([]*validateShard, p.shardCount(n))
-	forEachShard(n, len(parts), func(shard, lo, hi int) {
-		parts[shard] = p.validateRange(snap.Certs[lo:hi], at, mapper)
+// validateBatch is step 1 over one batch of certificate records:
+// verify every chain and annotate records with their origin AS. Invalid
+// chains are dropped (counted by reason in res) except expired-only
+// leaves, which are kept flagged for the Fig 3 envelope. The batch
+// shards across Pipeline.Shards goroutines and the partials fold in
+// shard order, appending to records and adding to res and asSet — so
+// batches folded in record order keep corpus order and every tally
+// byte-identical at any chunk and shard count. It is the only §4.1 fold.
+func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
+	parts := make([]*validateShard, p.shardCount(len(batch)))
+	forEachShard(len(batch), len(parts), func(shard, lo, hi int) {
+		parts[shard] = p.validateRange(batch[lo:hi], at, mapper)
 	})
-
-	records := make([]record, 0, n)
-	asSet := make(map[astopo.ASN]struct{})
-	res.TotalCertIPs = n
 	for _, part := range parts {
 		records = append(records, part.records...)
 		res.ValidCertIPs += part.valid
@@ -311,7 +273,7 @@ func (p *Pipeline) validate(snap *corpus.Snapshot, res *Result, mapper IPMapper)
 		}
 		p.putShardScratch(part)
 	}
-	res.TotalCertASes = len(asSet)
+	res.TotalCertIPs += len(batch)
 	return records
 }
 

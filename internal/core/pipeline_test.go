@@ -259,7 +259,7 @@ func TestHeaderModesOrdering(t *testing.T) {
 func TestMiningRecoversTable4(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	mapper := testWorld.IP2AS(lastSnap)
-	httpsIdx := snap.HTTPSHeadersByIP()
+	httpsIdx := headerIndex(snap.HTTPS)
 
 	for _, id := range []hg.ID{hg.Google, hg.Facebook, hg.Akamai, hg.Cloudflare} {
 		h := hg.Get(id)

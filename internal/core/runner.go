@@ -11,22 +11,16 @@ import (
 	"offnetscope/internal/timeline"
 )
 
-// StudySource supplies the corpus for one study month. Returning
-// (nil, nil) means the vendor has no data for that month (e.g. Censys
-// before 2019-10); an error marks the month damaged — it is retried per
-// the study's policy and then dropped. Sources may be called from
-// several worker goroutines at once when StudyConfig.Jobs > 1.
-type StudySource func(ctx context.Context, s timeline.Snapshot) (*corpus.Snapshot, error)
-
-// StreamSource supplies one study month as a chunked record stream —
-// the bounded-memory counterpart of StudySource, with the same nil/nil
-// convention for months the vendor doesn't cover and the same
-// concurrency obligations. A fresh Stream must be returned per call:
-// retries consume a new one.
+// StreamSource supplies one study month as a chunked record stream.
+// Returning (nil, nil) means the vendor has no data for that month
+// (e.g. Censys before 2019-10); an error marks the month damaged — it is
+// retried per the study's policy and then dropped. Sources may be
+// called from several worker goroutines at once when StudyConfig.Jobs >
+// 1, and must return a fresh Stream per call: retries consume a new one.
 type StreamSource func(ctx context.Context, s timeline.Snapshot) (*corpus.Stream, error)
 
-// StudyConfig tunes the longitudinal runner. The zero value is the
-// classic sequential in-memory run.
+// StudyConfig tunes the longitudinal runner. The zero value is a plain
+// sequential run.
 type StudyConfig struct {
 	// Jobs bounds the worker pool running per-snapshot inference;
 	// zero or one means sequential. The output is identical at any
@@ -68,45 +62,16 @@ type outcome struct {
 	err error
 }
 
-// RunStudyConfig executes the pipeline over every snapshot the source
-// can supply: per-snapshot inference runs on a bounded worker pool,
-// then the sequential envelope pass folds the Netflix memory in
-// snapshot order, checkpointing each completed snapshot via Persist.
-// On cancellation it folds (and persists) whatever already finished in
-// contiguous order, then returns the partial result with ctx's error —
-// so a resumed run restarts exactly where this one stopped.
-func (p *Pipeline) RunStudyConfig(ctx context.Context, source StudySource, cfg StudyConfig) (*StudyResult, error) {
-	return p.runStudy(ctx, cfg, func(ctx context.Context, s timeline.Snapshot) (*SnapshotInference, error) {
-		snap, err := source(ctx, s)
-		if err != nil || snap == nil {
-			return nil, err
-		}
-		return p.InferSnapshot(snap), nil
-	})
-}
-
-// RunStudyStream is RunStudyConfig over a StreamSource: identical
-// scheduling, retry, checkpointing, and fold semantics, but each
-// snapshot streams through inference in bounded memory instead of
-// materializing first. Output is byte-identical to RunStudyConfig over
-// the same corpus at any jobs × shards × chunk-size combination.
+// RunStudyStream executes the pipeline over every snapshot the source
+// can supply: each month streams through InferSnapshotStream on a
+// bounded worker pool, then the sequential envelope pass folds the
+// Netflix memory in snapshot order, checkpointing each completed
+// snapshot via Persist. On cancellation it folds (and persists)
+// whatever already finished in contiguous order, then returns the
+// partial result with ctx's error — so a resumed run restarts exactly
+// where this one stopped. Output is byte-identical at any jobs × shards
+// × chunk-size combination.
 func (p *Pipeline) RunStudyStream(ctx context.Context, source StreamSource, cfg StudyConfig) (*StudyResult, error) {
-	return p.runStudy(ctx, cfg, func(ctx context.Context, s timeline.Snapshot) (*SnapshotInference, error) {
-		st, err := source(ctx, s)
-		if err != nil || st == nil {
-			return nil, err
-		}
-		return p.InferSnapshotStream(st)
-	})
-}
-
-// runStudy is the scheduling skeleton both study runners share: the
-// worker pool, the per-snapshot slots, the in-order envelope fold, and
-// checkpoint restore/persist. attempt produces one snapshot's complete
-// inference (nil, nil meaning the month is not covered); how the
-// records get from disk to records — materialized or streamed — is
-// entirely its business.
-func (p *Pipeline) runStudy(ctx context.Context, cfg StudyConfig, attempt func(context.Context, timeline.Snapshot) (*SnapshotInference, error)) (*StudyResult, error) {
 	n := timeline.Count()
 	out := &StudyResult{
 		Results:            make([]*Result, n),
@@ -150,7 +115,7 @@ func (p *Pipeline) runStudy(ctx context.Context, cfg StudyConfig, attempt func(c
 			go func() {
 				defer wg.Done()
 				for s := range work {
-					inf, err := p.inferOnce(wctx, attempt, s, cfg)
+					inf, err := p.inferOnce(wctx, source, s, cfg)
 					// Each slot is buffered and receives at most one send (the
 					// dispatcher hands every snapshot out exactly once), so
 					// this never blocks; the wctx arm is defensive, keeping a
@@ -243,8 +208,8 @@ func (sr *StudyResult) setEnvelope(s timeline.Snapshot, v EnvelopeValues) {
 
 // inferOnce runs one snapshot's read + inference under the watchdog
 // deadline and the retry policy; the returned error means the snapshot
-// is dropped.
-func (p *Pipeline) inferOnce(ctx context.Context, attempt func(context.Context, timeline.Snapshot) (*SnapshotInference, error), s timeline.Snapshot, cfg StudyConfig) (*SnapshotInference, error) {
+// is dropped, and (nil, nil) that the source has no data for it.
+func (p *Pipeline) inferOnce(ctx context.Context, source StreamSource, s timeline.Snapshot, cfg StudyConfig) (*SnapshotInference, error) {
 	pol := cfg.Retry
 	if pol.Classify == nil {
 		// The per-attempt watchdog surfaces as context.DeadlineExceeded,
@@ -263,13 +228,13 @@ func (p *Pipeline) inferOnce(ctx context.Context, attempt func(context.Context, 
 			actx, cancel = context.WithTimeout(rctx, cfg.SnapshotTimeout)
 			defer cancel()
 		}
-		res, err := attempt(actx, s)
-		if err != nil {
+		st, err := source(actx, s)
+		if err != nil || st == nil {
 			return err
 		}
-		if res == nil {
-			inf = nil
-			return nil
+		res, err := p.InferSnapshotStream(st)
+		if err != nil {
+			return err
 		}
 		// Watchdog: an attempt that overran its deadline failed even if
 		// it limped to a result — a stuck snapshot must not wedge the run.

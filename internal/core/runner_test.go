@@ -25,9 +25,9 @@ func studyTail(t testing.TB, n int) map[timeline.Snapshot]*corpus.Snapshot {
 	return snaps
 }
 
-func mapSource(snaps map[timeline.Snapshot]*corpus.Snapshot) StudySource {
-	return func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
-		return snaps[s], nil
+func mapSource(snaps map[timeline.Snapshot]*corpus.Snapshot) StreamSource {
+	return func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+		return corpus.StreamOf(snaps[s], 0), nil
 	}
 }
 
@@ -58,11 +58,11 @@ func TestRunStudyConfigParallelMatchesSequential(t *testing.T) {
 	snaps := studyTail(t, 4)
 	p := testPipeline(DefaultOptions())
 
-	seq, err := p.RunStudyConfig(context.Background(), mapSource(snaps), StudyConfig{Jobs: 1})
+	seq, err := p.RunStudyStream(context.Background(), mapSource(snaps), StudyConfig{Jobs: 1})
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}
-	par, err := p.RunStudyConfig(context.Background(), mapSource(snaps), StudyConfig{Jobs: 4})
+	par, err := p.RunStudyStream(context.Background(), mapSource(snaps), StudyConfig{Jobs: 4})
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRunStudyConfigRestoreSkipsRecompute(t *testing.T) {
 
 	saved := make(map[timeline.Snapshot]*CheckpointData)
 	var persistOrder []timeline.Snapshot
-	full, err := p.RunStudyConfig(context.Background(), mapSource(snaps), StudyConfig{
+	full, err := p.RunStudyStream(context.Background(), mapSource(snaps), StudyConfig{
 		Persist: func(s timeline.Snapshot, ck *CheckpointData) error {
 			saved[s] = ck
 			persistOrder = append(persistOrder, s)
@@ -99,8 +99,8 @@ func TestRunStudyConfigRestoreSkipsRecompute(t *testing.T) {
 	}
 
 	// Resume with every checkpoint present: the source must never run.
-	resumed, err := p.RunStudyConfig(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+	resumed, err := p.RunStudyStream(context.Background(),
+		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 			if snaps[s] != nil {
 				t.Errorf("source consulted for checkpointed snapshot %v", s)
 			}
@@ -117,12 +117,12 @@ func TestRunStudyConfigRestoreSkipsRecompute(t *testing.T) {
 	// replay in order.
 	hole := persistOrder[len(persistOrder)-1]
 	var recomputed []timeline.Snapshot
-	partial, err := p.RunStudyConfig(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+	partial, err := p.RunStudyStream(context.Background(),
+		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 			if snaps[s] != nil {
 				recomputed = append(recomputed, s)
 			}
-			return snaps[s], nil
+			return corpus.StreamOf(snaps[s], 0), nil
 		},
 		StudyConfig{Restore: func(s timeline.Snapshot) *CheckpointData {
 			if s == hole {
@@ -150,12 +150,12 @@ func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
 	}
 
 	var dropped []timeline.Snapshot
-	sr, err := p.RunStudyConfig(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+	sr, err := p.RunStudyStream(context.Background(),
+		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 			if s == bad {
 				return nil, resilience.Permanent(errors.New("disk gone"))
 			}
-			return snaps[s], nil
+			return corpus.StreamOf(snaps[s], 0), nil
 		},
 		StudyConfig{
 			OnDrop: func(s timeline.Snapshot, err error) { dropped = append(dropped, s) },
@@ -181,13 +181,13 @@ func TestRunStudyConfigRetriesTransient(t *testing.T) {
 	p := testPipeline(DefaultOptions())
 	fails := make(map[timeline.Snapshot]int)
 
-	sr, err := p.RunStudyConfig(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+	sr, err := p.RunStudyStream(context.Background(),
+		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 			if fails[s] == 0 {
 				fails[s]++
 				return nil, errors.New("transient read glitch")
 			}
-			return snaps[s], nil
+			return corpus.StreamOf(snaps[s], 0), nil
 		},
 		StudyConfig{
 			Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
@@ -210,8 +210,8 @@ func TestRunStudyConfigWatchdogDropsStuckSnapshot(t *testing.T) {
 	stuck := lastSnap
 
 	var dropped []timeline.Snapshot
-	sr, err := p.RunStudyConfig(context.Background(),
-		func(ctx context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+	sr, err := p.RunStudyStream(context.Background(),
+		func(ctx context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 			if s == stuck {
 				<-ctx.Done() // simulate a wedged read; the watchdog fires
 				return nil, ctx.Err()
@@ -255,8 +255,8 @@ func TestRunStudyConfigCancelMidRun(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.RunStudyConfig(ctx,
-			func(sctx context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+		_, err := p.RunStudyStream(ctx,
+			func(sctx context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 				if s == wedged {
 					<-sctx.Done()
 					return nil, sctx.Err()
@@ -264,7 +264,7 @@ func TestRunStudyConfigCancelMidRun(t *testing.T) {
 				if snaps[s] != nil {
 					defer func() { fastDone <- struct{}{} }()
 				}
-				return snaps[s], nil
+				return corpus.StreamOf(snaps[s], 0), nil
 			},
 			StudyConfig{Jobs: len(snaps)})
 		done <- err
@@ -298,7 +298,7 @@ func TestRunStudyConfigCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	_, err := p.RunStudyConfig(ctx, mapSource(snaps), StudyConfig{})
+	_, err := p.RunStudyStream(ctx, mapSource(snaps), StudyConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"offnetscope/internal/astopo"
-	"offnetscope/internal/corpus"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 )
@@ -48,32 +47,9 @@ type SnapshotInference struct {
 	NetflixLookups []MemEntry
 }
 
-// InferSnapshot runs the full §4 inference over one corpus snapshot and
-// captures the envelope inputs. It is a pure function of the snapshot
-// and the pipeline's immutable datasets, so any number of snapshots can
-// be inferred concurrently.
-func (p *Pipeline) InferSnapshot(snap *corpus.Snapshot) *SnapshotInference {
-	res := p.Run(snap)
-
-	certIPs := make(map[netmodel.IP]struct{}, len(snap.Certs))
-	for _, cr := range snap.Certs {
-		certIPs[cr.IP] = struct{}{}
-	}
-	httpOnly := make(map[netmodel.IP]struct{})
-	for _, hr := range snap.HTTP {
-		if _, onTLS := certIPs[hr.IP]; !onTLS {
-			httpOnly[hr.IP] = struct{}{}
-		}
-	}
-
-	lookups := p.netflixLookups(res, p.Mapper(snap.Snapshot))
-	return &SnapshotInference{Result: res, HTTPOnlyIPs: httpOnly, NetflixLookups: lookups}
-}
-
 // netflixLookups maps one snapshot's confirmed and expired Netflix IPs
 // (in evidence order, deduplicated) to their origin ASes — the memory
-// candidates the envelope fold consumes. Shared by the materializing
-// and streaming inference paths.
+// candidates the envelope fold consumes.
 func (p *Pipeline) netflixLookups(res *Result, mapper IPMapper) []MemEntry {
 	nf := res.PerHG[hg.Netflix]
 	seen := make(map[netmodel.IP]struct{}, len(nf.ConfirmedIPList)+len(nf.ExpiredIPs))

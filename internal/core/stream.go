@@ -10,41 +10,37 @@ import (
 	"offnetscope/internal/netmodel"
 )
 
-// This file is the streaming half of the §4 inference: the same five
-// methodology steps, fed by corpus.Stream record batches instead of a
-// materialized Snapshot. Memory stays bounded by the chunk size plus
-// the compact validated working set (one record struct per valid
-// certificate observation — the two-pass §4.2/§4.3 scan needs it), not
-// by the wire-format corpus: chains, header slices, and the snapshot's
-// giant record slices never materialize at once.
+// This file is the §4 inference engine: the five methodology steps fed
+// by corpus.Stream record batches. Every caller goes through it — Run
+// and RunStudy wrap in-memory snapshots with corpus.StreamOf, offnetmap
+// streams vendor-months straight off disk. Chains, header slices, and a
+// month's raw record slices never materialize at once. What does stay
+// resident per snapshot is one compact record per validated certificate
+// observation (the two-pass §4.2/§4.3 scan needs them), the set of
+// certificate IPs, and the HTTP(S) header indexes, which hold every
+// header record of the month: memory is O(chunk + validated records +
+// the month's header records).
 //
 // Determinism contract: batches arrive in record order and each batch's
 // shard partials fold in shard order, so the overall fold order is
-// (chunk, shard) — lexicographically identical to the record order the
-// materializing path sees. Every counter merges by commutative
-// addition/union and every list concatenates in that order, which is
-// why RunStream is byte-identical to Run at any jobs × shards × chunk
-// combination (pinned by TestGoldenChunkInvariance).
+// (chunk, shard) — lexicographically identical to the record order of a
+// single batch. Every counter merges by commutative addition/union and
+// every list concatenates in that order, which is why the output is
+// byte-identical at any jobs × shards × chunk combination (pinned by
+// the golden suite).
 
-// RunStream executes the methodology over one streamed corpus
-// snapshot. The error is the stream's: record-level damage accounting
-// happened inside the stream per its ReadOptions, and a surfaced error
-// means the month must be dropped exactly as a failed ReadWithStats
-// would have been.
-func (p *Pipeline) RunStream(st *corpus.Stream) (*Result, error) {
-	inf, err := p.InferSnapshotStream(st)
-	if err != nil {
-		return nil, err
-	}
-	return inf.Result, nil
-}
-
-// InferSnapshotStream is InferSnapshot over a corpus.Stream: it drives
-// all three record streams to completion — mirroring ReadWithStats'
-// one-goroutine-per-file concurrency, and guaranteeing the stream's
+// InferSnapshotStream runs the full §4 inference over one snapshot's
+// record stream and captures the envelope inputs. It drives all three
+// record streams to completion on their own goroutines — so a stream's
 // read accounting always finalizes — validating certificate batches
-// through the shard workers as they arrive, then runs the shared
-// match/confirm half on the folded records.
+// through the shard workers as they arrive, then runs the match/confirm
+// half on the folded records. The error is the stream's, with the
+// fixed certs-https-http precedence: record-level damage accounting
+// happened inside the stream per its ReadOptions, and a surfaced error
+// means the month must be dropped.
+//
+// It is a pure function of the stream and the pipeline's immutable
+// datasets, so any number of snapshots can be inferred concurrently.
 func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, error) {
 	m := p.Metrics
 	runStart := time.Now()
@@ -57,12 +53,15 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	mapper := p.Mapper(st.Snapshot)
 	at := st.ScanTime()
 
+	// The producer's record counts, when it knows them, pre-size the
+	// per-month containers instead of growing them by doubling.
+	hint := st.SizeHint
 	var (
-		records  []record
+		records  = make([]record, 0, hint[0])
 		asSet    = make(map[astopo.ASN]struct{})
-		certIPs  = make(map[netmodel.IP]struct{})
-		httpsIdx = make(map[netmodel.IP][]hg.Header)
-		httpIdx  = make(map[netmodel.IP][]hg.Header)
+		certIPs  = make(map[netmodel.IP]struct{}, hint[0])
+		httpsIdx = make(map[netmodel.IP][]hg.Header, hint[1])
+		httpIdx  = make(map[netmodel.IP][]hg.Header, hint[2])
 		errs     [3]error
 	)
 	valStart := time.Now()
@@ -70,57 +69,31 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		// One scratch slice of shard partials, reused across batches —
-		// the consumer is a single goroutine, so batches validate
+		// The consumer is a single goroutine, so batches validate
 		// strictly in arrival order and fold immediately.
-		var parts []*validateShard
 		errs[0] = st.Certs(func(batch []corpus.CertRecord) error {
 			for i := range batch {
 				certIPs[batch[i].IP] = struct{}{}
 			}
-			k := p.shardCount(len(batch))
-			if cap(parts) < k {
-				parts = make([]*validateShard, k)
-			}
-			parts = parts[:k]
-			forEachShard(len(batch), k, func(shard, lo, hi int) {
-				parts[shard] = p.validateRange(batch[lo:hi], at, mapper)
-			})
-			for _, part := range parts {
-				records = append(records, part.records...)
-				res.ValidCertIPs += part.valid
-				for reason, c := range part.invalid {
-					res.InvalidByReason[reason] += c
-				}
-				for as := range part.asSet {
-					asSet[as] = struct{}{}
-				}
-				p.putShardScratch(part)
-			}
-			res.TotalCertIPs += len(batch)
+			records = p.validateBatch(res, asSet, records, batch, at, mapper)
 			return nil
 		})
 	}()
 	go func() {
 		defer wg.Done()
 		errs[1] = st.HTTPS(func(batch []corpus.HeaderRecord) error {
-			for _, r := range batch {
-				httpsIdx[r.IP] = r.Headers
-			}
+			indexHeaders(httpsIdx, batch)
 			return nil
 		})
 	}()
 	go func() {
 		defer wg.Done()
 		errs[2] = st.HTTP(func(batch []corpus.HeaderRecord) error {
-			for _, r := range batch {
-				httpIdx[r.IP] = r.Headers
-			}
+			indexHeaders(httpIdx, batch)
 			return nil
 		})
 	}()
 	wg.Wait()
-	// Error precedence follows the fixed file order, like ReadWithStats.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -132,7 +105,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	p.matchAndCount(res, records, httpsIdx, httpIdx)
 
 	// Envelope inputs (§6.2): the HTTP-only set falls out of the index
-	// keys — indexHeaders dedups by IP exactly the same way.
+	// keys, which are deduplicated by IP.
 	httpOnly := make(map[netmodel.IP]struct{})
 	for ip := range httpIdx {
 		if _, onTLS := certIPs[ip]; !onTLS {
@@ -142,4 +115,12 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	lookups := p.netflixLookups(res, mapper)
 	m.Histogram("funnel.run_ns").Since(runStart)
 	return &SnapshotInference{Result: res, HTTPOnlyIPs: httpOnly, NetflixLookups: lookups}, nil
+}
+
+// indexHeaders folds one batch of header records into a per-IP index;
+// a later record for the same IP replaces an earlier one.
+func indexHeaders(idx map[netmodel.IP][]hg.Header, batch []corpus.HeaderRecord) {
+	for _, r := range batch {
+		idx[r.IP] = r.Headers
+	}
 }

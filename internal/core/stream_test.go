@@ -8,29 +8,43 @@ import (
 	"offnetscope/internal/corpus"
 )
 
-// TestInferSnapshotStreamMatchesInferSnapshot pins the streamed
-// inference to the materialized one at the unit level: the complete
-// SnapshotInference — every Result field, the HTTP-only set, and the
-// Netflix memory lookups — must be deeply equal at any chunk size,
-// including a chunk of one record per batch.
+// TestInferSnapshotStreamMatchesInferSnapshot pins chunked inference to
+// a single-batch stream, which is exactly the unchunked computation —
+// validate every record, then match: the complete SnapshotInference —
+// every Result field, the HTTP-only set, and the Netflix memory lookups
+// — must be deeply equal at any chunk size, including a chunk of one
+// record per batch, and with or without the producer's size hint.
 func TestInferSnapshotStreamMatchesInferSnapshot(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	p := testPipeline(DefaultOptions())
-	want := p.InferSnapshot(snap)
-	for _, chunk := range []int{1, 7, 0, 1 << 20} {
-		got, err := p.InferSnapshotStream(corpus.StreamOf(snap, chunk))
+	want, err := p.InferSnapshotStream(corpus.StreamOf(snap, 1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		chunk  int
+		hinted bool
+	}{{1, true}, {7, true}, {0, true}, {0, false}} {
+		st := corpus.StreamOf(snap, tc.chunk)
+		if !tc.hinted {
+			st.SizeHint = [3]int{} // like a stream read off disk
+		}
+		got, err := p.InferSnapshotStream(st)
 		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
+			t.Fatalf("%+v: %v", tc, err)
 		}
 		if !reflect.DeepEqual(got.Result, want.Result) {
-			t.Errorf("chunk=%d: Result diverges from the materialized inference", chunk)
+			t.Errorf("%+v: Result diverges from the single-batch inference", tc)
 		}
 		if !reflect.DeepEqual(got.HTTPOnlyIPs, want.HTTPOnlyIPs) {
-			t.Errorf("chunk=%d: HTTPOnlyIPs diverge", chunk)
+			t.Errorf("%+v: HTTPOnlyIPs diverge", tc)
 		}
 		if !reflect.DeepEqual(got.NetflixLookups, want.NetflixLookups) {
-			t.Errorf("chunk=%d: NetflixLookups diverge", chunk)
+			t.Errorf("%+v: NetflixLookups diverge", tc)
 		}
+	}
+	if res := p.Run(snap); !reflect.DeepEqual(res, want.Result) {
+		t.Error("Run diverges from the single-batch inference")
 	}
 }
 
@@ -39,7 +53,10 @@ func TestInferSnapshotStreamMatchesInferSnapshot(t *testing.T) {
 func TestInferSnapshotStreamSharded(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	p := testPipeline(DefaultOptions())
-	want := p.InferSnapshot(snap)
+	want, err := p.InferSnapshotStream(corpus.StreamOf(snap, 1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Shards = 4
 	for _, chunk := range []int{3, 0} {
 		got, err := p.InferSnapshotStream(corpus.StreamOf(snap, chunk))
@@ -54,7 +71,7 @@ func TestInferSnapshotStreamSharded(t *testing.T) {
 
 // TestInferSnapshotStreamError pins stream-failure semantics: an error
 // from any record stream aborts the inference and surfaces with the
-// fixed certs-https-http precedence, like a failed materializing read.
+// fixed certs-https-http precedence.
 func TestInferSnapshotStreamError(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	p := testPipeline(DefaultOptions())
@@ -74,7 +91,7 @@ func TestInferSnapshotStreamError(t *testing.T) {
 		t.Fatalf("got %v, want the http error", err)
 	}
 
-	if _, err := p.RunStream(corpus.StreamOf(snap, 0)); err != nil {
+	if _, err := p.InferSnapshotStream(corpus.StreamOf(snap, 0)); err != nil {
 		t.Fatalf("clean stream must not error: %v", err)
 	}
 }

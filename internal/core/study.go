@@ -31,13 +31,13 @@ type StudyResult struct {
 
 // RunStudy executes the pipeline over every snapshot the source can
 // supply, maintaining the cross-snapshot state the Netflix envelope
-// needs. It is the simple sequential front of RunStudyConfig, kept for
+// needs. It is the simple sequential front of RunStudyStream, kept for
 // in-memory callers (tests, examples, experiments) that need no
 // checkpointing, parallelism, or failure policy.
 func (p *Pipeline) RunStudy(source SnapshotSource) *StudyResult {
-	sr, _ := p.RunStudyConfig(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
-			return source(s), nil
+	sr, _ := p.RunStudyStream(context.Background(),
+		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+			return corpus.StreamOf(source(s), 0), nil
 		}, StudyConfig{})
 	return sr
 }

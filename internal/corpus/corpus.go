@@ -55,24 +55,6 @@ type Snapshot struct {
 // matching when the sweeps ran.
 func (s *Snapshot) ScanTime() time.Time { return s.Snapshot.MidTime() }
 
-// HTTPSHeadersByIP indexes the HTTPS header records.
-func (s *Snapshot) HTTPSHeadersByIP() map[netmodel.IP][]hg.Header {
-	return indexHeaders(s.HTTPS)
-}
-
-// HTTPHeadersByIP indexes the HTTP header records.
-func (s *Snapshot) HTTPHeadersByIP() map[netmodel.IP][]hg.Header {
-	return indexHeaders(s.HTTP)
-}
-
-func indexHeaders(records []HeaderRecord) map[netmodel.IP][]hg.Header {
-	m := make(map[netmodel.IP][]hg.Header, len(records))
-	for _, r := range records {
-		m[r.IP] = r.Headers
-	}
-	return m
-}
-
 // UniqueLeafFingerprints counts distinct end-entity certificates in the
 // snapshot, the paper's "unique certificates" statistic.
 func (s *Snapshot) UniqueLeafFingerprints() int {

@@ -126,20 +126,6 @@ func TestDirLayout(t *testing.T) {
 	}
 }
 
-func TestHeaderIndexes(t *testing.T) {
-	snap := sampleSnapshot(t)
-	idx := snap.HTTPSHeadersByIP()
-	if len(idx) != 1 {
-		t.Fatalf("https index size %d", len(idx))
-	}
-	if h := idx[netmodel.MustParseIP("1.0.0.1")]; len(h) != 1 || h[0].Value != "gws" {
-		t.Fatalf("index content: %+v", h)
-	}
-	if len(snap.HTTPHeadersByIP()) != 1 {
-		t.Fatal("http index wrong")
-	}
-}
-
 func TestUniqueLeafFingerprints(t *testing.T) {
 	snap := sampleSnapshot(t)
 	n := snap.UniqueLeafFingerprints()

@@ -5,8 +5,6 @@ import (
 	"compress/gzip"
 	"strings"
 	"testing"
-
-	"offnetscope/internal/certmodel"
 )
 
 // gzipped compresses raw NDJSON for seeding the fuzzer.
@@ -23,9 +21,9 @@ func gzipped(t testing.TB, raw string) []byte {
 	return buf.Bytes()
 }
 
-// decodeChunked runs the same NDJSON stream through the chunked cert
-// decoder (the readCertChunks shape: shared per-record decoder, one
-// reused batch buffer) and materializes the yielded batches.
+// decodeChunked runs an in-memory certs.ndjson.gz stream through the
+// chunk driver every corpus read uses and materializes the yielded
+// batches.
 func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *FileStats, error) {
 	gz, err := gzip.NewReader(bytes.NewReader(input))
 	if err != nil {
@@ -35,25 +33,10 @@ func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *Fi
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-	strs := make(strTable)
-	batch := make([]CertRecord, 0, chunk)
 	var out []CertRecord
 	fs := &FileStats{Name: "fuzz"}
-	derr := decodeNDJSON(gz, "fuzz", opts, fs, func(line []byte) error {
-		rec, err := decodeCertRecord(line, interned, strs)
-		if err != nil {
-			return err
-		}
-		batch = append(batch, rec)
-		if len(batch) == chunk {
-			out = append(out, batch...)
-			batch = batch[:0]
-		}
-		return nil
-	})
-	out = append(out, batch...)
-	return out, fs, derr
+	err = readChunks(gz, "fuzz", opts, fs, chunk, newCertDecoder(), appendTo(&out))
+	return out, fs, err
 }
 
 // sameCertRecords compares decoded cert records by IP and per-link
@@ -92,10 +75,10 @@ func sameFileStats(a, b *FileStats) bool {
 // (mirroring FuzzFootstoreDecode): corrupt input must produce an error
 // or a clean skip — never a panic — in both strict and tolerant mode,
 // and tolerant accounting must stay consistent with what was decoded.
-// Every input additionally runs through the chunked decoder at chunk
-// sizes 1, 7, and the default, which must reproduce the unchunked
-// records, stats, and error exactly — the determinism contract that
-// makes -chunk an execution knob rather than a semantic one.
+// Every input additionally runs at chunk sizes 1, 7, and the default,
+// which must reproduce the single-batch records, stats, and error
+// exactly — the determinism contract that makes the chunk size an
+// execution knob rather than a semantic one.
 func FuzzCorpusRead(f *testing.F) {
 	valid := gzipped(f,
 		`{"ip":"1.2.3.4","chain":[{"serial":1,"subject_org":"Google LLC","key":1,"signed_by":2}]}`+"\n"+
@@ -123,17 +106,15 @@ func FuzzCorpusRead(f *testing.F) {
 			{Tolerant: true},
 			{Tolerant: true, MaxBadFraction: 1},
 		} {
-			gz, err := gzip.NewReader(bytes.NewReader(input))
-			if err != nil {
-				continue
+			// One batch holding the whole file is the reference.
+			want, fs, err := decodeChunked(input, opts, 1<<30)
+			if fs == nil {
+				continue // not a gzip stream at all
 			}
-			snap := &Snapshot{}
-			interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-			fs := &FileStats{Name: "fuzz"}
-			err = decodeNDJSON(gz, "fuzz", opts, fs, certLineDecoder(snap, interned, make(strTable)))
-			gz.Close()
-			if fs.Records != len(snap.Certs) {
-				t.Fatalf("accounting drift: %d records counted, %d decoded", fs.Records, len(snap.Certs))
+			// A failed read drops its unflushed batch, so only a clean
+			// read must deliver every record it counted.
+			if err == nil && fs.Records != len(want) {
+				t.Fatalf("accounting drift: %d records counted, %d decoded", fs.Records, len(want))
 			}
 			if !opts.Tolerant && fs.Skipped != 0 {
 				t.Fatalf("strict mode skipped %d records", fs.Skipped)
@@ -153,8 +134,8 @@ func FuzzCorpusRead(f *testing.F) {
 				if !sameFileStats(fs, cfs) {
 					t.Fatalf("chunk=%d stats diverged: %s vs %s", chunk, cfs, fs)
 				}
-				if !sameCertRecords(snap.Certs, recs) {
-					t.Fatalf("chunk=%d decoded %d records, unchunked %d", chunk, len(recs), len(snap.Certs))
+				if err == nil && !sameCertRecords(want, recs) {
+					t.Fatalf("chunk=%d decoded %d records, single batch %d", chunk, len(recs), len(want))
 				}
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"offnetscope/internal/certmodel"
@@ -242,11 +241,10 @@ type ReadOptions struct {
 	// are deterministic for a fixed corpus; only corpus.read_ns varies.
 	Metrics *obs.Registry
 
-	// ChunkSize bounds the record batches the streaming read path
-	// (OpenStream) yields; zero means DefaultChunkSize. It is an
-	// execution knob like -jobs and -shards, not part of the
-	// determinism contract: output is byte-identical at any setting.
-	// The materializing path (Read/ReadWithStats) ignores it.
+	// ChunkSize bounds the record batches OpenStream yields; zero means
+	// DefaultChunkSize. It is an execution knob like -jobs and -shards,
+	// not part of the determinism contract: output is byte-identical at
+	// any setting.
 	ChunkSize int
 }
 
@@ -273,9 +271,7 @@ func (o ReadOptions) budget() float64 {
 var ErrBudgetExceeded = errors.New("corpus: per-file error budget exceeded")
 
 // recordReadMetrics emits the corpus.* read accounting for one snapshot
-// read attempt. It is shared by the materializing (ReadWithStats) and
-// streaming (OpenStream) paths so the counter totals stay byte-identical
-// between them for the same corpus.
+// read attempt.
 func recordReadMetrics(m *obs.Registry, start time.Time, stats *ReadStats, err error) {
 	m.Histogram("corpus.read_ns").Since(start)
 	m.Counter("corpus.reads").Inc()
@@ -431,137 +427,101 @@ func Read(root string, vendor Vendor, s timeline.Snapshot) (*Snapshot, error) {
 	return snap, err
 }
 
-// ReadWithStats loads a snapshot under the given options. In tolerant
-// mode, malformed records are skipped and counted per file; the read
-// fails only when a file exceeds its error budget or is damaged at the
-// gzip level. The returned stats are valid (for inspection) even when
-// err is non-nil.
-//
-// The three corpus files decode concurrently, each on its own
-// goroutine — gzip inflation and JSON decoding dominate a snapshot
-// read, and the files share nothing. Stats ordering and error
-// precedence follow the fixed file order (certs, https, http)
-// regardless of which read finishes or fails first, so the returned
-// error, the stats, and the snapshot are all deterministic.
-func ReadWithStats(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions) (snap *Snapshot, stats *ReadStats, err error) {
-	start := time.Now()
-	stats = &ReadStats{}
-	defer func() { recordReadMetrics(opts.Metrics, start, stats, err) }()
-	dir := Dir(root, vendor, s)
-	snap = &Snapshot{Vendor: vendor, Snapshot: s}
+// ReadWithStats loads a snapshot under the given options by collecting
+// an OpenStream read in memory. In tolerant mode, malformed records are
+// skipped and counted per file; the read fails only when a file exceeds
+// its error budget or is damaged at the gzip level. The returned stats
+// are valid (for inspection) even when err is non-nil: every file is
+// read to its end whatever the others did, so the stats and the
+// corpus.* metrics are complete, and the error follows the fixed file
+// order (certs, https, http).
+func ReadWithStats(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions) (*Snapshot, *ReadStats, error) {
+	st, err := OpenStream(root, vendor, s, opts)
+	if err != nil {
+		return nil, &ReadStats{}, err
+	}
+	snap := &Snapshot{Vendor: vendor, Snapshot: s}
+	for _, err := range []error{
+		st.Certs(appendTo(&snap.Certs)),
+		st.HTTPS(appendTo(&snap.HTTPS)),
+		st.HTTP(appendTo(&snap.HTTP)),
+	} {
+		if err != nil {
+			return nil, st.Stats, err
+		}
+	}
+	return snap, st.Stats, nil
+}
+
+// appendTo is a yield func that copies every batch onto *dst.
+func appendTo[T any](dst *[]T) func([]T) error {
+	return func(batch []T) error {
+		*dst = append(*dst, batch...)
+		return nil
+	}
+}
+
+// newCertDecoder returns the certs.ndjson.gz line decoder for one file
+// read. Repeated intermediates/roots intern by fingerprint and repeated
+// strings via a strTable, both spanning that one read.
+func newCertDecoder() func([]byte) (CertRecord, error) {
 	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-
-	// FileStats are registered up front so stats.Files keeps the file
-	// order however the concurrent reads interleave; each goroutine
-	// owns its own FileStats and its own slice of the snapshot.
-	certFS := stats.file("certs.ndjson.gz")
-	httpsFS := stats.file("https_headers.ndjson.gz")
-	httpFS := stats.file("http_headers.ndjson.gz")
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		errs[0] = readNDJSONFile(filepath.Join(dir, certFS.Name), opts, certFS, certLineDecoder(snap, interned, make(strTable)))
-	}()
-	go func() {
-		defer wg.Done()
-		snap.HTTPS, errs[1] = readHeaderFile(filepath.Join(dir, httpsFS.Name), opts, httpsFS)
-	}()
-	go func() {
-		defer wg.Done()
-		snap.HTTP, errs[2] = readHeaderFile(filepath.Join(dir, httpFS.Name), opts, httpFS)
-	}()
-	wg.Wait()
-	for _, err = range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	return snap, stats, nil
-}
-
-// decodeCertRecord decodes one certs.ndjson.gz line, interning repeated
-// intermediates/roots by fingerprint and repeated strings via strs. It
-// is the single decode routine behind both the materializing and the
-// chunked read paths, so the two can never disagree on what counts as
-// a malformed record.
-func decodeCertRecord(line []byte, interned map[certmodel.Fingerprint]*certmodel.Certificate, strs strTable) (CertRecord, error) {
-	var w wireCertRecord
-	if err := json.Unmarshal(line, &w); err != nil {
-		return CertRecord{}, badRecord("json", err)
-	}
-	ip, err := netmodel.ParseIP(w.IP)
-	if err != nil {
-		return CertRecord{}, badRecord("ip", err)
-	}
-	rec := CertRecord{IP: ip, Chain: make(certmodel.Chain, 0, len(w.Chain))}
-	for i := range w.Chain {
-		c := fromWireCert(w.Chain[i], strs)
-		if i > 0 { // intermediates and roots repeat heavily
-			if known, ok := interned[c.Fingerprint()]; ok {
-				c = known
-			} else {
-				interned[c.Fingerprint()] = c
-			}
-		}
-		rec.Chain = append(rec.Chain, c)
-	}
-	return rec, nil
-}
-
-// decodeHeaderRecord decodes one header-file line, interning repeated
-// header names and values via strs.
-func decodeHeaderRecord(line []byte, strs strTable) (HeaderRecord, error) {
-	var w wireHeaderRecord
-	if err := json.Unmarshal(line, &w); err != nil {
-		return HeaderRecord{}, badRecord("json", err)
-	}
-	ip, err := netmodel.ParseIP(w.IP)
-	if err != nil {
-		return HeaderRecord{}, badRecord("ip", err)
-	}
-	for i := range w.Headers {
-		w.Headers[i].Name = strs.intern(w.Headers[i].Name)
-		w.Headers[i].Value = strs.intern(w.Headers[i].Value)
-	}
-	return HeaderRecord{IP: ip, Headers: w.Headers}, nil
-}
-
-// certLineDecoder appends decoded cert records to snap.
-func certLineDecoder(snap *Snapshot, interned map[certmodel.Fingerprint]*certmodel.Certificate, strs strTable) func([]byte) error {
-	return func(line []byte) error {
-		rec, err := decodeCertRecord(line, interned, strs)
-		if err != nil {
-			return err
-		}
-		snap.Certs = append(snap.Certs, rec)
-		return nil
-	}
-}
-
-func readHeaderFile(path string, opts ReadOptions, fs *FileStats) ([]HeaderRecord, error) {
-	var out []HeaderRecord
 	strs := make(strTable)
-	err := readNDJSONFile(path, opts, fs, func(line []byte) error {
-		rec, derr := decodeHeaderRecord(line, strs)
-		if derr != nil {
-			return derr
+	return func(line []byte) (CertRecord, error) {
+		var w wireCertRecord
+		if err := json.Unmarshal(line, &w); err != nil {
+			return CertRecord{}, badRecord("json", err)
 		}
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
+		ip, err := netmodel.ParseIP(w.IP)
+		if err != nil {
+			return CertRecord{}, badRecord("ip", err)
+		}
+		rec := CertRecord{IP: ip, Chain: make(certmodel.Chain, 0, len(w.Chain))}
+		for i := range w.Chain {
+			c := fromWireCert(w.Chain[i], strs)
+			if i > 0 { // intermediates and roots repeat heavily
+				if known, ok := interned[c.Fingerprint()]; ok {
+					c = known
+				} else {
+					interned[c.Fingerprint()] = c
+				}
+			}
+			rec.Chain = append(rec.Chain, c)
+		}
+		return rec, nil
+	}
 }
 
-func readNDJSONFile(path string, opts ReadOptions, fs *FileStats, decode func([]byte) error) (err error) {
+// newHeaderDecoder returns the header-file line decoder for one file
+// read, interning repeated header names and values.
+func newHeaderDecoder() func([]byte) (HeaderRecord, error) {
+	strs := make(strTable)
+	return func(line []byte) (HeaderRecord, error) {
+		var w wireHeaderRecord
+		if err := json.Unmarshal(line, &w); err != nil {
+			return HeaderRecord{}, badRecord("json", err)
+		}
+		ip, err := netmodel.ParseIP(w.IP)
+		if err != nil {
+			return HeaderRecord{}, badRecord("ip", err)
+		}
+		for i := range w.Headers {
+			w.Headers[i].Name = strs.intern(w.Headers[i].Name)
+			w.Headers[i].Value = strs.intern(w.Headers[i].Value)
+		}
+		return HeaderRecord{IP: ip, Headers: w.Headers}, nil
+	}
+}
+
+// readNDJSONFile opens one NDJSON+gzip corpus file and drives it
+// through readChunks.
+func readNDJSONFile[T any](path string, opts ReadOptions, fs *FileStats, chunk int, decode func([]byte) (T, error), yield func([]T) error) (err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	// Close errors must not vanish: a gzip stream only proves its
-	// checksum at Close, and a failing file Close can mask a partial
-	// read on networked filesystems. Keep the first error.
+	// Close errors must not vanish: a failing file Close can mask a
+	// partial read on networked filesystems. Keep the first error.
 	defer func() {
 		if cerr := f.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("corpus: closing %s: %w", path, cerr)
@@ -576,25 +536,31 @@ func readNDJSONFile(path string, opts ReadOptions, fs *FileStats, decode func([]
 			err = fmt.Errorf("corpus: closing %s: %w", path, cerr)
 		}
 	}()
-	return decodeNDJSON(gz, path, opts, fs, decode)
+	return readChunks(gz, path, opts, fs, chunk, decode, yield)
 }
 
-// decodeNDJSON walks one record-per-line stream. Strict mode fails on
-// the first malformed record; tolerant mode skips and counts it,
-// failing only past the error budget. Stream-level read errors (flate
-// corruption, truncation) always fail: the undecodable remainder makes
-// the budget unassessable.
+// readChunks is the one record driver behind every corpus read: it
+// walks a record-per-line stream, decodes each line, and yields the
+// records in order in batches of chunk — the last one possibly shorter
+// — through a single reused batch buffer. Strict mode fails on the
+// first malformed record; tolerant mode skips and counts it, failing
+// only past the error budget. Stream-level read errors (flate
+// corruption, truncation, a failed gzip checksum) always fail: the
+// undecodable remainder makes the budget unassessable. An error from
+// yield aborts the read and is returned verbatim: a consumer abort is
+// not record damage and never counts against the budget.
 //
 // The budget is enforced incrementally once enough lines have been seen
 // to judge the fraction, and finally at EOF — so a hopelessly corrupt
 // file aborts early instead of burning through gigabytes.
-func decodeNDJSON(r io.Reader, name string, opts ReadOptions, fs *FileStats, decode func([]byte) error) error {
+func readChunks[T any](r io.Reader, name string, opts ReadOptions, fs *FileStats, chunk int, decode func([]byte) (T, error), yield func([]T) error) error {
 	const minSampleForEarlyAbort = 512
 	budget := opts.budget()
 	overBudget := func() bool {
 		total := fs.Records + fs.Skipped
 		return float64(fs.Skipped) > budget*float64(total)
 	}
+	var batch []T
 	br := bufio.NewReaderSize(r, 1<<16)
 	for lineNo := 1; ; lineNo++ {
 		line, rerr := br.ReadBytes('\n')
@@ -607,14 +573,8 @@ func decodeNDJSON(r io.Reader, name string, opts ReadOptions, fs *FileStats, dec
 			return fmt.Errorf("corpus: reading %s: %w", name, rerr)
 		}
 		if rec := bytes.TrimSpace(line); len(rec) > 0 {
-			if derr := decode(rec); derr != nil {
-				var abort *yieldError
-				if errors.As(derr, &abort) {
-					// A stream consumer rejected a yielded batch. That is
-					// not record damage: it must neither count against the
-					// error budget nor be dressed up as a decode failure.
-					return abort.err
-				}
+			v, derr := decode(rec)
+			if derr != nil {
 				if !opts.Tolerant {
 					return fmt.Errorf("corpus: decoding %s line %d: %w", name, lineNo, derr)
 				}
@@ -626,11 +586,20 @@ func decodeNDJSON(r io.Reader, name string, opts ReadOptions, fs *FileStats, dec
 				}
 			} else {
 				fs.Records++
+				if batch = append(batch, v); len(batch) == chunk {
+					if err := yield(batch); err != nil {
+						return err
+					}
+					batch = batch[:0]
+				}
 			}
 		}
 		if rerr == io.EOF {
 			if opts.Tolerant && fs.Skipped > 0 && overBudget() {
 				return fmt.Errorf("%w: %s (%s)", ErrBudgetExceeded, name, fs)
+			}
+			if len(batch) > 0 {
+				return yield(batch)
 			}
 			return nil
 		}

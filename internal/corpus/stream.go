@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"offnetscope/internal/certmodel"
 	"offnetscope/internal/timeline"
 )
 
@@ -27,9 +26,9 @@ const DefaultChunkSize = 4096
 // scanners.ScanStream):
 //
 //   - Batches arrive in record order — chunk N+1's records follow chunk
-//     N's exactly as a materializing read would have appended them. A
-//     consumer that folds batches in arrival order reproduces the
-//     unchunked result byte for byte at any chunk size.
+//     N's exactly as they sit in the file. A consumer that folds batches
+//     in arrival order reproduces the single-batch result byte for byte
+//     at any chunk size.
 //   - The batch slice is only valid during the yield call: producers
 //     reuse it. Consumers copy what they retain — the records' contents
 //     (chain pointers, header slices) are freshly decoded and safe to
@@ -42,10 +41,16 @@ type Stream struct {
 	Vendor   Vendor
 	Snapshot timeline.Snapshot
 
-	// Stats carries the same per-file accounting a materializing read
-	// returns. The counts fill in as the consume functions run and are
-	// complete once all three have returned.
+	// Stats carries the per-file read accounting. The counts fill in as
+	// the consume functions run and are complete once all three have
+	// returned. Nil for producers that decode nothing.
 	Stats *ReadStats
+
+	// SizeHint is the record count of each file (certs, https, http)
+	// when the producer knows it up front, zero otherwise. Consumers may
+	// pre-size their containers from it; it never changes what a stream
+	// yields.
+	SizeHint [3]int
 
 	Certs func(yield func([]CertRecord) error) error
 	HTTPS func(yield func([]HeaderRecord) error) error
@@ -59,16 +64,20 @@ func (st *Stream) ScanTime() time.Time { return st.Snapshot.MidTime() }
 // StreamOf adapts an in-memory snapshot to the streaming interface,
 // yielding zero-copy subslice batches of chunk records each
 // (DefaultChunkSize when chunk <= 0). It is how scanner-generated
-// corpuses and tests drive the streaming pipeline without a disk
-// round-trip; it records no stats and emits no metrics, exactly like
-// handing the snapshot itself to the materializing pipeline.
+// corpuses and in-memory callers drive the streaming pipeline without
+// a disk round-trip; it records no stats and emits no metrics. A nil
+// snapshot — a month the source has no data for — gives a nil stream.
 func StreamOf(snap *Snapshot, chunk int) *Stream {
+	if snap == nil {
+		return nil
+	}
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
 	return &Stream{
 		Vendor:   snap.Vendor,
 		Snapshot: snap.Snapshot,
+		SizeHint: [3]int{len(snap.Certs), len(snap.HTTPS), len(snap.HTTP)},
 		Certs:    func(yield func([]CertRecord) error) error { return yieldChunks(snap.Certs, chunk, yield) },
 		HTTPS:    func(yield func([]HeaderRecord) error) error { return yieldChunks(snap.HTTPS, chunk, yield) },
 		HTTP:     func(yield func([]HeaderRecord) error) error { return yieldChunks(snap.HTTP, chunk, yield) },
@@ -85,20 +94,16 @@ func yieldChunks[T any](recs []T, chunk int, yield func([]T) error) error {
 	return nil
 }
 
-// OpenStream opens a persisted vendor-month for chunked reading. The
-// ReadOptions carry over from ReadWithStats unchanged — tolerant mode,
-// the per-file error budget, and metrics all behave identically, and
-// the budget aborts at exactly the same skip count as the materializing
-// reader (the incremental enforcement in decodeNDJSON never needed the
-// up-front record count). All three files are stat'd up front so a
-// month the vendor doesn't cover fails here with fs.ErrNotExist, like
-// ReadWithStats, rather than mid-consumption.
+// OpenStream opens a persisted vendor-month for chunked reading under
+// the given ReadOptions: tolerant mode, the per-file error budget, and
+// metrics. All three files are stat'd up front so a month the vendor
+// doesn't cover fails here with fs.ErrNotExist rather than
+// mid-consumption.
 //
 // The read's corpus.* metrics are recorded once, after all three
 // consume functions have completed; a consumer that abandons a stream
 // forfeits that read's accounting. Error precedence across files
-// follows the fixed file order (certs, https, http), matching
-// ReadWithStats.
+// follows the fixed file order (certs, https, http).
 func OpenStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions) (*Stream, error) {
 	start := time.Now()
 	dir := Dir(root, vendor, s)
@@ -120,19 +125,13 @@ func OpenStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOption
 	fin := &streamFinalizer{start: start, stats: stats, opts: opts, left: 3}
 	st := &Stream{Vendor: vendor, Snapshot: s, Stats: stats}
 	st.Certs = func(yield func([]CertRecord) error) error {
-		err := readCertChunks(filepath.Join(dir, certFS.Name), opts, certFS, chunk, yield)
-		fin.done(0, err)
-		return err
+		return fin.done(0, readNDJSONFile(filepath.Join(dir, certFS.Name), opts, certFS, chunk, newCertDecoder(), yield))
 	}
 	st.HTTPS = func(yield func([]HeaderRecord) error) error {
-		err := readHeaderChunks(filepath.Join(dir, httpsFS.Name), opts, httpsFS, chunk, yield)
-		fin.done(1, err)
-		return err
+		return fin.done(1, readNDJSONFile(filepath.Join(dir, httpsFS.Name), opts, httpsFS, chunk, newHeaderDecoder(), yield))
 	}
 	st.HTTP = func(yield func([]HeaderRecord) error) error {
-		err := readHeaderChunks(filepath.Join(dir, httpFS.Name), opts, httpFS, chunk, yield)
-		fin.done(2, err)
-		return err
+		return fin.done(2, readNDJSONFile(filepath.Join(dir, httpFS.Name), opts, httpFS, chunk, newHeaderDecoder(), yield))
 	}
 	return st, nil
 }
@@ -150,12 +149,13 @@ type streamFinalizer struct {
 	errs [3]error
 }
 
-func (f *streamFinalizer) done(i int, err error) {
+// done records file i's outcome and returns err unchanged.
+func (f *streamFinalizer) done(i int, err error) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.errs[i] = err
 	if f.left--; f.left > 0 {
-		return
+		return err
 	}
 	first := error(nil)
 	for _, e := range f.errs {
@@ -165,69 +165,5 @@ func (f *streamFinalizer) done(i int, err error) {
 		}
 	}
 	recordReadMetrics(f.opts.Metrics, f.start, f.stats, first)
-}
-
-// yieldError marks an error returned by a stream consumer's yield so
-// decodeNDJSON can tell a consumer abort apart from record damage and
-// propagate it verbatim.
-type yieldError struct{ err error }
-
-func (e *yieldError) Error() string { return e.err.Error() }
-func (e *yieldError) Unwrap() error { return e.err }
-
-// readCertChunks drives one certs file through the shared per-record
-// decoder, accumulating records into a single reused batch buffer and
-// yielding it every chunk records. Interning (fingerprints and strings)
-// spans the whole file, exactly like the materializing read.
-func readCertChunks(path string, opts ReadOptions, fs *FileStats, chunk int, yield func([]CertRecord) error) error {
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-	strs := make(strTable)
-	batch := make([]CertRecord, 0, chunk)
-	err := readNDJSONFile(path, opts, fs, func(line []byte) error {
-		rec, derr := decodeCertRecord(line, interned, strs)
-		if derr != nil {
-			return derr
-		}
-		batch = append(batch, rec)
-		if len(batch) == chunk {
-			if yerr := yield(batch); yerr != nil {
-				return &yieldError{yerr}
-			}
-			batch = batch[:0]
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(batch) > 0 {
-		return yield(batch)
-	}
-	return nil
-}
-
-func readHeaderChunks(path string, opts ReadOptions, fs *FileStats, chunk int, yield func([]HeaderRecord) error) error {
-	strs := make(strTable)
-	batch := make([]HeaderRecord, 0, chunk)
-	err := readNDJSONFile(path, opts, fs, func(line []byte) error {
-		rec, derr := decodeHeaderRecord(line, strs)
-		if derr != nil {
-			return derr
-		}
-		batch = append(batch, rec)
-		if len(batch) == chunk {
-			if yerr := yield(batch); yerr != nil {
-				return &yieldError{yerr}
-			}
-			batch = batch[:0]
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(batch) > 0 {
-		return yield(batch)
-	}
-	return nil
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,20 +31,28 @@ func drainStream(st *Stream) (certs []CertRecord, https, http []HeaderRecord, er
 	return
 }
 
-// OpenStream must reproduce the materializing read exactly — records in
-// order, identical stats, identical corpus.* counters — at any chunk
-// size, including sizes that split records mid-file and a chunk larger
-// than the file.
+// OpenStream must reproduce the snapshot handed to Write exactly —
+// records in order, per-file stats, and corpus.* counters — at any
+// chunk size, including sizes that split records mid-file and a chunk
+// larger than the file; ReadWithStats, which collects the same stream,
+// must agree.
 func TestOpenStreamMatchesRead(t *testing.T) {
 	snap := sampleSnapshot(t)
 	root := t.TempDir()
 	if err := Write(root, snap); err != nil {
 		t.Fatal(err)
 	}
-	wantReg := obs.NewRegistry("want")
-	want, wantStats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Metrics: wantReg})
-	if err != nil {
-		t.Fatal(err)
+	wantCounts := []int{len(snap.Certs), len(snap.HTTPS), len(snap.HTTP)}
+	sameHeaders := func(a, b []HeaderRecord) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].IP != b[i].IP || !reflect.DeepEqual(a[i].Headers, b[i].Headers) {
+				return false
+			}
+		}
+		return true
 	}
 
 	for _, chunk := range []int{1, 7, 0, 1 << 20} {
@@ -52,48 +61,99 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
+		if st.SizeHint != [3]int{} {
+			t.Fatalf("chunk=%d: OpenStream claims record counts %v before reading", chunk, st.SizeHint)
+		}
 		certs, https, http, errs := drainStream(st)
 		for i, e := range errs {
 			if e != nil {
 				t.Fatalf("chunk=%d file %d: %v", chunk, i, e)
 			}
 		}
-		if !sameCertRecords(want.Certs, certs) {
-			t.Fatalf("chunk=%d: cert records diverged (%d vs %d)", chunk, len(certs), len(want.Certs))
+		if !sameCertRecords(snap.Certs, certs) {
+			t.Fatalf("chunk=%d: cert records diverged (%d vs %d)", chunk, len(certs), len(snap.Certs))
 		}
-		for name, pair := range map[string][2][]HeaderRecord{
-			"https": {want.HTTPS, https},
-			"http":  {want.HTTP, http},
-		} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("chunk=%d: %s record count %d, want %d", chunk, name, len(pair[1]), len(pair[0]))
-			}
-			for i := range pair[0] {
-				if pair[0][i].IP != pair[1][i].IP || len(pair[0][i].Headers) != len(pair[1][i].Headers) {
-					t.Fatalf("chunk=%d: %s record %d diverged", chunk, name, i)
-				}
+		if !sameHeaders(snap.HTTPS, https) || !sameHeaders(snap.HTTP, http) {
+			t.Fatalf("chunk=%d: header records diverged", chunk)
+		}
+		for i, fs := range st.Stats.Files {
+			if fs.Records != wantCounts[i] || fs.Skipped != 0 {
+				t.Fatalf("chunk=%d: stats %s, want %d ok, 0 skipped", chunk, fs, wantCounts[i])
 			}
 		}
-		for i, fs := range wantStats.Files {
+		got := reg.Snapshot()
+		if got.Counter("corpus.reads") != 1 || got.Counter("corpus.records") != int64(len(certs)+len(https)+len(http)) ||
+			got.Counter("corpus.records_skipped") != 0 || got.Counter("corpus.read_errors") != 0 {
+			t.Fatalf("chunk=%d: read accounting %v", chunk, got.Counters)
+		}
+
+		back, stats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{ChunkSize: chunk})
+		if err != nil {
+			t.Fatalf("chunk=%d: ReadWithStats: %v", chunk, err)
+		}
+		if !sameCertRecords(snap.Certs, back.Certs) || !sameHeaders(snap.HTTPS, back.HTTPS) || !sameHeaders(snap.HTTP, back.HTTP) {
+			t.Fatalf("chunk=%d: ReadWithStats diverged from the written snapshot", chunk)
+		}
+		for i, fs := range stats.Files {
 			if !sameFileStats(fs, st.Stats.Files[i]) {
-				t.Fatalf("chunk=%d: stats for %s diverged: %s vs %s", chunk, fs.Name, st.Stats.Files[i], fs)
-			}
-		}
-		got, wantCtrs := reg.Snapshot().Counters, wantReg.Snapshot().Counters
-		if len(got) != len(wantCtrs) {
-			t.Fatalf("chunk=%d: counter sets diverged: %v vs %v", chunk, got, wantCtrs)
-		}
-		for name, v := range wantCtrs {
-			if got[name] != v {
-				t.Errorf("chunk=%d: counter %s = %d, want %d", chunk, name, got[name], v)
+				t.Fatalf("chunk=%d: ReadWithStats stats %s, stream %s", chunk, fs, st.Stats.Files[i])
 			}
 		}
 	}
 }
 
+// ReadWithStats collects all three files whatever fails: the first
+// error in file order wins, the stats cover every file, and the read
+// books one corpus.read_errors. A missing month still fails with
+// fs.ErrNotExist and books corpus.read_missing.
+func TestReadWithStatsFailureAccounting(t *testing.T) {
+	snap := sampleSnapshot(t)
+	root := t.TempDir()
+	if err := Write(root, snap); err != nil {
+		t.Fatal(err)
+	}
+	// Damage the later two files differently: a truncated https stream
+	// (its error names the file) and an http file that is not gzip.
+	dir := Dir(root, Rapid7, snap.Snapshot)
+	httpsPath := filepath.Join(dir, "https_headers.ndjson.gz")
+	data, err := os.ReadFile(httpsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(httpsPath, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "http_headers.ndjson.gz"), []byte("not gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry("got")
+	back, stats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true, Metrics: reg})
+	if err == nil || back != nil {
+		t.Fatalf("damaged month read back: err=%v", err)
+	}
+	if !strings.Contains(err.Error(), "https_headers") {
+		t.Fatalf("err = %v, want the https file's error (file-order precedence)", err)
+	}
+	if stats == nil || len(stats.Files) != 3 || stats.Files[0].Records != len(snap.Certs) {
+		t.Fatalf("stats after failure: %+v", stats)
+	}
+	s := reg.Snapshot()
+	if s.Counter("corpus.reads") != 1 || s.Counter("corpus.read_errors") != 1 || s.Counter("corpus.records") != int64(len(snap.Certs)) {
+		t.Fatalf("failure accounting: %v", s.Counters)
+	}
+
+	reg = obs.NewRegistry("missing")
+	_, stats, err = ReadWithStats(t.TempDir(), Rapid7, 3, ReadOptions{Metrics: reg})
+	if !errors.Is(err, fs.ErrNotExist) || stats == nil {
+		t.Fatalf("missing month: err = %v, stats = %v", err, stats)
+	}
+	if s := reg.Snapshot(); s.Counter("corpus.reads") != 1 || s.Counter("corpus.read_missing") != 1 {
+		t.Fatalf("missing-month accounting: %v", s.Counters)
+	}
+}
+
 // A month the vendor doesn't cover fails OpenStream up front with
-// fs.ErrNotExist and books the same corpus.read_missing accounting the
-// materializing read does.
+// fs.ErrNotExist and books corpus.read_missing, not a read error.
 func TestOpenStreamMissingMonth(t *testing.T) {
 	reg := obs.NewRegistry("got")
 	_, err := OpenStream(t.TempDir(), Rapid7, 3, ReadOptions{Metrics: reg})
@@ -153,11 +213,11 @@ func TestOpenStreamConsumerAbort(t *testing.T) {
 	}
 }
 
-// The chunked reader enforces the -max-bad budget at exactly the same
-// skip count as the slice-based reader, even though the per-file record
-// count is unknown up front: the boundary cases from
-// TestTolerantBudgetBoundary must behave identically through
-// readCertChunks at chunk sizes that straddle the failing record.
+// The chunk driver enforces the -max-bad budget at exactly the same
+// skip count at every chunk size, even though the per-file record count
+// is unknown up front: the boundary cases from
+// TestTolerantBudgetBoundary must behave identically at chunk sizes
+// that straddle the failing record and in a single batch.
 func TestStreamBudgetBoundaryParity(t *testing.T) {
 	input := func(total, bad int) string {
 		var raw strings.Builder
@@ -244,8 +304,8 @@ func TestStreamChunkBoundaryCorruption(t *testing.T) {
 }
 
 // A gzip stream whose trailer is truncated — the CRC can never be
-// verified — must fail the read in both strict and tolerant mode, on
-// both the materializing and the streaming path, and must never be
+// verified — must fail the read in both strict and tolerant mode,
+// through ReadWithStats and a raw stream alike, and must never be
 // misfiled as a per-record skip or an ErrBudgetExceeded.
 func TestTruncatedGzipTrailer(t *testing.T) {
 	snap := sampleSnapshot(t)
@@ -271,10 +331,10 @@ func TestTruncatedGzipTrailer(t *testing.T) {
 	} {
 		_, _, err := ReadWithStats(root, Rapid7, snap.Snapshot, opts)
 		if err == nil {
-			t.Fatalf("materializing read (tolerant=%v) accepted a truncated trailer", opts.Tolerant)
+			t.Fatalf("ReadWithStats (tolerant=%v) accepted a truncated trailer", opts.Tolerant)
 		}
 		if errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("materializing read misfiled truncation as budget: %v", err)
+			t.Fatalf("ReadWithStats misfiled truncation as budget: %v", err)
 		}
 
 		st, oerr := OpenStream(root, Rapid7, snap.Snapshot, opts)
@@ -323,14 +383,18 @@ func TestDominantReasonTieBreak(t *testing.T) {
 }
 
 // StreamOf reproduces the snapshot it wraps, in order, at any chunk
-// size — it is the zero-copy bridge that lets scanner output drive the
-// streaming pipeline.
+// size, and carries its record counts as the size hint — it is the
+// zero-copy bridge that lets scanner output drive the streaming
+// pipeline. A nil snapshot is a nil stream.
 func TestStreamOfRoundTrip(t *testing.T) {
 	snap := sampleSnapshot(t)
 	for _, chunk := range []int{1, 7, 0, 1 << 20} {
 		st := StreamOf(snap, chunk)
 		if st.ScanTime() != snap.ScanTime() {
 			t.Fatalf("chunk=%d: ScanTime diverged", chunk)
+		}
+		if want := [3]int{len(snap.Certs), len(snap.HTTPS), len(snap.HTTP)}; st.SizeHint != want {
+			t.Fatalf("chunk=%d: SizeHint %v, want %v", chunk, st.SizeHint, want)
 		}
 		certs, https, http, errs := drainStream(st)
 		for i, e := range errs {
@@ -341,5 +405,8 @@ func TestStreamOfRoundTrip(t *testing.T) {
 		if !sameCertRecords(snap.Certs, certs) || len(https) != len(snap.HTTPS) || len(http) != len(snap.HTTP) {
 			t.Fatalf("chunk=%d: round trip diverged", chunk)
 		}
+	}
+	if StreamOf(nil, 0) != nil {
+		t.Fatal("StreamOf(nil) is not nil")
 	}
 }

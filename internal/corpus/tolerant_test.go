@@ -176,6 +176,14 @@ func TestTolerantReadBudget(t *testing.T) {
 	}
 }
 
+// decodeLines drives readChunks with a decoder that yields no records,
+// for tests of the line loop's skip and budget accounting alone.
+func decodeLines(r io.Reader, name string, opts ReadOptions, fs *FileStats, decode func([]byte) error) error {
+	return readChunks(r, name, opts, fs, DefaultChunkSize,
+		func(line []byte) (struct{}, error) { return struct{}{}, decode(line) },
+		func([]struct{}) error { return nil })
+}
+
 // A hopelessly corrupt file aborts during the scan, not after reading
 // the whole thing.
 func TestTolerantReadEarlyAbort(t *testing.T) {
@@ -184,7 +192,7 @@ func TestTolerantReadEarlyAbort(t *testing.T) {
 		raw.WriteString("junk line\n")
 	}
 	fs := &FileStats{Name: "junk"}
-	err := decodeNDJSON(strings.NewReader(raw.String()), "junk", ReadOptions{Tolerant: true}, fs,
+	err := decodeLines(strings.NewReader(raw.String()), "junk", ReadOptions{Tolerant: true}, fs,
 		func([]byte) error { return badRecord("json", errors.New("nope")) })
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
@@ -235,7 +243,7 @@ func TestTolerantBudgetBoundary(t *testing.T) {
 		{"any negative value is zero tolerance", ReadOptions{Tolerant: true, MaxBadFraction: -0.5}, 100, 1, true},
 	} {
 		fs := &FileStats{Name: "boundary"}
-		err := decodeNDJSON(strings.NewReader(input(tc.total, tc.bad)), "boundary", tc.opts, fs, decodeBad)
+		err := decodeLines(strings.NewReader(input(tc.total, tc.bad)), "boundary", tc.opts, fs, decodeBad)
 		if tc.overflow && !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("%s: err = %v, want ErrBudgetExceeded", tc.name, err)
 		}
@@ -260,7 +268,7 @@ func TestTolerantZeroToleranceAbortsOnFirstSkip(t *testing.T) {
 		raw.WriteString("junk line\n")
 	}
 	fs := &FileStats{Name: "junk"}
-	err := decodeNDJSON(strings.NewReader(raw.String()), "junk",
+	err := decodeLines(strings.NewReader(raw.String()), "junk",
 		ReadOptions{Tolerant: true, MaxBadFraction: NoBudget}, fs,
 		func([]byte) error { return badRecord("json", errors.New("nope")) })
 	if !errors.Is(err, ErrBudgetExceeded) {

@@ -104,16 +104,16 @@ func RunCell(ctx context.Context, c Cell, opts Options) (CellResult, error) {
 	profile := scanners.Rapid7Profile()
 	outages := snapshotSet(c.Outages)
 	damaged := snapshotSet(c.Damaged)
-	source := func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
+	source := func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 		if outages[s] {
 			return nil, nil // vendor has no data this month
 		}
 		if damaged[s] {
 			return nil, resilience.Permanent(fmt.Errorf("scenarios: %s: simulated unreadable vendor month", s.Label()))
 		}
-		return scanners.Scan(w, profile, s), nil
+		return corpus.StreamOf(scanners.Scan(w, profile, s), 0), nil
 	}
-	sr, err := p.RunStudyConfig(ctx, source, core.StudyConfig{Jobs: opts.Jobs})
+	sr, err := p.RunStudyStream(ctx, source, core.StudyConfig{Jobs: opts.Jobs})
 	if err != nil {
 		return CellResult{}, fmt.Errorf("scenarios: cell %q: %w", c.ID, err)
 	}
