@@ -21,6 +21,7 @@ import (
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/bgpsim"
 	"offnetscope/internal/corpus"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/scanners"
 	"offnetscope/internal/timeline"
 	"offnetscope/internal/worldsim"
@@ -91,17 +92,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	mf, err := os.Create(filepath.Join(*out, "manifest.json"))
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(mf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(Manifest{Seed: *seed, Scale: *scale, Vendors: *vendors}); err != nil {
-		mf.Close()
-		return err
-	}
-	if err := mf.Close(); err != nil {
+	if err := durable.WriteAtomic(filepath.Join(*out, "manifest.json"), func(f io.Writer) error {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		return enc.Encode(Manifest{Seed: *seed, Scale: *scale, Vendors: *vendors})
+	}); err != nil {
 		return err
 	}
 
@@ -132,29 +127,19 @@ func run(args []string, stdout io.Writer) error {
 
 // writeDatasets emits the public-dataset stand-ins next to the corpus:
 // the CAIDA-style AS-relationship and AS-organization files and one RIB
-// per collector and month.
+// per collector and month. Each is replaced atomically: readers take
+// them line by line, so a truncated file would read without error.
 func writeDatasets(out string, w *worldsim.World, first, last timeline.Snapshot, seed uint64, stdout io.Writer) error {
 	dir := filepath.Join(out, "datasets")
 	if err := os.MkdirAll(filepath.Join(dir, "rib"), 0o755); err != nil {
 		return err
 	}
-	writeFile := func(path string, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeFile(filepath.Join(dir, "as-rel.txt"), func(f io.Writer) error {
+	if err := durable.WriteAtomic(filepath.Join(dir, "as-rel.txt"), func(f io.Writer) error {
 		return astopo.WriteASRel(f, w.Graph())
 	}); err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(dir, "as-org.txt"), func(f io.Writer) error {
+	if err := durable.WriteAtomic(filepath.Join(dir, "as-org.txt"), func(f io.Writer) error {
 		return astopo.WriteOrgs(f, w.Orgs())
 	}); err != nil {
 		return err
@@ -164,7 +149,7 @@ func writeDatasets(out string, w *worldsim.World, first, last timeline.Snapshot,
 		for _, col := range []bgpsim.Collector{bgpsim.RouteViews, bgpsim.RIPERIS} {
 			rib := bgpsim.BuildRIB(w.Graph(), w.Alloc(), col, s, bgpsim.DefaultNoise(), seed)
 			name := fmt.Sprintf("%s_%s.txt", col, s.Label())
-			if err := writeFile(filepath.Join(dir, "rib", name), func(f io.Writer) error {
+			if err := durable.WriteAtomic(filepath.Join(dir, "rib", name), func(f io.Writer) error {
 				return bgpsim.WriteRIB(f, rib)
 			}); err != nil {
 				return err

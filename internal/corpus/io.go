@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"offnetscope/internal/certmodel"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/obs"
@@ -144,76 +145,27 @@ func writeHeaderFile(path string, records []HeaderRecord) error {
 	})
 }
 
-// writeNDJSON is crash-safe and durable: it streams into a temp file in
-// the target directory, renames it into place only after the gzip
-// stream is finalized and fsynced, and then fsyncs the parent directory
-// so the rename itself survives power loss — without the directory
-// sync the new name can live only in the page cache, and a crash could
-// resurface the old file (or nothing) at path even though the rename
-// "succeeded". A killed run can never leave a truncated *.ndjson.gz
-// behind to poison later reads — at worst it leaves a *.tmp-* file that
-// the next Write simply ignores. The crash suite pins both halves:
-// TestWriteNDJSONCrashSafe the atomicity, TestWriteNDJSONSyncsDir the
-// directory sync.
-func writeNDJSON(path string, n int, encode func(*json.Encoder, int) error) (err error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+// writeNDJSON streams n records through encode into a gzip file that
+// replaces path with durable.WriteAtomic: a killed run can never leave
+// a truncated *.ndjson.gz behind to poison later reads, only a temp
+// file that no reader opens. TestWriteNDJSONCrashSafe pins it.
+func writeNDJSON(path string, n int, encode func(*json.Encoder, int) error) error {
+	err := durable.WriteAtomic(path, func(w io.Writer) error {
+		gz := gzip.NewWriter(w)
+		bw := bufio.NewWriterSize(gz, 1<<16)
+		enc := json.NewEncoder(bw)
+		for i := 0; i < n; i++ {
+			if err := encode(enc, i); err != nil {
+				return fmt.Errorf("encoding: %w", err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		return gz.Close()
+	})
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()      //nolint:errcheck — already failing
-			os.Remove(tmp) //nolint:errcheck — best-effort cleanup
-		}
-	}()
-	gz := gzip.NewWriter(f)
-	bw := bufio.NewWriterSize(gz, 1<<16)
-	enc := json.NewEncoder(bw)
-	for i := 0; i < n; i++ {
-		if err = encode(enc, i); err != nil {
-			return fmt.Errorf("corpus: encoding %s: %w", path, err)
-		}
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = gz.Close(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = os.Chmod(tmp, 0o644); err != nil { // CreateTemp makes 0600
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = fsyncDir(filepath.Dir(path)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// fsyncDir makes a completed rename in dir durable by syncing the
-// directory itself. It is a variable so the crash suite can observe
-// that every successful write syncs its directory.
-var fsyncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("corpus: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("corpus: %w", cerr)
 	}
 	return nil
 }

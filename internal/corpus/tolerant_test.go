@@ -352,38 +352,3 @@ func TestWriteNDJSONCrashSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWriteNDJSONSyncsDir pins the durability half of the crash-safety
-// claim: a successful writeNDJSON must fsync the parent directory after
-// the rename (or the rename may not survive power loss), and a failed
-// write — whose rename never happens — must not.
-func TestWriteNDJSONSyncsDir(t *testing.T) {
-	orig := fsyncDir
-	defer func() { fsyncDir = orig }()
-	var synced []string
-	fsyncDir = func(dir string) error {
-		synced = append(synced, dir)
-		return orig(dir)
-	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "records.ndjson.gz")
-	if err := writeNDJSON(path, 2, func(enc *json.Encoder, i int) error {
-		return enc.Encode(i)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(synced) != 1 || synced[0] != dir {
-		t.Fatalf("successful write synced %v, want exactly [%s]", synced, dir)
-	}
-
-	synced = nil
-	boom := errors.New("boom")
-	err := writeNDJSON(path, 1, func(*json.Encoder, int) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the encode error", err)
-	}
-	if len(synced) != 0 {
-		t.Fatalf("failed write synced the directory (%v) despite no rename", synced)
-	}
-}

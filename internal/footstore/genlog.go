@@ -11,11 +11,14 @@
 //
 //	gen-00000042.seg        one generation (see segment format below)
 //	MANIFEST.glm            the committed window (see manifest format)
-//	gen-00000043.seg.torn   a quarantined torn tail, kept for forensics
+//	gen-00000043.seg.torn   a quarantined uncommitted tail, kept for forensics
 //	.tmp-*                  in-flight atomic writes, removed on open
 //
-// Segment format (version 1), CRC-32 IEEE little-endian trailer over
-// every preceding byte:
+// Both formats are framed by internal/durable: magic, uvarint version,
+// body, and a CRC-32 IEEE little-endian trailer over every preceding
+// byte.
+//
+// Segment format (version 1):
 //
 //	"offnetGS"      8-byte magic
 //	version         uvarint, currently 1
@@ -24,7 +27,7 @@
 //	payload         the canonical Store image (Encode), opaque here
 //	crc32           4 bytes little-endian
 //
-// Manifest format (version 1), same trailer discipline:
+// Manifest format (version 1):
 //
 //	"offnetGM"      8-byte magic
 //	version         uvarint, currently 1
@@ -35,16 +38,17 @@
 //	  crc32         4 bytes little-endian, over the whole segment file
 //	crc32           4 bytes little-endian
 //
-// Write protocol. Append writes the segment file under its final name
-// (write, fsync, close), then commits by writing the manifest via
-// temp + rename + parent-dir fsync. A crash between the two leaves a
-// segment at generation ≥ next with no manifest entry: a torn tail,
-// quarantined (renamed to .torn) on the next open — never trusted,
-// never silently deleted. Compact raises base in the manifest FIRST,
-// then unlinks the dropped segments; a crash in between leaves orphans
-// below base, which open removes. Committed segments are immutable, so
-// read-only observers (PeekGenLog + LoadGeneration) are safe to run
-// concurrently with the writer without any locking across processes.
+// Write protocol. Append writes the segment, then commits by writing
+// the manifest; both go through durable.WriteAtomic (temp file, fsync,
+// rename, directory fsync). A crash mid-append leaves either a .tmp-
+// file, which open sweeps, or a complete segment at generation ≥ next
+// that the manifest does not name: an uncommitted tail, quarantined
+// (renamed to .torn) on the next open — never trusted, never silently
+// deleted. Compact raises base in the manifest FIRST, then unlinks the
+// dropped segments; a crash in between leaves orphans below base,
+// which open removes. Committed segments are immutable, so read-only
+// observers (PeekGenLog + LoadGeneration) are safe to run concurrently
+// with the writer without any locking across processes.
 package footstore
 
 import (
@@ -61,6 +65,7 @@ import (
 	"sync"
 	"time"
 
+	"offnetscope/internal/durable"
 	"offnetscope/internal/obs"
 )
 
@@ -70,12 +75,9 @@ const (
 
 	manifestName = "MANIFEST.glm"
 	tornSuffix   = ".torn"
-	tmpPrefix    = ".tmp-"
-)
 
-var (
-	segMagic      = []byte("offnetGS")
-	manifestMagic = []byte("offnetGM")
+	segMagic      = "offnetGS"
+	manifestMagic = "offnetGM"
 )
 
 // segMeta is one manifest row: the exact size and whole-file checksum
@@ -102,7 +104,7 @@ type GenLog struct {
 // GenRecovery reports what OpenGenLog found and repaired.
 type GenRecovery struct {
 	Committed       int      // generations named by the manifest, all verified
-	TornQuarantined []string // segments past the committed tail, renamed *.torn
+	TornQuarantined []string // uncommitted segments past the committed tail, renamed *.torn
 	OrphanedRemoved []string // segments below base (interrupted compaction), unlinked
 	TempsRemoved    int      // .tmp-* files swept
 }
@@ -129,7 +131,7 @@ func parseSegName(name string) (uint64, bool) {
 
 // OpenGenLog opens (creating if needed) the generation log in dir,
 // verifies every committed segment against the manifest, quarantines
-// torn tails, and removes compaction orphans and temp files. It is the
+// uncommitted tails, and removes compaction orphans and temp files. It is the
 // writer-side open: it mutates the directory to a clean state. A
 // corrupt manifest or a corrupt *committed* segment is not a crash
 // artifact — both fail with a *CorruptError rather than being repaired,
@@ -151,11 +153,7 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 	default:
 		base, segs, derr := decodeManifest(raw)
 		if derr != nil {
-			var ce *CorruptError
-			if errors.As(derr, &ce) {
-				ce.Path = filepath.Join(dir, manifestName)
-			}
-			return nil, nil, derr
+			return nil, nil, inFile(derr, filepath.Join(dir, manifestName))
 		}
 		l.base, l.segs = base, segs
 	}
@@ -176,11 +174,7 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 			return nil, nil, &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("committed generation %d: checksum mismatch against manifest", gen)}
 		}
 		if _, derr := decodeSegment(data, gen); derr != nil {
-			var ce *CorruptError
-			if errors.As(derr, &ce) {
-				ce.Path = path
-			}
-			return nil, nil, derr
+			return nil, nil, inFile(derr, path)
 		}
 	}
 	rec.Committed = len(l.segs)
@@ -198,7 +192,7 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 			continue // e.g. a wave-checkpoint subdirectory
 		}
 		name := e.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
+		if strings.HasPrefix(name, durable.TempPrefix) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return nil, nil, fmt.Errorf("genlog: %w", err)
 			}
@@ -212,8 +206,8 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 		}
 		switch {
 		case gen >= next:
-			// Torn tail: written (possibly partially) but never
-			// committed. Quarantine, don't trust, don't destroy.
+			// Uncommitted tail: written but never named by the
+			// manifest. Quarantine, don't trust, don't destroy.
 			dst := filepath.Join(dir, name+tornSuffix)
 			for n := 1; ; n++ {
 				if _, serr := os.Lstat(dst); errors.Is(serr, fs.ErrNotExist) {
@@ -239,8 +233,8 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 	sort.Strings(rec.TornQuarantined)
 	sort.Strings(rec.OrphanedRemoved)
 	if dirty {
-		if err := syncDir(dir); err != nil {
-			return nil, nil, err
+		if err := durable.SyncDir(dir); err != nil {
+			return nil, nil, fmt.Errorf("genlog: %w", err)
 		}
 	}
 
@@ -306,18 +300,17 @@ func (l *GenLog) AppendEncoded(payload []byte) (uint64, error) {
 	gen := l.base + uint64(len(l.segs))
 
 	seg := encodeSegment(gen, payload)
-	path := filepath.Join(l.dir, segName(gen))
-	// The segment lands under its final name on purpose: until the
-	// manifest names it, it is a torn tail, and open quarantines it.
-	if err := writeDurable(path, seg); err != nil {
-		return 0, err
+	// Until the manifest names it, the segment is an uncommitted tail
+	// that open quarantines.
+	if err := durable.WriteFile(filepath.Join(l.dir, segName(gen)), seg); err != nil {
+		return 0, fmt.Errorf("genlog: %w", err)
 	}
 	meta := segMeta{size: uint64(len(seg)), crc: crc32.ChecksumIEEE(seg)}
 
 	l.segs = append(l.segs, meta)
 	if err := l.writeManifestLocked(); err != nil {
 		// The manifest on disk still names the old window; rewind the
-		// in-memory view to match and leave the segment as a torn tail.
+		// in-memory view to match and leave the segment uncommitted.
 		l.segs = l.segs[:len(l.segs)-1]
 		return 0, err
 	}
@@ -354,8 +347,8 @@ func (l *GenLog) Compact(keep int) (int, error) {
 			return 0, fmt.Errorf("genlog: %w", err)
 		}
 	}
-	if err := syncDir(l.dir); err != nil {
-		return 0, err
+	if err := durable.SyncDir(l.dir); err != nil {
+		return 0, fmt.Errorf("genlog: %w", err)
 	}
 	l.metrics.Counter("genlog.compactions").Inc()
 	l.metrics.Counter("genlog.compacted_segments").Add(int64(drop))
@@ -371,11 +364,7 @@ func (l *GenLog) Load(gen uint64) (*Store, error) {
 	}
 	st, err := Decode(payload)
 	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			ce.Path = filepath.Join(l.dir, segName(gen))
-		}
-		return nil, err
+		return nil, inFile(err, filepath.Join(l.dir, segName(gen)))
 	}
 	return st, nil
 }
@@ -393,7 +382,10 @@ func (l *GenLog) LoadEncoded(gen uint64) ([]byte, error) {
 
 // writeManifestLocked commits the current window; the caller holds mu.
 func (l *GenLog) writeManifestLocked() error {
-	return writeAtomicInDir(l.dir, manifestName, encodeManifest(l.base, l.segs))
+	if err := durable.WriteFile(filepath.Join(l.dir, manifestName), encodeManifest(l.base, l.segs)); err != nil {
+		return fmt.Errorf("genlog: %w", err)
+	}
+	return nil
 }
 
 // PeekGenLog reads the committed window without touching anything:
@@ -407,11 +399,7 @@ func PeekGenLog(dir string) (base, next uint64, err error) {
 	}
 	b, segs, derr := decodeManifest(raw)
 	if derr != nil {
-		var ce *CorruptError
-		if errors.As(derr, &ce) {
-			ce.Path = filepath.Join(dir, manifestName)
-		}
-		return 0, 0, derr
+		return 0, 0, inFile(derr, filepath.Join(dir, manifestName))
 	}
 	return b, b + uint64(len(segs)), nil
 }
@@ -427,11 +415,7 @@ func LoadGeneration(dir string, gen uint64) (*Store, error) {
 	}
 	st, err := Decode(payload)
 	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			ce.Path = filepath.Join(dir, segName(gen))
-		}
-		return nil, err
+		return nil, inFile(err, filepath.Join(dir, segName(gen)))
 	}
 	return st, nil
 }
@@ -445,40 +429,28 @@ func readSegmentPayload(dir string, gen uint64) ([]byte, error) {
 	}
 	payload, derr := decodeSegment(data, gen)
 	if derr != nil {
-		var ce *CorruptError
-		if errors.As(derr, &ce) {
-			ce.Path = path
-		}
-		return nil, derr
+		return nil, inFile(derr, path)
 	}
 	return payload, nil
 }
 
 // encodeSegment frames a payload as generation gen.
 func encodeSegment(gen uint64, payload []byte) []byte {
-	buf := append([]byte(nil), segMagic...)
-	buf = binary.AppendUvarint(buf, GenLogVersion)
+	buf := durable.Start(segMagic, GenLogVersion)
 	buf = binary.AppendUvarint(buf, gen)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return durable.Seal(append(buf, payload...))
 }
 
 // decodeSegment verifies the framing and returns the payload. wantGen
 // must match the generation recorded in the header (a segment renamed
 // to the wrong slot is corruption, not a crash artifact).
 func decodeSegment(data []byte, wantGen uint64) ([]byte, error) {
-	if len(data) < len(segMagic)+4 || string(data[:len(segMagic)]) != string(segMagic) {
-		return nil, &CorruptError{Offset: 0, Reason: "bad segment magic"}
+	body, err := durable.Open(data, segMagic, GenLogVersion)
+	if err != nil {
+		return nil, fmt.Errorf("genlog: segment: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, &CorruptError{Offset: len(body), Reason: "segment checksum mismatch (corrupt or truncated)"}
-	}
-	d := &decoder{data: body, off: len(segMagic)}
-	if v := d.uvarint(); d.err == nil && v != GenLogVersion {
-		return nil, fmt.Errorf("genlog: unsupported segment version %d", v)
-	}
+	d := newDecoder(data, body)
 	gen := d.uvarint()
 	if d.err == nil && gen != wantGen {
 		d.fail(fmt.Sprintf("segment header names generation %d, expected %d", gen, wantGen))
@@ -488,22 +460,21 @@ func decodeSegment(data []byte, wantGen uint64) ([]byte, error) {
 		d.fail("segment payload length mismatch")
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, fmt.Errorf("genlog: %w", d.err)
 	}
 	return d.data[d.off:], nil
 }
 
 // encodeManifest serializes the committed window.
 func encodeManifest(base uint64, segs []segMeta) []byte {
-	buf := append([]byte(nil), manifestMagic...)
-	buf = binary.AppendUvarint(buf, GenLogVersion)
+	buf := durable.Start(manifestMagic, GenLogVersion)
 	buf = binary.AppendUvarint(buf, base)
 	buf = binary.AppendUvarint(buf, uint64(len(segs)))
 	for _, m := range segs {
 		buf = binary.AppendUvarint(buf, m.size)
 		buf = binary.LittleEndian.AppendUint32(buf, m.crc)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return durable.Seal(buf)
 }
 
 // minSegmentSize is the smallest legal segment file: magic + three
@@ -514,17 +485,11 @@ const minSegmentSize = 8 + 3 + 4
 // decodeManifest parses and validates a manifest. It never panics on
 // malformed bytes (see FuzzGenerationManifest).
 func decodeManifest(data []byte) (base uint64, segs []segMeta, err error) {
-	if len(data) < len(manifestMagic)+4 || string(data[:len(manifestMagic)]) != string(manifestMagic) {
-		return 0, nil, &CorruptError{Offset: 0, Reason: "bad manifest magic"}
+	body, err := durable.Open(data, manifestMagic, GenLogVersion)
+	if err != nil {
+		return 0, nil, fmt.Errorf("genlog: manifest: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return 0, nil, &CorruptError{Offset: len(body), Reason: "manifest checksum mismatch (corrupt or truncated)"}
-	}
-	d := &decoder{data: body, off: len(manifestMagic)}
-	if v := d.uvarint(); d.err == nil && v != GenLogVersion {
-		return 0, nil, fmt.Errorf("genlog: unsupported manifest version %d", v)
-	}
+	d := newDecoder(data, body)
 	base = d.uvarint()
 	if d.err == nil && base == 0 {
 		d.fail("manifest base must be ≥ 1")
@@ -554,81 +519,7 @@ func decodeManifest(data []byte) (base uint64, segs []segMeta, err error) {
 		d.fail("trailing bytes")
 	}
 	if d.err != nil {
-		return 0, nil, d.err
+		return 0, nil, fmt.Errorf("genlog: manifest: %w", d.err)
 	}
 	return base, segs, nil
-}
-
-// writeDurable writes data under its final name and fsyncs both the
-// file and the directory. Used for segments, where "exists but not in
-// the manifest" is the designed torn-tail state.
-func writeDurable(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("genlog: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// writeAtomicInDir writes name into dir via temp + fsync + rename +
-// dir fsync — the same discipline as runstate's checkpoint writer. The
-// rename is the commit point.
-func writeAtomicInDir(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, tmpPrefix+name+"-")
-	if err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		cleanup()
-		return fmt.Errorf("genlog: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames and unlinks inside it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	return nil
 }

@@ -13,13 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"offnetscope/internal/durable"
 	"offnetscope/internal/rng"
 )
 
 // The generation-log crash-equivalence suite: a subprocess appends and
 // compacts a deterministic workload while the parent SIGKILLs it at
 // seeded points — mid-append, mid-manifest-commit, mid-compaction.
-// After every kill the log is reopened (quarantining torn tails,
+// After every kill the log is reopened (quarantining uncommitted tails,
 // removing orphans) and the workload resumes. The final directory must
 // be byte-identical to an uninterrupted run: same manifest, same
 // committed segments, nothing torn ever promoted.
@@ -261,7 +262,7 @@ func TestGenLogCrashEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range cleanEntries {
-		if strings.Contains(e.Name(), tornSuffix) || strings.HasPrefix(e.Name(), tmpPrefix) {
+		if strings.Contains(e.Name(), tornSuffix) || strings.HasPrefix(e.Name(), durable.TempPrefix) {
 			t.Fatalf("clean run left crash artifact %s", e.Name())
 		}
 	}

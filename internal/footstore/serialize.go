@@ -1,25 +1,25 @@
 package footstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"sort"
 
 	"offnetscope/internal/astopo"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/timeline"
 )
 
-// On-disk format (version 1). Everything after the magic is
-// varint-encoded (encoding/binary uvarint); the file ends with a CRC-32
-// (IEEE, little-endian) of every preceding byte including the magic.
+// On-disk format (version 1), framed by internal/durable: the magic,
+// the version, the sections below, all varint-encoded (encoding/binary
+// uvarint), then a CRC-32 (IEEE, little-endian) of every preceding byte
+// including the magic.
 //
 //	"offnetFS"                          8-byte magic
 //	version                             uvarint, currently 1
@@ -45,12 +45,11 @@ import (
 // Version is the current on-disk format version.
 const Version = 1
 
-var magic = []byte("offnetFS")
+const magic = "offnetFS"
 
 // Encode serializes the store into its canonical binary form.
 func (st *Store) Encode() []byte {
-	buf := append([]byte(nil), magic...)
-	buf = binary.AppendUvarint(buf, Version)
+	buf := durable.Start(magic, Version)
 
 	// Snapshot section.
 	buf = binary.AppendUvarint(buf, uint64(len(st.snaps)))
@@ -109,7 +108,7 @@ func (st *Store) Encode() []byte {
 		buf = appendASNList(buf, st.prefixes[i].asns)
 	}
 
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return durable.Seal(buf)
 }
 
 // WriteTo implements io.WriterTo.
@@ -118,47 +117,25 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Save writes the store to path.
+// Save writes the store to path atomically (durable.WriteFile): a
+// crash or a failed write leaves the previous file intact, and a reader
+// that opens path at any moment sees either the old store or the new
+// one, never a torn one.
 func (st *Store) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("footstore: %w", err)
-	}
-	if _, err := st.WriteTo(f); err != nil {
-		f.Close()
-		return fmt.Errorf("footstore: writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
+	if err := durable.WriteFile(path, st.Encode()); err != nil {
 		return fmt.Errorf("footstore: %w", err)
 	}
 	return nil
 }
 
-// ErrCorrupt is the sentinel every corruption error matches via
-// errors.Is: bad magic, checksum mismatch, or a structural violation
-// inside a file whose bytes cannot be a store. It deliberately excludes
-// missing files (fs.ErrNotExist) and unsupported-but-intact newer
-// versions, so reload validation and -tolerant callers can budget
-// corruption separately from configuration mistakes.
-var ErrCorrupt = errors.New("corrupt store")
+// ErrCorrupt is durable.ErrCorrupt: every corrupt store, segment or
+// manifest matches it via errors.Is, while a missing file or an intact
+// file of another version does not.
+var ErrCorrupt = durable.ErrCorrupt
 
-// CorruptError is the concrete corruption error: where decoding gave up
-// and why. Open fills Path; in-memory decodes leave it empty.
-type CorruptError struct {
-	Path   string // file path when known
-	Offset int    // byte offset at which decoding failed
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	if e.Path != "" {
-		return fmt.Sprintf("footstore: %s: %s (offset %d)", e.Path, e.Reason, e.Offset)
-	}
-	return fmt.Sprintf("footstore: %s (offset %d)", e.Reason, e.Offset)
-}
-
-// Is makes errors.Is(err, ErrCorrupt) match any CorruptError.
-func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
+// CorruptError is durable.CorruptError, the one corruption type: Open
+// and the generation-log readers fill its Path.
+type CorruptError = durable.CorruptError
 
 // Read decodes a store from r.
 func Read(r io.Reader) (*Store, error) {
@@ -177,32 +154,30 @@ func Open(path string) (*Store, error) {
 	}
 	st, err := Decode(data)
 	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			ce.Path = path
-			return nil, ce
-		}
-		// Other decode errors already carry the footstore: prefix.
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, inFile(err, path)
 	}
 	return st, nil
+}
+
+// inFile attaches path to a decode error: as the Path of the
+// *CorruptError inside it, or else as a prefix.
+func inFile(err error, path string) error {
+	var ce *CorruptError
+	if errors.As(err, &ce) {
+		ce.Path = path
+		return err
+	}
+	return fmt.Errorf("%s: %w", path, err)
 }
 
 // Decode parses the binary format, rejecting corrupt or truncated
 // input. It never panics on malformed bytes (see FuzzFootstoreDecode).
 func Decode(data []byte) (*Store, error) {
-	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
-		return nil, &CorruptError{Offset: 0, Reason: "bad magic"}
+	body, err := durable.Open(data, magic, Version)
+	if err != nil {
+		return nil, fmt.Errorf("footstore: %w", err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, &CorruptError{Offset: len(body), Reason: "checksum mismatch (corrupt or truncated)"}
-	}
-	d := &decoder{data: body, off: len(magic)}
-
-	if v := d.uvarint(); d.err == nil && v != Version {
-		return nil, fmt.Errorf("footstore: unsupported version %d", v)
-	}
+	d := newDecoder(data, body)
 
 	// Snapshot section.
 	snapCount := d.count(1)
@@ -307,7 +282,7 @@ func Decode(data []byte) (*Store, error) {
 		d.fail("trailing bytes")
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, fmt.Errorf("footstore: %w", d.err)
 	}
 	for i, s := range snaps {
 		if err := b.AddSnapshot(s, footprints[i]); err != nil {
@@ -361,6 +336,13 @@ type decoder struct {
 	data []byte
 	off  int
 	err  error
+}
+
+// newDecoder returns a cursor over body, which durable.Open cut out of
+// data, that reports offsets into data.
+func newDecoder(data, body []byte) *decoder {
+	off := cap(data) - cap(body) // body is data[off : off+len(body)]
+	return &decoder{data: data[:off+len(body)], off: off}
 }
 
 func (d *decoder) fail(msg string) {

@@ -1,30 +1,28 @@
 package runstate
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"offnetscope/internal/durable"
 )
 
 // Named blob checkpoints: small opaque payloads (the continuous-
 // measurement daemon's mid-wave progress, for example) that need the
 // same crash discipline as snapshot entries but none of the manifest
 // machinery — the caller owns staleness via whatever it encodes into
-// the payload. Wire format follows the entry discipline:
+// the payload. The wire format is a durable frame:
 //
 //	magic "offnetBL" | uvarint version | payload | CRC-32 (IEEE, LE)
 //
-// A blob is written atomically (temp + fsync + rename + dir fsync), so
-// after SaveBlob returns it survives SIGKILL; a missing, truncated, or
-// corrupt blob loads as nil — recompute, never trust.
-
-var blobMagic = []byte("offnetBL")
+// A blob is written with durable.WriteAtomic, so after SaveBlob returns
+// it survives SIGKILL; a missing, truncated, or corrupt blob loads as
+// nil — recompute, never trust.
 
 const (
+	blobMagic   = "offnetBL"
 	blobVersion = 1
 	blobSuffix  = ".blob"
 )
@@ -48,11 +46,11 @@ func SaveBlob(dir, name string, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("runstate: %w", err)
 	}
-	buf := append([]byte(nil), blobMagic...)
-	buf = binary.AppendUvarint(buf, blobVersion)
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return writeAtomic(blobPath(dir, name), buf)
+	buf := append(durable.Start(blobMagic, blobVersion), payload...)
+	if err := durable.WriteFile(blobPath(dir, name), durable.Seal(buf)); err != nil {
+		return fmt.Errorf("runstate: %w", err)
+	}
+	return nil
 }
 
 // LoadBlob returns the payload saved under name, or nil when the blob
@@ -64,22 +62,12 @@ func LoadBlob(dir, name string) []byte {
 	if err != nil {
 		return nil
 	}
-	if len(raw) < len(blobMagic)+1+4 || !bytes.Equal(raw[:len(blobMagic)], blobMagic) {
+	payload, err := durable.Open(raw, blobMagic, blobVersion)
+	if err != nil {
 		os.Remove(path)
 		return nil
 	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		os.Remove(path)
-		return nil
-	}
-	rest := body[len(blobMagic):]
-	version, n := binary.Uvarint(rest)
-	if n <= 0 || version != blobVersion {
-		os.Remove(path)
-		return nil
-	}
-	return rest[n:]
+	return payload
 }
 
 // RemoveBlob deletes the blob saved under name; removing a blob that

@@ -1,23 +1,21 @@
 package runstate
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/certmodel"
 	"offnetscope/internal/core"
 	"offnetscope/internal/corpus"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/timeline"
 )
 
-// Entry wire format, following the footstore discipline:
+// Entry wire format, a durable frame:
 //
 //	magic "offnetCK" | uvarint version | JSON payload | CRC-32 (IEEE, LE)
 //
@@ -29,9 +27,8 @@ import (
 // sorted and slices verbatim, keeping encode deterministic; consumers
 // never depend on map iteration order.
 
-var entryMagic = []byte("offnetCK")
-
 const (
+	entryMagic   = "offnetCK"
 	entryVersion = 1
 	entrySuffix  = ".ckpt"
 )
@@ -100,30 +97,16 @@ func encodeEntry(s timeline.Snapshot, ck *core.CheckpointData) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstate: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(entryMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], entryVersion)])
-	buf.Write(payload)
-	binary.Write(&buf, binary.LittleEndian, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes(), nil
+	return durable.Seal(append(durable.Start(entryMagic, entryVersion), payload...)), nil
 }
 
 func decodeEntry(s timeline.Snapshot, raw []byte) (*core.CheckpointData, error) {
-	if len(raw) < len(entryMagic)+1+4 || !bytes.Equal(raw[:len(entryMagic)], entryMagic) {
-		return nil, fmt.Errorf("runstate: not a checkpoint entry")
-	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("runstate: checksum mismatch")
-	}
-	rest := body[len(entryMagic):]
-	version, n := binary.Uvarint(rest)
-	if n <= 0 || version != entryVersion {
-		return nil, fmt.Errorf("runstate: unsupported entry version %d", version)
+	payload, err := durable.Open(raw, entryMagic, entryVersion)
+	if err != nil {
+		return nil, fmt.Errorf("runstate: %w", err)
 	}
 	var we wireEntry
-	if err := json.Unmarshal(rest[n:], &we); err != nil {
+	if err := json.Unmarshal(payload, &we); err != nil {
 		return nil, fmt.Errorf("runstate: %w", err)
 	}
 	if we.Snapshot != int(s) {

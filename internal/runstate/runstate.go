@@ -2,11 +2,11 @@
 // killed growth run resumes instead of restarting. A checkpoint
 // directory holds a manifest binding the run to its inputs (corpus
 // fingerprint, pipeline-options hash, vendor, format version) plus one
-// crash-safe entry per completed snapshot. Entries are written with the
-// footstore discipline — temp file, fsync, rename, CRC-32 trailer — so
-// a SIGKILL mid-write leaves at worst a stale temp file, never a
-// half-trusted checkpoint; corrupt or partial entries are discarded on
-// load and simply recomputed.
+// crash-safe entry per completed snapshot. Every file is replaced with
+// durable.WriteAtomic and entries are framed by durable.Seal (magic,
+// version, CRC-32 trailer), so a SIGKILL mid-write leaves at worst a
+// stale temp file, never a half-trusted checkpoint; corrupt or partial
+// entries are discarded on load and simply recomputed.
 package runstate
 
 import (
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"offnetscope/internal/core"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/obs"
 	"offnetscope/internal/timeline"
 )
@@ -94,7 +95,7 @@ func Create(path string, m Manifest) (*Dir, error) {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
-		if name == manifestName || strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, tmpPrefix) {
+		if name == manifestName || strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, durable.TempPrefix) {
 			if err := os.Remove(filepath.Join(path, name)); err != nil {
 				return nil, fmt.Errorf("runstate: clearing stale checkpoint: %w", err)
 			}
@@ -104,8 +105,8 @@ func Create(path string, m Manifest) (*Dir, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstate: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(path, manifestName), append(raw, '\n')); err != nil {
-		return nil, err
+	if err := durable.WriteFile(filepath.Join(path, manifestName), append(raw, '\n')); err != nil {
+		return nil, fmt.Errorf("runstate: %w", err)
 	}
 	return &Dir{path: path, manifest: m}, nil
 }
@@ -140,9 +141,9 @@ func (d *Dir) entryPath(s timeline.Snapshot) string {
 	return filepath.Join(d.path, "snap-"+s.Label()+entrySuffix)
 }
 
-// Save persists one completed snapshot atomically: temp file in the
-// same directory, fsync, rename. After Save returns, a crash at any
-// later point leaves the entry loadable.
+// Save persists one completed snapshot atomically with
+// durable.WriteAtomic. After Save returns, a crash at any later point
+// leaves the entry loadable.
 func (d *Dir) Save(s timeline.Snapshot, ck *core.CheckpointData) error {
 	start := time.Now()
 	defer d.metrics.Histogram("runstate.save_ns").Since(start)
@@ -151,9 +152,9 @@ func (d *Dir) Save(s timeline.Snapshot, ck *core.CheckpointData) error {
 		d.metrics.Counter("runstate.save_errors").Inc()
 		return err
 	}
-	if err := writeAtomic(d.entryPath(s), raw); err != nil {
+	if err := durable.WriteFile(d.entryPath(s), raw); err != nil {
 		d.metrics.Counter("runstate.save_errors").Inc()
-		return err
+		return fmt.Errorf("runstate: %w", err)
 	}
 	d.metrics.Counter("runstate.saves").Inc()
 	return nil
@@ -180,56 +181,6 @@ func (d *Dir) Load(s timeline.Snapshot) *core.CheckpointData {
 	}
 	d.metrics.Counter("runstate.load_hits").Inc()
 	return ck
-}
-
-const tmpPrefix = ".tmp-"
-
-// writeAtomic is the footstore/corpus write discipline: temp file in
-// the target's directory, write, fsync, close, chmod, rename, then
-// fsync the directory so the rename itself survives power loss.
-func writeAtomic(path string, raw []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, tmpPrefix+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("runstate: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: writing %s: %w", path, err)
-	}
-	if _, err := f.Write(raw); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: writing %s: %w", path, err)
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("runstate: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("runstate: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("runstate: %w", cerr)
-	}
-	return nil
 }
 
 // CorpusFingerprint hashes the contents of every regular file under dir
