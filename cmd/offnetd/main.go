@@ -155,6 +155,37 @@ func newHTTPServer(cfg *daemonConfig, h http.Handler) *http.Server {
 	}
 }
 
+// connStates records each connection's latest state for shutdown: the
+// ConnState hook only records, and closeNew acts.
+type connStates struct {
+	mu    sync.Mutex
+	conns map[net.Conn]http.ConnState
+}
+
+func (c *connStates) record(conn net.Conn, state http.ConnState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if state == http.StateClosed || state == http.StateHijacked {
+		delete(c.conns, conn)
+		return
+	}
+	c.conns[conn] = state
+}
+
+// closeNew closes the connections that have not sent a request.
+// http.Server.Shutdown counts such a connection as busy for its first
+// 5 s, so one silent client would otherwise hold shutdown for the whole
+// grace period.
+func (c *connStates) closeNew() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for conn, state := range c.conns {
+		if state == http.StateNew {
+			conn.Close()
+		}
+	}
+}
+
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg, err := parseFlags(args)
 	if err != nil {
@@ -183,6 +214,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "pprof enabled at /debug/pprof/")
 	}
 	srv := newHTTPServer(cfg, s)
+	conns := &connStates{conns: make(map[net.Conn]http.ConnState)}
+	srv.ConnState = conns.record
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -244,7 +277,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout, "shutting down")
 			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			return srv.Shutdown(shutCtx)
+			shut := make(chan error, 1)
+			go func() { shut <- srv.Shutdown(shutCtx) }()
+			// Serve returns once Shutdown has closed the listener, and
+			// records every connection it accepted before it returns.
+			// In-flight requests drain; silent connections are closed.
+			<-errc
+			conns.closeNew()
+			return <-shut
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -112,6 +113,46 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-store", path + ".missing"}, &out); err == nil {
 		t.Error("missing store file should fail")
+	}
+}
+
+// TestShutdownClosesSilentConnections pins that a client holding a
+// connection open without sending a request does not stall shutdown:
+// http.Server.Shutdown alone waits 5 s for such a connection.
+func TestShutdownClosesSilentConnections(t *testing.T) {
+	path := t.TempDir() + "/store.fst"
+	if err := testStore(t).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncWriter{}
+	base, done := startDaemon(t, ctx, out, path)
+	silent, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The server accepts connections in order, so once a request on a
+	// later connection is answered, the silent one has been accepted.
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return within 10s of cancellation")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("shutdown took %v with a silent connection open, want under 2s", took)
 	}
 }
 

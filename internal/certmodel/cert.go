@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -70,14 +71,30 @@ func (c *Certificate) Fingerprint() Fingerprint {
 	if fp := c.fingerprint.Load(); fp != 0 {
 		return Fingerprint(fp)
 	}
+	// The hashed bytes are serial|org|cn|issuer-org|issuer-cn|dNSNames
+	// joined by ","|notBefore|notAfter|isCA|key|signedBy|forged, built
+	// with strconv rather than fmt: a corpus read hashes every
+	// intermediate and root certificate it decodes.
+	var buf [256]byte
+	b := strconv.AppendUint(buf[:0], c.SerialNumber, 10)
+	for _, s := range [...]string{c.Subject.Organization, c.Subject.CommonName, c.Issuer.Organization, c.Issuer.CommonName} {
+		b = append(append(b, '|'), s...)
+	}
+	b = append(b, '|')
+	for i, name := range c.DNSNames {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	b = strconv.AppendInt(append(b, '|'), c.NotBefore.Unix(), 10)
+	b = strconv.AppendInt(append(b, '|'), c.NotAfter.Unix(), 10)
+	b = strconv.AppendBool(append(b, '|'), c.IsCA)
+	b = strconv.AppendUint(append(b, '|'), uint64(c.Key), 10)
+	b = strconv.AppendUint(append(b, '|'), uint64(c.SignedBy), 10)
+	b = strconv.AppendBool(append(b, '|'), c.Forged)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%s|%s|%s|%d|%d|%v|%d|%d|%v",
-		c.SerialNumber,
-		c.Subject.Organization, c.Subject.CommonName,
-		c.Issuer.Organization, c.Issuer.CommonName,
-		strings.Join(c.DNSNames, ","),
-		c.NotBefore.Unix(), c.NotAfter.Unix(), c.IsCA,
-		c.Key, c.SignedBy, c.Forged)
+	h.Write(b)
 	fp := h.Sum64()
 	if fp == 0 {
 		fp = 1

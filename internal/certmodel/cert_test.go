@@ -1,6 +1,9 @@
 package certmodel
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -178,6 +181,76 @@ func TestFingerprintStableAndDistinct(t *testing.T) {
 	dup := c1.Clone()
 	if dup.Fingerprint() != c1.Fingerprint() {
 		t.Error("clone changed fingerprint")
+	}
+}
+
+// fmtFingerprint is Fingerprint as it was first written, with
+// fmt.Fprintf; every fingerprint value must stay the same.
+func fmtFingerprint(c *Certificate) Fingerprint {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s|%s|%s|%s|%s|%d|%d|%v|%d|%d|%v",
+		c.SerialNumber,
+		c.Subject.Organization, c.Subject.CommonName,
+		c.Issuer.Organization, c.Issuer.CommonName,
+		strings.Join(c.DNSNames, ","),
+		c.NotBefore.Unix(), c.NotAfter.Unix(), c.IsCA,
+		c.Key, c.SignedBy, c.Forged)
+	fp := h.Sum64()
+	if fp == 0 {
+		fp = 1
+	}
+	return Fingerprint(fp)
+}
+
+// TestFingerprintMatchesFmtForm compares Fingerprint with the fmt form
+// over randomized certificates: nil and empty dNSNames, negative Unix
+// times, extreme serials and keys, separators inside fields, and fields
+// long enough to outgrow the stack buffer.
+func TestFingerprintMatchesFmtForm(t *testing.T) {
+	r := rng.New(7)
+	pieces := []string{"", "Google LLC", "a|b", "x,y", "|", ",", "*.google.com", "ü", strings.Repeat("long", 80)}
+	pick := func() string { return pieces[r.Intn(len(pieces))] }
+	extremes := []uint64{0, 1, 1<<63 - 1, 1 << 63, 1<<64 - 1}
+	num := func() uint64 {
+		if r.Bool(0.5) {
+			return extremes[r.Intn(len(extremes))]
+		}
+		return r.Uint64()
+	}
+	unix := func() time.Time {
+		secs := []int64{0, -1, -62135596800, 1 << 40, -(1 << 40)}
+		if r.Bool(0.5) {
+			return time.Unix(secs[r.Intn(len(secs))], 0).UTC()
+		}
+		return time.Unix(r.Int63n(1<<41)-(1<<40), 0).UTC()
+	}
+	for i := 0; i < 5000; i++ {
+		c := &Certificate{
+			SerialNumber: num(),
+			Subject:      Name{Organization: pick(), CommonName: pick()},
+			Issuer:       Name{Organization: pick(), CommonName: pick()},
+			NotBefore:    unix(),
+			NotAfter:     unix(),
+			IsCA:         r.Bool(0.5),
+			Key:          KeyID(num()),
+			SignedBy:     KeyID(num()),
+			Forged:       r.Bool(0.5),
+		}
+		switch n := r.Intn(5); n {
+		case 0: // nil
+		case 1:
+			c.DNSNames = []string{}
+		default:
+			for j := 0; j < n; j++ {
+				c.DNSNames = append(c.DNSNames, pick())
+			}
+		}
+		if i == 0 {
+			c.NotBefore, c.NotAfter = time.Time{}, time.Time{}
+		}
+		if got, want := c.Fingerprint(), fmtFingerprint(c); got != want {
+			t.Fatalf("certificate %+v: Fingerprint %x, fmt form %x", c, got, want)
+		}
 	}
 }
 

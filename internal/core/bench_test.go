@@ -28,6 +28,40 @@ func benchSnapshot(b *testing.B) *corpus.Snapshot {
 	return benchCorpus
 }
 
+// BenchmarkCorpusDecode measures the disk read every offnetmap study
+// starts with: the shared snapshot, written once with corpus.Write, read
+// back through corpus.OpenStream with all three files drained —
+// gunzip, NDJSON decode, string and intermediate interning.
+func BenchmarkCorpusDecode(b *testing.B) {
+	snap := benchSnapshot(b)
+	root := b.TempDir()
+	if err := corpus.Write(root, snap); err != nil {
+		b.Fatal(err)
+	}
+	want := len(snap.Certs) + len(snap.HTTPS) + len(snap.HTTP)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := corpus.OpenStream(root, snap.Vendor, snap.Snapshot, corpus.ReadOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for _, err := range []error{
+			st.Certs(func(recs []corpus.CertRecord) error { n += len(recs); return nil }),
+			st.HTTPS(func(recs []corpus.HeaderRecord) error { n += len(recs); return nil }),
+			st.HTTP(func(recs []corpus.HeaderRecord) error { n += len(recs); return nil }),
+		} {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != want {
+			b.Fatalf("decoded %d records, wrote %d", n, want)
+		}
+	}
+	b.ReportMetric(float64(want)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 // BenchmarkStageValidate measures §4.1 chain validation + AS annotation
 // over one snapshot's certificate records.
 func BenchmarkStageValidate(b *testing.B) {

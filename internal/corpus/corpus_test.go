@@ -12,7 +12,7 @@ import (
 	"offnetscope/internal/rng"
 )
 
-func sampleSnapshot(t *testing.T) *Snapshot {
+func sampleSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	from := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)

@@ -10,9 +10,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
+	"unicode"
 
 	"offnetscope/internal/certmodel"
 	"offnetscope/internal/durable"
@@ -72,22 +74,25 @@ func toWireCert(c *certmodel.Certificate) wireCert {
 	}
 }
 
-func fromWireCert(w wireCert, strs strTable) *certmodel.Certificate {
-	for i := range w.DNSNames {
-		w.DNSNames[i] = strs.intern(w.DNSNames[i])
-	}
-	return &certmodel.Certificate{
-		SerialNumber: w.Serial,
-		Subject:      certmodel.Name{Organization: strs.intern(w.SubjectOrg), CommonName: strs.intern(w.SubjectCN)},
-		Issuer:       certmodel.Name{Organization: strs.intern(w.IssuerOrg), CommonName: strs.intern(w.IssuerCN)},
-		DNSNames:     w.DNSNames,
-		NotBefore:    unixTime(w.NotBefore),
-		NotAfter:     unixTime(w.NotAfter),
-		IsCA:         w.IsCA,
-		Key:          certmodel.KeyID(w.Key),
-		SignedBy:     certmodel.KeyID(w.SignedBy),
-		Forged:       w.Forged,
-	}
+// fromWireCert converts a decoded chain element, whose strings the
+// decoder has already interned.
+func fromWireCert(w *wireCert) *certmodel.Certificate {
+	c := new(certmodel.Certificate)
+	setFromWire(c, w)
+	return c
+}
+
+func setFromWire(c *certmodel.Certificate, w *wireCert) {
+	c.SerialNumber = w.Serial
+	c.Subject = certmodel.Name{Organization: w.SubjectOrg, CommonName: w.SubjectCN}
+	c.Issuer = certmodel.Name{Organization: w.IssuerOrg, CommonName: w.IssuerCN}
+	c.DNSNames = w.DNSNames
+	c.NotBefore = unixTime(w.NotBefore)
+	c.NotAfter = unixTime(w.NotAfter)
+	c.IsCA = w.IsCA
+	c.Key = certmodel.KeyID(w.Key)
+	c.SignedBy = certmodel.KeyID(w.SignedBy)
+	c.Forged = w.Forged
 }
 
 // strTable interns the short strings that repeat across the records of
@@ -99,13 +104,16 @@ func fromWireCert(w wireCert, strs strTable) *certmodel.Certificate {
 // pin a study's worth of dead strings. A nil table disables interning.
 type strTable map[string]string
 
-func (t strTable) intern(s string) string {
-	if t == nil || s == "" {
-		return s
+// intern returns b as a string, copying it only the first time the
+// table sees it: the lookup itself does not allocate.
+func (t strTable) intern(b []byte) string {
+	if t == nil || len(b) == 0 {
+		return string(b)
 	}
-	if v, ok := t[s]; ok {
+	if v, ok := t[string(b)]; ok {
 		return v
 	}
+	s := string(b)
 	t[s] = s
 	return s
 }
@@ -351,16 +359,22 @@ func (st *ReadStats) DominantReason() (string, int) {
 }
 
 // recordError tags a per-record decode failure with its accounting
-// reason.
+// reason and, when known, the byte offset within the record where it
+// was found.
 type recordError struct {
 	reason string
+	off    int // -1 when unknown
 	err    error
 }
 
 func (e *recordError) Error() string { return e.reason + ": " + e.err.Error() }
 func (e *recordError) Unwrap() error { return e.err }
 
-func badRecord(reason string, err error) error { return &recordError{reason: reason, err: err} }
+func badRecord(reason string, err error) error { return badRecordAt(reason, -1, err) }
+
+func badRecordAt(reason string, off int, err error) error {
+	return &recordError{reason: reason, off: off, err: err}
+}
 
 func reasonOf(err error) string {
 	var re *recordError
@@ -368,6 +382,18 @@ func reasonOf(err error) string {
 		return re.reason
 	}
 	return "decode"
+}
+
+// errorAt names where a decode failure was found: the line number and,
+// when the error carries an offset into the record — the line with its
+// surrounding white space trimmed — the byte offset within the line.
+func errorAt(lineNo int, line []byte, err error) string {
+	var re *recordError
+	if !errors.As(err, &re) || re.off < 0 {
+		return fmt.Sprintf("line %d", lineNo)
+	}
+	lead := len(line) - len(bytes.TrimLeftFunc(line, unicode.IsSpace))
+	return fmt.Sprintf("line %d byte %d", lineNo, lead+re.off)
 }
 
 // Read loads a snapshot previously persisted with Write, strictly: the
@@ -418,11 +444,11 @@ func appendTo[T any](dst *[]T) func([]T) error {
 // strings via a strTable, both spanning that one read.
 func newCertDecoder() func([]byte) (CertRecord, error) {
 	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-	strs := make(strTable)
+	d := &wireDecoder{strs: make(strTable)}
 	return func(line []byte) (CertRecord, error) {
-		var w wireCertRecord
-		if err := json.Unmarshal(line, &w); err != nil {
-			return CertRecord{}, badRecord("json", err)
+		w, err := d.decodeCert(line)
+		if err != nil {
+			return CertRecord{}, err
 		}
 		ip, err := netmodel.ParseIP(w.IP)
 		if err != nil {
@@ -430,13 +456,18 @@ func newCertDecoder() func([]byte) (CertRecord, error) {
 		}
 		rec := CertRecord{IP: ip, Chain: make(certmodel.Chain, 0, len(w.Chain))}
 		for i := range w.Chain {
-			c := fromWireCert(w.Chain[i], strs)
-			if i > 0 { // intermediates and roots repeat heavily
-				if known, ok := interned[c.Fingerprint()]; ok {
-					c = known
-				} else {
-					interned[c.Fingerprint()] = c
-				}
+			if i == 0 {
+				rec.Chain = append(rec.Chain, fromWireCert(&w.Chain[i]))
+				continue
+			}
+			// Intermediates and roots repeat heavily: look them up
+			// before allocating.
+			var probe certmodel.Certificate
+			setFromWire(&probe, &w.Chain[i])
+			c, ok := interned[probe.Fingerprint()]
+			if !ok {
+				c = fromWireCert(&w.Chain[i])
+				interned[probe.Fingerprint()] = c
 			}
 			rec.Chain = append(rec.Chain, c)
 		}
@@ -447,21 +478,17 @@ func newCertDecoder() func([]byte) (CertRecord, error) {
 // newHeaderDecoder returns the header-file line decoder for one file
 // read, interning repeated header names and values.
 func newHeaderDecoder() func([]byte) (HeaderRecord, error) {
-	strs := make(strTable)
+	d := &wireDecoder{strs: make(strTable)}
 	return func(line []byte) (HeaderRecord, error) {
-		var w wireHeaderRecord
-		if err := json.Unmarshal(line, &w); err != nil {
-			return HeaderRecord{}, badRecord("json", err)
+		w, err := d.decodeHeader(line)
+		if err != nil {
+			return HeaderRecord{}, err
 		}
 		ip, err := netmodel.ParseIP(w.IP)
 		if err != nil {
 			return HeaderRecord{}, badRecord("ip", err)
 		}
-		for i := range w.Headers {
-			w.Headers[i].Name = strs.intern(w.Headers[i].Name)
-			w.Headers[i].Value = strs.intern(w.Headers[i].Value)
-		}
-		return HeaderRecord{IP: ip, Headers: w.Headers}, nil
+		return HeaderRecord{IP: ip, Headers: slices.Clone(w.Headers)}, nil
 	}
 }
 
@@ -513,9 +540,20 @@ func readChunks[T any](r io.Reader, name string, opts ReadOptions, fs *FileStats
 		return float64(fs.Skipped) > budget*float64(total)
 	}
 	var batch []T
+	var long []byte // a line longer than br's buffer, reassembled
 	br := bufio.NewReaderSize(r, 1<<16)
 	for lineNo := 1; ; lineNo++ {
-		line, rerr := br.ReadBytes('\n')
+		// ReadSlice hands out br's own buffer, valid until the next read:
+		// the decoders copy what a record keeps.
+		line, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for rerr == bufio.ErrBufferFull {
+				line, rerr = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if rerr != nil && rerr != io.EOF {
 			// Stream-level damage (flate corruption, a truncated or
 			// checksum-failing gzip trailer). Any bytes in hand are the
@@ -528,7 +566,7 @@ func readChunks[T any](r io.Reader, name string, opts ReadOptions, fs *FileStats
 			v, derr := decode(rec)
 			if derr != nil {
 				if !opts.Tolerant {
-					return fmt.Errorf("corpus: decoding %s line %d: %w", name, lineNo, derr)
+					return fmt.Errorf("corpus: decoding %s %s: %w", name, errorAt(lineNo, line, derr), derr)
 				}
 				fs.skip(reasonOf(derr))
 				// A zero budget needs no sample to judge the fraction:
