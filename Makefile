@@ -68,16 +68,15 @@ chaos-race:
 
 # The golden-regression suite: exact funnel metrics, growth series,
 # and report tables of the seeded study — one batch per month, parallel
-# (-jobs), record-sharded (-shards), both combined, and streamed in
-# 1- and 509-record chunks, all byte-identical.
+# (-jobs), and parallel streamed in 1- and 509-record chunks, all
+# byte-identical.
 # Refresh after an intentional methodology change with:
 #   go test ./internal/core -run TestGolden -update
 golden:
 	go test -run 'TestGolden' ./internal/core
 
 # Full benchmark pass over the paper experiments plus the per-stage
-# pipeline benchmarks (including the sharded snapshot-inference row),
-# rendered to BENCH_pipeline.json for trend diffs.
+# pipeline benchmarks, rendered to BENCH_pipeline.json for trend diffs.
 bench:
 	go test -bench=. -benchmem -run='^$$' . ./internal/core | go run ./cmd/benchjson -out BENCH_pipeline.json
 
@@ -139,7 +138,7 @@ scenarios-smoke:
 # The full pre-release scenario matrix: all 32 adversarial cells, run
 # alongside `make soak` before cutting a release. Regenerates the
 # committed results/SCENARIOS.json and SCENARIOS.md; byte-identical at
-# any -workers/-jobs/-shards setting.
+# any -workers/-jobs setting.
 scenarios:
 	go run ./cmd/scenarios -grid full -workers 2 -out results/SCENARIOS.json -md results/SCENARIOS.md
 

@@ -16,7 +16,10 @@
 // -growth mode a vendor-month that is corrupt beyond salvage is
 // dropped — the run completes on the remaining months and marks the
 // reduced coverage in the report. -tolerant=false restores strict
-// fail-on-first-error reads.
+// fail-on-first-error reads. The corpus's dataset files (worldgen
+// -datasets: as-org.txt and each month's RouteViews and RIPE RIS RIBs)
+// are used when present; one that exists but cannot be read, or a
+// month with only one collector's RIB, fails its month the same way.
 //
 // Long -growth runs are themselves crash-safe with -checkpoint: every
 // completed snapshot is persisted atomically, SIGINT/SIGTERM flushes a
@@ -27,7 +30,7 @@
 // fixed-size record batches, so a month's raw corpus never sits in
 // memory at once; what stays resident is the month's validated
 // certificate records plus its HTTP(S) header index. Output is
-// byte-identical at any -jobs × -shards combination.
+// byte-identical at any -jobs setting.
 //
 // Exit codes: 0 success; 1 failure; 2 usage error; 3 the -growth run
 // completed but with reduced coverage (dropped vendor-months or
@@ -47,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -132,7 +134,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "with -growth: persist each completed snapshot to this directory (crash-safe)")
 	resume := fs.Bool("resume", false, "with -checkpoint: reload intact checkpoints instead of recomputing (manifest must match)")
 	jobs := fs.Int("jobs", 1, "with -growth: parallel per-snapshot inference workers (output is identical at any setting)")
-	shards := fs.Int("shards", 0, "per-snapshot record shards; 0 picks NumCPU divided across -jobs workers (output is identical at any setting)")
 	snapTimeout := fs.Duration("snapshot-timeout", 30*time.Minute, "with -growth: per-snapshot watchdog deadline; a stuck snapshot is retried then dropped (0 disables)")
 	metricsPath := fs.String("metrics", "", "write the run's metrics (pipeline funnel, corpus, retry, checkpoint accounting) to this JSON file")
 	verbose := fs.Bool("v", false, "print a human-readable pipeline-funnel summary after the run")
@@ -166,21 +167,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *jobs < 1 {
 		return usageError(fmt.Errorf("-jobs must be at least 1"))
 	}
-	if *shards < 0 {
-		return usageError(fmt.Errorf("-shards must be non-negative (0 = auto)"))
-	}
 	if math.IsNaN(*maxBad) || math.IsInf(*maxBad, 0) || *maxBad > 1 {
 		// NaN would otherwise pass every budget comparison and silently
 		// accept a fully corrupt month.
 		return usageError(fmt.Errorf("-max-bad must be a fraction no greater than 1, got %v", *maxBad))
-	}
-	if *shards == 0 {
-		// Auto: split the machine's cores across the -jobs snapshot
-		// workers, so jobs×shards stays within the CPU budget.
-		*shards = runtime.NumCPU() / *jobs
-		if *shards < 1 {
-			*shards = 1
-		}
 	}
 	// The registry is always live: every counter is a lock-free atomic,
 	// so instrumenting unconditionally costs nothing measurable and the
@@ -194,12 +184,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	opts := corpus.ReadOptions{Tolerant: *tolerant, MaxBadFraction: budget, Metrics: reg}
 
-	pipeline, err := pipelineFromManifest(*dir, *certsOnly)
+	pipeline, maps, err := pipelineFromManifest(*dir, *certsOnly)
 	if err != nil {
 		return err
 	}
 	pipeline.Metrics = reg
-	pipeline.Shards = *shards
 
 	if *growth {
 		gopt := growthOptions{
@@ -209,7 +198,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			timeout:    *snapTimeout,
 			metrics:    reg,
 		}
-		sr, droppedMonths, err := runGrowth(ctx, stdout, pipeline, *dir, corpus.Vendor(*vendor), opts, gopt)
+		sr, droppedMonths, err := runGrowth(ctx, stdout, pipeline, maps, *dir, corpus.Vendor(*vendor), opts, gopt)
 		if err != nil {
 			return err
 		}
@@ -218,7 +207,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			if len(snaps) == 0 {
 				return fmt.Errorf("no snapshots on disk, nothing to store")
 			}
-			st, err := footstore.FromStudy(sr, prefixSource(pipeline, snaps[len(snaps)-1]))
+			// A resumed run may have restored the last snapshot from its
+			// checkpoint without loading the month's mapper.
+			mapper, err := maps.load(snaps[len(snaps)-1])
+			if err != nil {
+				return err
+			}
+			st, err := footstore.FromStudy(sr, prefixSource(mapper))
 			if err != nil {
 				return err
 			}
@@ -244,6 +239,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("reading corpus: %w", err)
 	}
+	mapper, err := maps.load(s)
+	if err != nil {
+		return err
+	}
 	inf, err := pipeline.InferSnapshotStream(st)
 	if err != nil {
 		return fmt.Errorf("reading corpus: %w", err)
@@ -252,7 +251,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	res := inf.Result
 	printSnapshot(stdout, res, *vendor, s)
 	if *storePath != "" {
-		st, err := footstore.FromResult(res, prefixSource(pipeline, s))
+		st, err := footstore.FromResult(res, prefixSource(mapper))
 		if err != nil {
 			return err
 		}
@@ -380,79 +379,140 @@ func dominant(s obs.Snapshot, prefix string) string {
 
 // pipelineFromManifest rebuilds the matching world datasets (IP-to-AS,
 // WHOIS, trust store) from the corpus manifest — the stand-ins for
-// RouteViews/RIS, CAIDA, and the Common CA Database.
-func pipelineFromManifest(dir string, certsOnly bool) (*core.Pipeline, error) {
+// RouteViews/RIS, CAIDA, and the Common CA Database. The pipeline's
+// Mapper reads the returned mappers' cache, so each month must be
+// loaded before it is inferred.
+func pipelineFromManifest(dir string, certsOnly bool) (*core.Pipeline, *mappers, error) {
 	mfData, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
-		return nil, fmt.Errorf("reading manifest: %w", err)
+		return nil, nil, fmt.Errorf("reading manifest: %w", err)
 	}
 	var mf struct {
 		Seed  uint64  `json:"seed"`
 		Scale float64 `json:"scale"`
 	}
 	if err := json.Unmarshal(mfData, &mf); err != nil {
-		return nil, fmt.Errorf("parsing manifest: %w", err)
+		return nil, nil, fmt.Errorf("parsing manifest: %w", err)
 	}
 	w, err := worldsim.New(worldsim.Config{Seed: mf.Seed, Scale: mf.Scale})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts := core.DefaultOptions()
 	if certsOnly {
 		opts.HeaderMode = core.CertsOnly
 	}
+	maps := &mappers{world: w, cache: make(map[timeline.Snapshot]core.IPMapper)}
 	p := &core.Pipeline{
 		Trust:  w.TrustStore(),
 		Orgs:   w.Orgs(),
-		Mapper: func(s timeline.Snapshot) core.IPMapper { return w.IP2AS(s) },
+		Mapper: maps.cached,
 		Opts:   opts,
 	}
 	// Prefer on-disk dataset files (worldgen -datasets) over the
 	// regenerated world: that is how the paper's pipeline consumed the
 	// public WHOIS and BGP corpuses.
 	dsDir := filepath.Join(dir, "datasets")
-	if orgFile, err := os.Open(filepath.Join(dsDir, "as-org.txt")); err == nil {
+	orgFile, err := os.Open(filepath.Join(dsDir, "as-org.txt"))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// No dataset files: every month maps through the world.
+	case err != nil:
+		return nil, nil, err
+	default:
 		orgs, perr := astopo.ReadOrgs(orgFile)
 		orgFile.Close()
 		if perr != nil {
-			return nil, fmt.Errorf("parsing as-org.txt: %w", perr)
+			return nil, nil, fmt.Errorf("parsing as-org.txt: %w", perr)
 		}
 		p.Orgs = orgs
-		// The cache is shared across -jobs workers; the build is
-		// idempotent, so losing a race just rebuilds the same mapper.
-		var mu sync.Mutex
-		cache := map[timeline.Snapshot]core.IPMapper{}
-		p.Mapper = func(s timeline.Snapshot) core.IPMapper {
-			mu.Lock()
-			m, ok := cache[s]
-			mu.Unlock()
-			if ok {
-				return m
-			}
-			var ribs []*bgpsim.RIB
-			for _, col := range []bgpsim.Collector{bgpsim.RouteViews, bgpsim.RIPERIS} {
-				f, err := os.Open(filepath.Join(dsDir, "rib", fmt.Sprintf("%s_%s.txt", col, s.Label())))
-				if err != nil {
-					continue
-				}
-				rib, perr := bgpsim.ReadRIB(f)
-				f.Close()
-				if perr == nil {
-					ribs = append(ribs, rib)
-				}
-			}
-			if len(ribs) > 0 {
-				m = bgpsim.BuildIP2AS(s, ribs...)
-			} else {
-				m = w.IP2AS(s) // months outside the dataset range
-			}
-			mu.Lock()
-			cache[s] = m
-			mu.Unlock()
-			return m
-		}
+		maps.ribDir = filepath.Join(dsDir, "rib")
 	}
-	return p, nil
+	return p, maps, nil
+}
+
+// errDataset marks a dataset file that exists but cannot be used. It
+// fails the month the same way on every attempt, so -growth never
+// retries it.
+var errDataset = errors.New("damaged dataset")
+
+// mappers resolves each month's IP-to-AS mapper: merged from the
+// month's RouteViews and RIPE RIS RIBs when the corpus ships dataset
+// files (§A.1), from the regenerated world otherwise, and for months
+// with neither RIB. Mappers are built once per month and cached; the
+// cache is shared across -jobs workers.
+type mappers struct {
+	world  *worldsim.World
+	ribDir string // "" when the corpus has no dataset files
+
+	mu    sync.Mutex
+	cache map[timeline.Snapshot]core.IPMapper
+}
+
+// load returns s's mapper, building it on first use. A RIB that exists
+// but cannot be opened or parsed, or a month with only one collector's
+// RIB, is an errDataset naming the file. The build is idempotent, so
+// two workers racing on one month just build the same mapper twice.
+func (m *mappers) load(s timeline.Snapshot) (core.IPMapper, error) {
+	m.mu.Lock()
+	mp, ok := m.cache[s]
+	m.mu.Unlock()
+	if ok {
+		return mp, nil
+	}
+	mp, err := m.build(s)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	m.cache[s] = mp
+	m.mu.Unlock()
+	return mp, nil
+}
+
+func (m *mappers) build(s timeline.Snapshot) (core.IPMapper, error) {
+	if m.ribDir == "" {
+		return m.world.IP2AS(s), nil
+	}
+	var ribs []*bgpsim.RIB
+	var missing []string
+	for _, col := range []bgpsim.Collector{bgpsim.RouteViews, bgpsim.RIPERIS} {
+		path := filepath.Join(m.ribDir, fmt.Sprintf("%s_%s.txt", col, s.Label()))
+		f, err := os.Open(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			missing = append(missing, path)
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", errDataset, err)
+		}
+		rib, err := bgpsim.ReadRIB(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%w: reading %s: %w", errDataset, path, err)
+		}
+		ribs = append(ribs, rib)
+	}
+	switch len(ribs) {
+	case 0:
+		return m.world.IP2AS(s), nil // months outside the dataset range
+	case 1:
+		return nil, fmt.Errorf("%w: %s is missing, but the month's other collector RIB exists", errDataset, missing[0])
+	}
+	return bgpsim.BuildIP2AS(s, ribs...), nil
+}
+
+// cached is the Pipeline.Mapper hook. It only reads the cache: every
+// month is loaded, with its errors reported, before it is inferred, so
+// a miss is a bug in the caller.
+func (m *mappers) cached(s timeline.Snapshot) core.IPMapper {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mp, ok := m.cache[s]
+	if !ok {
+		panic("offnetmap: " + s.Label() + " inferred before its IP-to-AS mapper was loaded")
+	}
+	return mp
 }
 
 func printSnapshot(stdout io.Writer, res *core.Result, vendor string, s timeline.Snapshot) {
@@ -479,11 +539,11 @@ func printSnapshot(stdout io.Writer, res *core.Result, vendor string, s timeline
 	}
 }
 
-// prefixSource exposes the snapshot's IP-to-AS table for the store's
+// prefixSource exposes a snapshot's IP-to-AS table for the store's
 // IP-granularity queries; both mapper implementations are tries with a
 // Walk method.
-func prefixSource(p *core.Pipeline, s timeline.Snapshot) footstore.PrefixSource {
-	src, _ := p.Mapper(s).(footstore.PrefixSource)
+func prefixSource(m core.IPMapper) footstore.PrefixSource {
+	src, _ := m.(footstore.PrefixSource)
 	return src
 }
 
@@ -525,8 +585,9 @@ type growthOptions struct {
 // beyond the error budget — or a snapshot that stays stuck past the
 // watchdog through its retries — is dropped from the series and the
 // reduced coverage reported; in strict mode the first read error aborts
-// the run. Returns the study plus the number of dropped snapshots.
-func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, dir string, vendor corpus.Vendor, opts corpus.ReadOptions, gopt growthOptions) (*core.StudyResult, int, error) {
+// the run. A month whose dataset files are damaged counts as corrupt.
+// Returns the study plus the number of dropped snapshots.
+func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, maps *mappers, dir string, vendor corpus.Vendor, opts corpus.ReadOptions, gopt growthOptions) (*core.StudyResult, int, error) {
 	var ckDir *runstate.Dir
 	if gopt.checkpoint != "" {
 		fp, err := runstate.CorpusFingerprint(dir)
@@ -552,9 +613,10 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, d
 	statsBy := make(map[timeline.Snapshot]*corpus.ReadStats)
 	var strictErr error
 	// classify maps a read failure onto the retry policy: strict mode
-	// records the first error and aborts, a blown error budget is
-	// deterministic corruption (retrying re-reads the same bytes) and
-	// fails the snapshot immediately, anything else stays retryable.
+	// records the first error and aborts, a blown error budget or a
+	// damaged dataset file is deterministic corruption (retrying re-reads
+	// the same bytes) and fails the snapshot immediately, anything else
+	// stays retryable.
 	classify := func(s timeline.Snapshot, err error) error {
 		if !opts.Tolerant {
 			mu.Lock()
@@ -564,7 +626,7 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, d
 			mu.Unlock()
 			return resilience.Permanent(err)
 		}
-		if errors.Is(err, corpus.ErrBudgetExceeded) {
+		if errors.Is(err, corpus.ErrBudgetExceeded) || errors.Is(err, errDataset) {
 			return resilience.Permanent(err)
 		}
 		return err
@@ -577,6 +639,10 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, d
 			if errors.Is(err, fs.ErrNotExist) {
 				return nil, nil // months the corpus doesn't cover
 			}
+			return nil, classify(s, err)
+		}
+		// Only months with corpus data need a mapper.
+		if _, err := maps.load(s); err != nil {
 			return nil, classify(s, err)
 		}
 		var pending atomic.Int32

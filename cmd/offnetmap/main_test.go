@@ -186,39 +186,14 @@ func TestOffnetmapMetricsDeterministic(t *testing.T) {
 		return counters(path), out.String()
 	}
 
-	seq1, text := runOnce("m1.json", "-jobs", "1", "-shards", "1")
-	seq2, _ := runOnce("m2.json", "-jobs", "1", "-shards", "1")
-	par, _ := runOnce("m4.json", "-jobs", "4", "-shards", "1")
-	sharded, shardedText := runOnce("ms4.json", "-jobs", "1", "-shards", "4")
-	both, bothText := runOnce("mj2s2.json", "-jobs", "2", "-shards", "2")
+	seq1, text := runOnce("m1.json", "-jobs", "1")
+	seq2, _ := runOnce("m2.json", "-jobs", "1")
+	par, _ := runOnce("m4.json", "-jobs", "4")
 	if !reflect.DeepEqual(seq1, seq2) {
 		t.Errorf("counters differ across identical runs:\n%s\n%s", seq1, seq2)
 	}
 	if !reflect.DeepEqual(seq1, par) {
 		t.Errorf("counters differ between -jobs 1 and -jobs 4:\n%s\n%s", seq1, par)
-	}
-	if !reflect.DeepEqual(seq1, sharded) {
-		t.Errorf("counters differ between -shards 1 and -shards 4:\n%s\n%s", seq1, sharded)
-	}
-	if !reflect.DeepEqual(seq1, both) {
-		t.Errorf("counters differ under -jobs 2 -shards 2:\n%s\n%s", seq1, both)
-	}
-	// The printed study itself must also be byte-identical across both
-	// parallelism axes (only the metrics-file name differs per run).
-	norm := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "wrote metrics ") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	if a, b := norm(text), norm(shardedText); a != b {
-		t.Errorf("stdout differs between -shards 1 and -shards 4:\n%s\n%s", a, b)
-	}
-	if a, b := norm(text), norm(bothText); a != b {
-		t.Errorf("stdout differs under -jobs 2 -shards 2:\n%s\n%s", a, b)
 	}
 
 	for _, want := range []string{"pipeline funnel:", "cert IPs seen", "HG cert matches",
@@ -278,6 +253,82 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 		t.Errorf("dataset-file path diverges from world path:\n--- world ---\n%s--- files ---\n%s",
 			plain.String(), withDS.String())
 	}
+
+	// A dataset file that exists but cannot be used fails its month
+	// instead of silently falling back to one collector's RIB (§A.1
+	// merges both) or to the regenerated world. -growth treats the month
+	// like a corrupt corpus month.
+	ribPath := filepath.Join(dir, "datasets", "rib", "routeviews_2021-04.txt")
+	orgPath := filepath.Join(dir, "datasets", "as-org.txt")
+	appendGarbage := func(path string) error {
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		if _, err := f.WriteString("garbage-line\n"); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	// A symlink to itself exists, but opening it fails (ELOOP).
+	symlinkLoop := func(path string) error {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+		return os.Symlink(filepath.Base(path), path)
+	}
+	for _, tc := range []struct {
+		name   string
+		path   string // the damaged file, which the run must name
+		damage func(path string) error
+		growth int // exit code of a tolerant -growth run
+	}{
+		{"garbage RIB line", ribPath, appendGarbage, exitReducedCoverage},
+		{"one collector's RIB", ribPath, os.Remove, exitReducedCoverage},
+		{"unopenable RIB", ribPath, symlinkLoop, exitReducedCoverage},
+		{"unopenable as-org", orgPath, symlinkLoop, exitFailure},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				os.Remove(tc.path)
+				if err := os.WriteFile(tc.path, orig, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := tc.damage(tc.path); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				args []string
+				code int
+			}{
+				{[]string{"-snapshot", "2021-04"}, exitFailure},
+				{[]string{"-growth"}, tc.growth},
+				{[]string{"-growth", "-tolerant=false"}, exitFailure},
+			} {
+				var out strings.Builder
+				err := run(context.Background(), append([]string{"-corpus", dir}, c.args...), &out)
+				if code := exitStatus(err); code != c.code {
+					t.Errorf("%v: exit %d (%v), want %d\n%s", c.args, code, err, c.code, out.String())
+				}
+				msg := out.String()
+				if err != nil {
+					msg += err.Error()
+				}
+				if !strings.Contains(msg, tc.path) {
+					t.Errorf("%v: run does not name %s:\n%s", c.args, tc.path, msg)
+				}
+				if c.code == exitReducedCoverage && !strings.Contains(msg, "reduced coverage: 1 month(s) dropped for corruption: 2021-04") {
+					t.Errorf("%v: no reduced-coverage note:\n%s", c.args, msg)
+				}
+			}
+		})
+	}
 }
 
 // TestOffnetmapUsageErrors pins the flag validation: each bad value is
@@ -291,7 +342,6 @@ func TestOffnetmapUsageErrors(t *testing.T) {
 		args []string
 	}{
 		{"jobs zero", []string{"-jobs", "0"}},
-		{"negative shards", []string{"-shards", "-1"}},
 		{"max-bad NaN", []string{"-max-bad", "NaN"}},
 		{"max-bad Inf", []string{"-max-bad", "Inf"}},
 		{"max-bad above one", []string{"-max-bad", "1.5"}},

@@ -13,8 +13,8 @@
 //	scenarios -list                            # enumerate cells without running
 //	scenarios -cell hide/null-0.95             # run one cell
 //
-// The matrix is byte-identical at any -workers/-jobs/-shards setting
-// for a fixed grid and seed.
+// The matrix is byte-identical at any -workers/-jobs setting for a
+// fixed grid and seed.
 //
 // Exit codes: 0 all cells pass; 1 failure; 2 usage error; 3 the grid
 // ran to completion but at least one cell violated its thresholds.
@@ -89,7 +89,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 1, "world seed driving every cell")
 	workers := fs.Int("workers", 1, "concurrent cells (execution knob; output identical at any value)")
 	jobs := fs.Int("jobs", 1, "per-cell snapshot-inference workers (execution knob)")
-	shards := fs.Int("shards", 1, "per-snapshot record shards (execution knob)")
 	out := fs.String("out", "", "write the matrix JSON here instead of stdout")
 	md := fs.String("md", "", "also render the markdown results table here")
 	list := fs.Bool("list", false, "list the grid's cells without running anything")
@@ -124,7 +123,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cells = []scenarios.Cell{c}
 	}
 
-	opts := scenarios.Options{Workers: *workers, Jobs: *jobs, Shards: *shards}
+	opts := scenarios.Options{Workers: *workers, Jobs: *jobs}
 	if !*quiet {
 		opts.Progress = func(r scenarios.CellResult) {
 			verdict := "pass"

@@ -136,17 +136,8 @@ func BenchmarkStageHeaderConfirm(b *testing.B) {
 // BenchmarkSnapshotInference measures one full five-step inference pass
 // — the unit of work a -jobs worker executes — over an in-memory
 // snapshot streamed at the default chunk size.
-func BenchmarkSnapshotInference(b *testing.B) { benchInference(b, 1) }
-
-// BenchmarkSnapshotInferenceShards4 is the same pass with the record
-// loops split across 4 shards — the intra-snapshot speedup the -shards
-// flag buys on a multi-core runner, with identical output per the
-// golden suite.
-func BenchmarkSnapshotInferenceShards4(b *testing.B) { benchInference(b, 4) }
-
-func benchInference(b *testing.B, shards int) {
+func BenchmarkSnapshotInference(b *testing.B) {
 	p := testPipeline(DefaultOptions())
-	p.Shards = shards
 	snap := benchSnapshot(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

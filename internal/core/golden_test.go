@@ -50,15 +50,13 @@ type goldenHG struct {
 	ConfirmedIPs  int `json:"confirmed_ips"`
 }
 
-// runGoldenStudy executes the seeded study at the given worker,
-// record-shard, and chunk sizes and freezes everything the golden file
-// pins.
-func runGoldenStudy(t *testing.T, jobs, shards, chunk int) *goldenStudy {
+// runGoldenStudy executes the seeded study at the given worker count
+// and chunk size and freezes everything the golden file pins.
+func runGoldenStudy(t *testing.T, jobs, chunk int) *goldenStudy {
 	t.Helper()
 	reg := obs.NewRegistry("golden")
 	p := testPipeline(DefaultOptions())
 	p.Metrics = reg
-	p.Shards = shards
 	profile := scanners.Rapid7Profile()
 	sr, err := p.RunStudyStream(context.Background(), func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 		return corpus.StreamOf(scanners.Scan(testWorld, profile, s), chunk), nil
@@ -147,7 +145,7 @@ func TestGoldenStudyRapid7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full seeded study")
 	}
-	got := runGoldenStudy(t, 1, 1, 1<<30)
+	got := runGoldenStudy(t, 1, 1<<30)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -171,34 +169,7 @@ func TestGoldenJobsInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudy(t, 4, 1, 0))
-}
-
-// TestGoldenShardsInvariance reruns the study with each snapshot's
-// record loops split across 4 shards: the sharded fold must reproduce
-// every golden number — study output and funnel.* counters alike —
-// byte-identically to the sequential run.
-func TestGoldenShardsInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full seeded study")
-	}
-	if *updateGolden {
-		t.Skip("golden file is written by the sequential run")
-	}
-	compareGolden(t, runGoldenStudy(t, 1, 4, 0))
-}
-
-// TestGoldenJobsShardsInvariance stacks both axes — a snapshot worker
-// pool and intra-snapshot record shards — and still demands the exact
-// golden bytes.
-func TestGoldenJobsShardsInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full seeded study")
-	}
-	if *updateGolden {
-		t.Skip("golden file is written by the sequential run")
-	}
-	compareGolden(t, runGoldenStudy(t, 2, 2, 0))
+	compareGolden(t, runGoldenStudy(t, 4, 0))
 }
 
 // TestGoldenChunkInvariance runs the study at a pathological chunk size
@@ -212,18 +183,18 @@ func TestGoldenChunkInvariance(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudy(t, 4, 1, 1))
+	compareGolden(t, runGoldenStudy(t, 4, 1))
 }
 
-// TestGoldenJobsShardsChunkInvariance stacks all three execution knobs —
-// jobs × shards × an odd chunk size that never divides the record count
+// TestGoldenJobsChunkInvariance stacks both execution knobs — a
+// 2-worker pool × an odd chunk size that never divides the record count
 // evenly — and still demands the exact golden bytes.
-func TestGoldenJobsShardsChunkInvariance(t *testing.T) {
+func TestGoldenJobsChunkInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full seeded study")
 	}
 	if *updateGolden {
 		t.Skip("golden file is written by the sequential run")
 	}
-	compareGolden(t, runGoldenStudy(t, 2, 2, 509))
+	compareGolden(t, runGoldenStudy(t, 2, 509))
 }

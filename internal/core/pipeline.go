@@ -24,7 +24,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"offnetscope/internal/astopo"
@@ -88,31 +87,12 @@ type Pipeline struct {
 	// Metrics, when set, receives the per-stage funnel counters and
 	// stage timers documented in DESIGN.md §7 (funnel.*). Counter
 	// totals are deterministic for a fixed corpus — byte-identical
-	// across runs and across StudyConfig.Jobs and Shards settings —
-	// because every stage contributes by commutative addition; only the
-	// *_ns timing histograms vary run to run. Nil disables
-	// instrumentation at effectively zero cost.
+	// across runs and across StudyConfig.Jobs settings — because every
+	// stage contributes by commutative addition; only the *_ns timing
+	// histograms vary run to run. Nil disables instrumentation at
+	// effectively zero cost.
 	Metrics *obs.Registry
-
-	// Shards bounds the intra-snapshot fan-out: inference splits its
-	// per-record loops (§4.1 validation of each record batch and each
-	// hypergiant's two record scans) into this many contiguous ranges on
-	// as many goroutines. Zero or one means sequential record loops.
-	// The output is byte-identical at any setting — partial results fold
-	// in shard order (see shard.go) — so Shards, like StudyConfig.Jobs,
-	// is an execution knob: deliberately not part of Options, and
-	// excluded from checkpoint manifests.
-	Shards int
 }
-
-// shardScratchPool pools validateShard partials so chunked reads and
-// long studies reuse the record buffers and tally maps across batches
-// and snapshots instead of re-growing them each time. Scratch is fully
-// reset before reuse, so pooling cannot leak state between snapshots —
-// which also makes it safe to share process-wide rather than
-// per-Pipeline (ablations and benchmarks copy Pipeline by value, and a
-// struct-embedded pool would make that copy a vet error).
-var shardScratchPool sync.Pool
 
 // cloudflareCustomerRe is the §7 filter for Cloudflare-issued customer
 // certificates.
@@ -252,84 +232,30 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 // validateBatch is step 1 over one batch of certificate records:
 // verify every chain and annotate records with their origin AS. Invalid
 // chains are dropped (counted by reason in res) except expired-only
-// leaves, which are kept flagged for the Fig 3 envelope. The batch
-// shards across Pipeline.Shards goroutines and the partials fold in
-// shard order, appending to records and adding to res and asSet — so
-// batches folded in record order keep corpus order and every tally
-// byte-identical at any chunk and shard count. It is the only §4.1 fold.
+// leaves, which are kept flagged for the Fig 3 envelope. Validated
+// records append to records and tallies add to res and asSet, so
+// batches validated in record order keep corpus order and every tally
+// byte-identical at any chunk size. It is the only §4.1 pass.
 func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
-	parts := make([]*validateShard, p.shardCount(len(batch)))
-	forEachShard(len(batch), len(parts), func(shard, lo, hi int) {
-		parts[shard] = p.validateRange(batch[lo:hi], at, mapper)
-	})
-	for _, part := range parts {
-		records = append(records, part.records...)
-		res.ValidCertIPs += part.valid
-		for reason, c := range part.invalid {
-			res.InvalidByReason[reason] += c
-		}
-		for as := range part.asSet {
-			asSet[as] = struct{}{}
-		}
-		p.putShardScratch(part)
-	}
-	res.TotalCertIPs += len(batch)
-	return records
-}
-
-// getShardScratch hands out a fully reset validateShard, reusing a
-// pooled one when available. Records appended into it are copied out by
-// the fold before the shard returns to the pool, so reuse can never
-// alias a previous batch's data.
-func (p *Pipeline) getShardScratch() *validateShard {
-	if v, ok := shardScratchPool.Get().(*validateShard); ok {
-		v.records = v.records[:0]
-		v.valid = 0
-		clear(v.invalid)
-		clear(v.asSet)
-		return v
-	}
-	return &validateShard{
-		invalid: make(map[string]int),
-		asSet:   make(map[astopo.ASN]struct{}),
-	}
-}
-
-func (p *Pipeline) putShardScratch(v *validateShard) { shardScratchPool.Put(v) }
-
-// validateShard is one shard's step-1 partial result: counts and the AS
-// set merge by addition/union, records concatenate in shard order.
-type validateShard struct {
-	records []record
-	valid   int
-	invalid map[string]int
-	asSet   map[astopo.ASN]struct{}
-}
-
-// validateRange validates one contiguous run of certificate records. It
-// only reads the pipeline's immutable datasets (trust store, mapper),
-// so any number of ranges can run concurrently.
-func (p *Pipeline) validateRange(certs []corpus.CertRecord, at time.Time, mapper IPMapper) *validateShard {
-	part := p.getShardScratch()
-	for _, cr := range certs {
+	for _, cr := range batch {
 		asns := mapper.Lookup(cr.IP)
 		for _, as := range asns {
-			part.asSet[as] = struct{}{}
+			asSet[as] = struct{}{}
 		}
 		err := certmodel.Verify(cr.Chain, at, p.Trust)
 		expired := false
 		if err != nil && !p.Opts.DisableChainValidation {
 			reason := certmodel.Reason(err)
-			part.invalid[reason]++
+			res.InvalidByReason[reason]++
 			if reason != certmodel.ReasonExpired {
 				continue
 			}
 			expired = true
 		}
 		if !expired {
-			part.valid++
+			res.ValidCertIPs++
 		}
-		part.records = append(part.records, record{
+		records = append(records, record{
 			ip:       cr.IP,
 			asns:     asns,
 			leaf:     cr.Chain.Leaf(),
@@ -337,14 +263,13 @@ func (p *Pipeline) validateRange(certs []corpus.CertRecord, at time.Time, mapper
 			expired:  expired,
 		})
 	}
-	return part
+	res.TotalCertIPs += len(batch)
+	return records
 }
 
-// runHG executes steps 2-5 for one hypergiant. Both record passes —
-// the step-2 fingerprint scan and the step-3/5 candidate scan — shard
-// across Pipeline.Shards goroutines with a shard-order fold, separated
-// by a barrier: the candidate scan needs the complete dNSName
-// fingerprint, which it then only reads.
+// runHG executes steps 2-5 for one hypergiant in two record passes:
+// the step-2 fingerprint scan, then the step-3/5 candidate scan, which
+// needs the complete dNSName fingerprint.
 func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *HGResult {
 	hr := &HGResult{
 		HG:                    h.ID,
@@ -365,70 +290,6 @@ func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record
 		onNet[as] = struct{}{}
 	}
 	kw := strings.ToLower(h.Keyword)
-	k := p.shardCount(len(records))
-	fps := make([]*fingerprintShard, k)
-	forEachShard(len(records), k, func(shard, lo, hi int) {
-		fps[shard] = fingerprintRange(records[lo:hi], kw, onNet)
-	})
-	for _, part := range fps {
-		hr.OnNetIPs += part.onNetIPs
-		for fp, c := range part.groups {
-			hr.CertIPGroups[fp] += c
-		}
-		for d := range part.names {
-			hr.DNSNames[d] = struct{}{}
-		}
-	}
-
-	// Steps 3 + 5: candidates outside the on-net ASes, confirmed by
-	// headers. Rejections are tallied by reason so the funnel report
-	// can show where records leave the pipeline (funnel.drop.*).
-	cands := make([]*candidateShard, k)
-	forEachShard(len(records), k, func(shard, lo, hi int) {
-		cands[shard] = p.candidateRange(h, records[lo:hi], kw, onNet, hr.DNSNames, httpsIdx, httpIdx)
-	})
-	var drops dropTally
-	for _, part := range cands {
-		drops.add(&part.drops)
-		sub := part.hr
-		hr.CandidateIPs += sub.CandidateIPs
-		hr.ConfirmedIPs += sub.ConfirmedIPs
-		hr.CandidateIPList = append(hr.CandidateIPList, sub.CandidateIPList...)
-		hr.ConfirmedIPList = append(hr.ConfirmedIPList, sub.ConfirmedIPList...)
-		hr.ExpiredIPs = append(hr.ExpiredIPs, sub.ExpiredIPs...)
-		unionASes(hr.CandidateASes, sub.CandidateASes)
-		unionASes(hr.ConfirmedASes, sub.ConfirmedASes)
-		unionASes(hr.ConfirmedByEitherASes, sub.ConfirmedByEitherASes)
-		unionASes(hr.ConfirmedByBothASes, sub.ConfirmedByBothASes)
-		unionASes(hr.ExpiredASes, sub.ExpiredASes)
-		for fp, c := range sub.CertIPGroups {
-			hr.CertIPGroups[fp] += c
-		}
-	}
-	m := p.Metrics
-	m.Counter("funnel.hg_cert_matches").Add(drops.hgMatches)
-	m.Counter("funnel.drop.expired_cert").Add(drops.expired)
-	m.Counter("funnel.drop.dnsnames_offnet").Add(drops.dnsNames)
-	m.Counter("funnel.drop.cloudflare_customer").Add(drops.cloudflare)
-	m.Counter("funnel.drop.header_unconfirmed").Add(drops.unconfirmed)
-	return hr
-}
-
-// fingerprintShard is one shard's step-2 output; counts add, the group
-// and name maps union.
-type fingerprintShard struct {
-	onNetIPs int
-	groups   map[certmodel.Fingerprint]int
-	names    map[string]struct{}
-}
-
-// fingerprintRange learns the dNSName fingerprint contribution of one
-// contiguous run of records.
-func fingerprintRange(records []record, kw string, onNet map[astopo.ASN]struct{}) *fingerprintShard {
-	part := &fingerprintShard{
-		groups: make(map[certmodel.Fingerprint]int),
-		names:  make(map[string]struct{}),
-	}
 	for i := range records {
 		r := &records[i]
 		if r.expired || !strings.Contains(r.orgLower, kw) {
@@ -437,49 +298,17 @@ func fingerprintRange(records []record, kw string, onNet map[astopo.ASN]struct{}
 		if !anyIn(r.asns, onNet) {
 			continue
 		}
-		part.onNetIPs++
-		part.groups[r.leaf.Fingerprint()]++
+		hr.OnNetIPs++
+		hr.CertIPGroups[r.leaf.Fingerprint()]++
 		for _, d := range r.leaf.DNSNames {
-			part.names[d] = struct{}{}
+			hr.DNSNames[d] = struct{}{}
 		}
 	}
-	return part
-}
 
-// dropTally counts one shard's step-3/5 rejections by reason.
-type dropTally struct {
-	hgMatches, expired, dnsNames, cloudflare, unconfirmed int64
-}
-
-func (t *dropTally) add(o *dropTally) {
-	t.hgMatches += o.hgMatches
-	t.expired += o.expired
-	t.dnsNames += o.dnsNames
-	t.cloudflare += o.cloudflare
-	t.unconfirmed += o.unconfirmed
-}
-
-// candidateShard is one shard's step-3/5 output, accumulated into a
-// scratch HGResult whose list fields concatenate in shard order and
-// whose set fields union.
-type candidateShard struct {
-	hr    *HGResult
-	drops dropTally
-}
-
-// candidateRange runs the candidate + confirmation scan over one
-// contiguous run of records. dnsNames is the complete step-2
-// fingerprint and is only read, as are the header indexes.
-func (p *Pipeline) candidateRange(h *hg.Hypergiant, records []record, kw string, onNet map[astopo.ASN]struct{}, dnsNames map[string]struct{}, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *candidateShard {
-	part := &candidateShard{hr: &HGResult{
-		CandidateASes:         make(map[astopo.ASN]struct{}),
-		ConfirmedASes:         make(map[astopo.ASN]struct{}),
-		ConfirmedByEitherASes: make(map[astopo.ASN]struct{}),
-		ConfirmedByBothASes:   make(map[astopo.ASN]struct{}),
-		ExpiredASes:           make(map[astopo.ASN]struct{}),
-		CertIPGroups:          make(map[certmodel.Fingerprint]int),
-	}}
-	hr := part.hr
+	// Steps 3 + 5: candidates outside the on-net ASes, confirmed by
+	// headers. Rejections are tallied by reason so the funnel report
+	// can show where records leave the pipeline (funnel.drop.*).
+	var hgMatches, expiredDrops, dnsNameDrops, cloudflareDrops, unconfirmed int64
 	allowExpired := p.Opts.IgnoreExpiryFor[h.ID]
 	for i := range records {
 		r := &records[i]
@@ -489,24 +318,24 @@ func (p *Pipeline) candidateRange(h *hg.Hypergiant, records []record, kw string,
 		if len(r.asns) == 0 || anyIn(r.asns, onNet) {
 			continue
 		}
-		part.drops.hgMatches++
+		hgMatches++
 		if r.expired && !allowExpired {
 			// Track what ignoring expiry would add (Fig 3 envelope).
-			if p.dnsNamesOnNet(r.leaf, dnsNames) && !p.isCloudflareCustomerCert(h.ID, r.leaf) {
+			if p.dnsNamesOnNet(r.leaf, hr.DNSNames) && !p.isCloudflareCustomerCert(h.ID, r.leaf) {
 				for _, as := range r.asns {
 					hr.ExpiredASes[as] = struct{}{}
 				}
 				hr.ExpiredIPs = append(hr.ExpiredIPs, r.ip)
 			}
-			part.drops.expired++
+			expiredDrops++
 			continue
 		}
-		if !p.dnsNamesOnNet(r.leaf, dnsNames) {
-			part.drops.dnsNames++
+		if !p.dnsNamesOnNet(r.leaf, hr.DNSNames) {
+			dnsNameDrops++
 			continue
 		}
 		if p.isCloudflareCustomerCert(h.ID, r.leaf) {
-			part.drops.cloudflare++
+			cloudflareDrops++
 			continue
 		}
 		hr.CandidateIPs++
@@ -542,17 +371,16 @@ func (p *Pipeline) candidateRange(h *hg.Hypergiant, records []record, kw string,
 				hr.ConfirmedASes[as] = struct{}{}
 			}
 		} else {
-			part.drops.unconfirmed++
+			unconfirmed++
 		}
 	}
-	return part
-}
-
-// unionASes folds src into dst.
-func unionASes(dst, src map[astopo.ASN]struct{}) {
-	for as := range src {
-		dst[as] = struct{}{}
-	}
+	m := p.Metrics
+	m.Counter("funnel.hg_cert_matches").Add(hgMatches)
+	m.Counter("funnel.drop.expired_cert").Add(expiredDrops)
+	m.Counter("funnel.drop.dnsnames_offnet").Add(dnsNameDrops)
+	m.Counter("funnel.drop.cloudflare_customer").Add(cloudflareDrops)
+	m.Counter("funnel.drop.header_unconfirmed").Add(unconfirmed)
+	return hr
 }
 
 // dnsNamesOnNet applies the §4.3 subset rule: every dNSName on the

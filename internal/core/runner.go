@@ -69,8 +69,8 @@ type outcome struct {
 // snapshot via Persist. On cancellation it folds (and persists)
 // whatever already finished in contiguous order, then returns the
 // partial result with ctx's error — so a resumed run restarts exactly
-// where this one stopped. Output is byte-identical at any jobs × shards
-// × chunk-size combination.
+// where this one stopped. Output is byte-identical at any jobs ×
+// chunk-size combination.
 func (p *Pipeline) RunStudyStream(ctx context.Context, source StreamSource, cfg StudyConfig) (*StudyResult, error) {
 	n := timeline.Count()
 	out := &StudyResult{

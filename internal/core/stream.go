@@ -21,23 +21,21 @@ import (
 // header record of the month: memory is O(chunk + validated records +
 // the month's header records).
 //
-// Determinism contract: batches arrive in record order and each batch's
-// shard partials fold in shard order, so the overall fold order is
-// (chunk, shard) — lexicographically identical to the record order of a
-// single batch. Every counter merges by commutative addition/union and
-// every list concatenates in that order, which is why the output is
-// byte-identical at any jobs × shards × chunk combination (pinned by
-// the golden suite).
+// Determinism contract: batches arrive in record order and validate in
+// arrival order, so the fold order is chunk order, which is record
+// order. Every counter adds, every set unions and every list appends in
+// that order, which is why the output is byte-identical at any jobs ×
+// chunk combination (pinned by the golden suite).
 
 // InferSnapshotStream runs the full §4 inference over one snapshot's
 // record stream and captures the envelope inputs. It drives all three
 // record streams to completion on their own goroutines — so a stream's
-// read accounting always finalizes — validating certificate batches
-// through the shard workers as they arrive, then runs the match/confirm
-// half on the folded records. The error is the stream's, with the
-// fixed certs-https-http precedence: record-level damage accounting
-// happened inside the stream per its ReadOptions, and a surfaced error
-// means the month must be dropped.
+// read accounting always finalizes — validating certificate batches as
+// they arrive, then runs the match/confirm half on the validated
+// records. The error is the stream's, with the fixed certs-https-http
+// precedence: record-level damage accounting happened inside the stream
+// per its ReadOptions, and a surfaced error means the month must be
+// dropped.
 //
 // It is a pure function of the stream and the pipeline's immutable
 // datasets, so any number of snapshots can be inferred concurrently.
@@ -70,7 +68,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	go func() {
 		defer wg.Done()
 		// The consumer is a single goroutine, so batches validate
-		// strictly in arrival order and fold immediately.
+		// strictly in arrival order.
 		errs[0] = st.Certs(func(batch []corpus.CertRecord) error {
 			for i := range batch {
 				certIPs[batch[i].IP] = struct{}{}

@@ -48,27 +48,6 @@ func TestInferSnapshotStreamMatchesInferSnapshot(t *testing.T) {
 	}
 }
 
-// TestInferSnapshotStreamSharded reruns the chunk equality with the
-// batch validation split across 4 shards — the (chunk, shard) fold.
-func TestInferSnapshotStreamSharded(t *testing.T) {
-	snap := rapid7At(t, lastSnap)
-	p := testPipeline(DefaultOptions())
-	want, err := p.InferSnapshotStream(corpus.StreamOf(snap, 1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Shards = 4
-	for _, chunk := range []int{3, 0} {
-		got, err := p.InferSnapshotStream(corpus.StreamOf(snap, chunk))
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
-		if !reflect.DeepEqual(got.Result, want.Result) {
-			t.Errorf("chunk=%d shards=4: Result diverges", chunk)
-		}
-	}
-}
-
 // TestInferSnapshotStreamError pins stream-failure semantics: an error
 // from any record stream aborts the inference and surfaces with the
 // fixed certs-https-http precedence.

@@ -202,9 +202,8 @@ type ReadOptions struct {
 	Metrics *obs.Registry
 
 	// ChunkSize bounds the record batches OpenStream yields; zero means
-	// DefaultChunkSize. It is an execution knob like -jobs and -shards,
-	// not part of the determinism contract: output is byte-identical at
-	// any setting.
+	// DefaultChunkSize. It is an execution knob like -jobs, not part of
+	// the determinism contract: output is byte-identical at any setting.
 	ChunkSize int
 }
 

@@ -12,8 +12,8 @@ import (
 
 // DefaultChunkSize is the record-batch size the streaming read path
 // yields when ReadOptions.ChunkSize is unset. Large enough that the
-// shard workers amortize their fan-out, small enough that a batch of
-// fully decoded records stays in cache-friendly territory.
+// per-batch yield amortizes, small enough that a batch of fully decoded
+// records stays in cache-friendly territory.
 const DefaultChunkSize = 4096
 
 // Stream is the chunked read path over one vendor-month: instead of

@@ -2,34 +2,28 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
 // FuzzMetricsSnapshot drives a registry with an arbitrary op stream,
-// then checks the serialization laws the golden suite and the -metrics
-// report rely on:
+// then checks the serialization law the golden suite and the -metrics
+// report rely on: snapshot → JSON → parse → JSON is byte-identical.
 //
-//  1. snapshot → JSON → parse → JSON is byte-identical (round trip);
-//  2. Merge is commutative and keeps counter sums exact;
-//  3. merging a snapshot with an empty one is the identity.
-//
-// The op stream is interpreted 4 bytes at a time: kind, metric-name
-// index, registry selector, and a value byte — enough to hit every
-// metric type, shared names across registries, and negative values.
+// The op stream is interpreted 3 bytes at a time: kind, metric-name
+// index, and a value byte — enough to hit every metric type, names
+// shared across metric types, and negative values.
 func FuzzMetricsSnapshot(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1})
-	f.Add([]byte{0, 1, 0, 200, 1, 1, 1, 7, 2, 2, 0, 255, 2, 2, 1, 0})
-	f.Add(bytes.Repeat([]byte{3, 0, 1, 128}, 40))
+	f.Add([]byte{0, 0, 1})
+	f.Add([]byte{0, 1, 200, 1, 1, 7, 2, 2, 255, 2, 2, 0})
+	f.Add(bytes.Repeat([]byte{3, 0, 128}, 40))
 
 	names := []string{"funnel.certs_seen", "funnel.drop.expired", "corpus.records", "lat_ns"}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		regs := [2]*Registry{NewRegistry("shard0"), NewRegistry("shard1")}
-		for i := 0; i+4 <= len(data); i += 4 {
-			kind, name, which, val := data[i], data[i+1], data[i+2], data[i+3]
-			r := regs[which%2]
+		r := NewRegistry("fuzz")
+		for i := 0; i+3 <= len(data); i += 3 {
+			kind, name, val := data[i], data[i+1], data[i+2]
 			n := names[int(name)%len(names)]
 			v := int64(val) - 64 // exercise negatives too
 			switch kind % 4 {
@@ -44,52 +38,20 @@ func FuzzMetricsSnapshot(f *testing.F) {
 			}
 		}
 
-		for _, r := range regs {
-			s := r.Snapshot()
-			var buf bytes.Buffer
-			if err := s.WriteJSON(&buf); err != nil {
-				t.Fatalf("WriteJSON: %v", err)
-			}
-			parsed, err := ParseSnapshot(buf.Bytes())
-			if err != nil {
-				t.Fatalf("ParseSnapshot of our own output: %v", err)
-			}
-			var again bytes.Buffer
-			if err := parsed.WriteJSON(&again); err != nil {
-				t.Fatalf("re-WriteJSON: %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-				t.Fatalf("round trip not byte-identical:\n%s\nvs\n%s", buf.String(), again.String())
-			}
+		var buf bytes.Buffer
+		if err := r.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
 		}
-
-		a, b := regs[0].Snapshot(), regs[1].Snapshot()
-		ab, ba := a.Merge(b), b.Merge(a)
-		ab.Name, ba.Name = "", ""
-		if !reflect.DeepEqual(ab, ba) {
-			t.Fatalf("merge not commutative:\n%+v\nvs\n%+v", ab, ba)
+		parsed, err := ParseSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatalf("ParseSnapshot of our own output: %v", err)
 		}
-		for name := range ab.Counters {
-			if got, want := ab.Counter(name), a.Counter(name)+b.Counter(name); got != want {
-				t.Fatalf("merged counter %s = %d, want %d", name, got, want)
-			}
+		var again bytes.Buffer
+		if err := parsed.WriteJSON(&again); err != nil {
+			t.Fatalf("re-WriteJSON: %v", err)
 		}
-		for name, h := range ab.Histograms {
-			if got, want := h.Count, a.Histograms[name].Count+b.Histograms[name].Count; got != want {
-				t.Fatalf("merged histogram %s count = %d, want %d", name, got, want)
-			}
-			var inBuckets uint64
-			for _, bk := range h.Buckets {
-				inBuckets += bk.N
-			}
-			if inBuckets != h.Count {
-				t.Fatalf("merged histogram %s bucket sum %d != count %d", name, inBuckets, h.Count)
-			}
-		}
-
-		identity := a.Merge(Snapshot{})
-		if !reflect.DeepEqual(identity, a) {
-			t.Fatalf("merge with empty is not identity:\n%+v\nvs\n%+v", identity, a)
+		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			t.Fatalf("round trip not byte-identical:\n%s\nvs\n%s", buf.String(), again.String())
 		}
 	})
 }

@@ -21,8 +21,7 @@
 //     *counts* are deterministic, their sums and buckets are not).
 //   - Snapshots marshal to deterministic JSON (sorted keys, sorted
 //     buckets, zero buckets omitted) so golden tests can compare them
-//     byte-for-byte, and merge commutatively so sharded registries can
-//     be combined.
+//     byte-for-byte.
 //
 // A nil *Registry is valid everywhere and discards all updates, so
 // instrumented packages need no "is observability on" branches.
@@ -303,60 +302,6 @@ func (r *Registry) Snapshot() Snapshot {
 // Counter returns a snapshot counter's value (0 when absent) — the
 // accessor golden tests and report renderers use.
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
-
-// Merge combines two snapshots additively: counters, gauges, histogram
-// counts, sums, and buckets all add. Merge is commutative and
-// associative, so per-worker or per-shard registries can be combined in
-// any order. Gauges add too — merging is for disjoint shards, where a
-// summed gauge (total queue depth across shards) is the useful reading.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{Name: s.Name}
-	if out.Name == "" {
-		out.Name = o.Name
-	}
-	out.Counters = mergeInts(s.Counters, o.Counters)
-	out.Gauges = mergeInts(s.Gauges, o.Gauges)
-	if len(s.Histograms) > 0 || len(o.Histograms) > 0 {
-		out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms)+len(o.Histograms))
-		for name, h := range s.Histograms {
-			out.Histograms[name] = h
-		}
-		for name, h := range o.Histograms {
-			out.Histograms[name] = mergeHists(out.Histograms[name], h)
-		}
-	}
-	return out
-}
-
-func mergeInts(a, b map[string]int64) map[string]int64 {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(a)+len(b))
-	for name, v := range a {
-		out[name] = v
-	}
-	for name, v := range b {
-		out[name] += v
-	}
-	return out
-}
-
-func mergeHists(a, b HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
-	byPow := make(map[int]uint64, len(a.Buckets)+len(b.Buckets))
-	for _, bk := range a.Buckets {
-		byPow[bk.Pow] += bk.N
-	}
-	for _, bk := range b.Buckets {
-		byPow[bk.Pow] += bk.N
-	}
-	for pow, n := range byPow {
-		out.Buckets = append(out.Buckets, Bucket{Pow: pow, N: n})
-	}
-	sort.Slice(out.Buckets, func(i, j int) bool { return out.Buckets[i].Pow < out.Buckets[j].Pow })
-	return out
-}
 
 // WriteJSON writes the snapshot as indented, deterministically ordered
 // JSON followed by a newline.

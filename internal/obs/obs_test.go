@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -113,40 +112,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 	if again.String() != bufs[0].String() {
 		t.Fatalf("round trip changed JSON:\n%s\nvs\n%s", again.String(), bufs[0].String())
-	}
-}
-
-func TestMergeAdds(t *testing.T) {
-	a := NewRegistry("a")
-	a.Counter("c").Add(3)
-	a.Histogram("h").Observe(4)
-	b := NewRegistry("b")
-	b.Counter("c").Add(5)
-	b.Counter("only_b").Inc()
-	b.Histogram("h").Observe(4)
-	b.Histogram("h").Observe(1000)
-
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Counter("c") != 8 || m.Counter("only_b") != 1 {
-		t.Fatalf("merged counters = %v", m.Counters)
-	}
-	h := m.Histograms["h"]
-	if h.Count != 3 || h.Sum != 1008 {
-		t.Fatalf("merged hist = %+v", h)
-	}
-	want := []Bucket{{Pow: 3, N: 2}, {Pow: 10, N: 1}}
-	if !reflect.DeepEqual(h.Buckets, want) {
-		t.Fatalf("merged buckets = %v, want %v", h.Buckets, want)
-	}
-
-	// Commutativity, compared via canonical JSON (names differ, so
-	// clear them).
-	ab, ba := a.Snapshot().Merge(b.Snapshot()), b.Snapshot().Merge(a.Snapshot())
-	ab.Name, ba.Name = "", ""
-	ja, _ := json.Marshal(ab)
-	jb, _ := json.Marshal(ba)
-	if string(ja) != string(jb) {
-		t.Fatalf("merge is not commutative:\n%s\nvs\n%s", ja, jb)
 	}
 }
 

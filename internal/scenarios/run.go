@@ -16,7 +16,7 @@ import (
 	"offnetscope/internal/worldsim"
 )
 
-// Options tunes matrix execution. All three knobs are pure execution
+// Options tunes matrix execution. Workers and Jobs are pure execution
 // levers: the matrix is byte-identical at any setting.
 type Options struct {
 	// Workers bounds how many cells run concurrently; zero or one means
@@ -25,9 +25,6 @@ type Options struct {
 	// Jobs is forwarded to core.StudyConfig.Jobs inside each cell
 	// (per-snapshot inference workers).
 	Jobs int
-	// Shards is forwarded to core.Pipeline.Shards inside each cell
-	// (intra-snapshot record sharding).
-	Shards int
 	// Progress, when non-nil, is called as each cell finishes (from the
 	// collecting goroutine, serialized).
 	Progress func(CellResult)
@@ -99,7 +96,6 @@ func RunCell(ctx context.Context, c Cell, opts Options) (CellResult, error) {
 		Orgs:   w.Orgs(),
 		Mapper: func(s timeline.Snapshot) core.IPMapper { return w.IP2AS(s) },
 		Opts:   core.DefaultOptions(),
-		Shards: opts.Shards,
 	}
 	profile := scanners.Rapid7Profile()
 	outages := snapshotSet(c.Outages)
@@ -182,7 +178,7 @@ func RunCell(ctx context.Context, c Cell, opts Options) (CellResult, error) {
 // Run executes every cell of a grid on a bounded pool of Workers and
 // assembles the Matrix. Results land in grid order regardless of
 // worker count, so the encoded matrix is byte-identical at any
-// Workers/Jobs/Shards setting.
+// Workers/Jobs setting.
 func Run(ctx context.Context, grid string, cells []Cell, opts Options) (*Matrix, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("scenarios: empty grid")
