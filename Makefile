@@ -51,15 +51,15 @@ fuzz-smoke:
 # parallel-runner determinism (including the mid-run cancellation
 # regression), hot reload under load, the serving engine's
 # cache/batch/reload/deadline/breaker races plus its goroutine-leak
-# check, the probe breaker, the SIGHUP-under-loadgen-traffic e2es (good
-# and alternating-corrupt), and the chaos layer itself (reader, HTTP
-# transport, TCP proxy).
+# check, the probe breaker and cut-short sweeps, the
+# SIGHUP-under-loadgen-traffic e2es (good and alternating-corrupt), and
+# the chaos layer itself (reader, HTTP transport, TCP proxy).
 chaos-race:
 	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs ./internal/durable
 	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
 	go test -race -run 'TestRunStudyConfig' ./internal/core
 	go test -race -run 'TestHotReload|TestLoadShedding|TestPanicRecovery|TestHealth|TestRetryAfter|TestReloadGeneration|TestReloadFile|TestSmokeValidate|TestCache|TestBatch|TestConcurrentLoad|TestDeadline|TestBreaker|TestShed|TestGoroutineLeak' ./internal/offnetserve
-	go test -race -run 'TestProbeBreaker' ./internal/probe
+	go test -race -run 'TestProbeBreaker|TestSweepCutShort' ./internal/probe
 	go test -race -run 'TestGenLog|TestNewBuilderFrom|TestSave' ./internal/footstore
 	go test -race -run 'TestWave' ./internal/waves
 	go test -race -run 'TestWatchGenLog' ./internal/offnetserve

@@ -234,7 +234,7 @@ func BenchmarkLiveScanPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer farm.Close()
-	scanner := probe.New(probe.Config{Concurrency: 8, Timeout: 2 * time.Second, RootCAs: farm.CA.Pool()})
+	scanner := probe.New(probe.Config{Concurrency: 8, Timeout: 2 * time.Second})
 	defer scanner.Close()
 	addrs := farm.TLSAddrs()
 	ctx := context.Background()

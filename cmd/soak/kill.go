@@ -33,10 +33,7 @@ import (
 	"sync"
 	"time"
 
-	"offnetscope/internal/astopo"
 	"offnetscope/internal/footstore"
-	"offnetscope/internal/hg"
-	"offnetscope/internal/netmodel"
 	"offnetscope/internal/offnetserve"
 	"offnetscope/internal/probe"
 	"offnetscope/internal/rng"
@@ -76,55 +73,21 @@ func maybeRunKillHelper() {
 	os.Exit(0)
 }
 
-// killFarm is the miniature Internet every workload incarnation scans:
-// two Google off-nets, one Akamai off-net, one background site, one
-// impostor. Wave outcomes depend only on the specs and the assigned
-// ASes — never on the ephemeral ports — which is what makes a killed-
-// and-resumed run byte-identical to a clean one.
-func killFarm() (*servefarm.Farm, []waves.Target, []waves.PrefixRow, error) {
-	gws := []hg.Header{{Name: "Server", Value: "gws"}}
-	ghost := []hg.Header{{Name: "Server", Value: "AkamaiGHost"}}
-	nginx := []hg.Header{{Name: "Server", Value: "nginx"}}
-	farm, err := servefarm.Start([]servefarm.Spec{
-		{Name: "google-offnet-1", Organization: "Google LLC",
-			DNSNames: []string{"*.googlevideo.com"}, Headers: gws},
-		{Name: "google-offnet-2", Organization: "Google LLC",
-			DNSNames: []string{"*.googlevideo.com", "*.youtube.com"}, Headers: gws},
-		{Name: "akamai-offnet", Organization: "Akamai Technologies, Inc.",
-			DNSNames: []string{"a248.e.akamai.net"}, Headers: ghost},
-		{Name: "background", Organization: "Acme Web Services",
-			DNSNames: []string{"www.acme.example"}, Headers: nginx},
-		{Name: "google-impostor", Organization: "Google LLC",
-			DNSNames: []string{"*.google.com"}, SelfSigned: true, Headers: nginx},
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	targets := make([]waves.Target, len(farm.Servers))
-	prefixes := make([]waves.PrefixRow, len(farm.Servers))
-	for i, s := range farm.Servers {
-		as := astopo.ASN(64512 + i)
-		targets[i] = waves.Target{Addr: s.TLSAddr, AS: as}
-		prefixes[i] = waves.PrefixRow{
-			Prefix:  netmodel.MustParsePrefix(fmt.Sprintf("198.18.%d.0/24", i)),
-			Origins: []astopo.ASN{as},
-		}
-	}
-	return farm, targets, prefixes, nil
-}
-
 // killWorkload is one incarnation of the measurement daemon: open the
 // log, catch up on compaction a crash may have interrupted, then run
-// waves until the log's newest generation reaches target, compacting
-// to keep after each commit. Every step is resumable, so the final
+// waves over the demo farm until the log's newest generation reaches
+// target, compacting to keep after each commit. Wave outcomes depend
+// only on the farm's specs and ASes — never on its ephemeral ports or
+// freshly minted leaves — and every step is resumable, so the final
 // state is a pure function of (target, keep) no matter how many times
 // earlier incarnations were killed.
 func killWorkload(dir string, target uint64, keep int) error {
-	farm, targets, prefixes, err := killFarm()
+	farm, err := servefarm.StartDemo()
 	if err != nil {
 		return err
 	}
 	defer farm.Close()
+	targets, prefixes := waves.FarmTargets(farm)
 
 	glog, _, err := footstore.OpenGenLog(dir)
 	if err != nil {
@@ -143,8 +106,9 @@ func killWorkload(dir string, target uint64, keep int) error {
 			Concurrency: 8,
 			Timeout:     5 * time.Second,
 			Retries:     1,
-			RootCAs:     farm.CA.Pool(),
 		},
+		Trust:         farm.Trust,
+		Orgs:          farm.Orgs,
 		WaveTimeout:   30 * time.Second,
 		CheckpointDir: filepath.Join(dir, "waves-ck"),
 		Prefixes:      prefixes,

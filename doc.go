@@ -16,8 +16,8 @@
 //     RouteViews/RIS, APNIC stand-ins);
 //   - internal/scanners, internal/corpus — scan-campaign emulation and
 //     dataset persistence;
-//   - internal/probe, internal/servefarm, internal/certgen — a real
-//     TLS/HTTP scanner and loopback server farm for live end-to-end runs;
+//   - internal/probe, internal/servefarm, internal/waves — a real
+//     TLS/HTTP scanner, loopback farm and scan waves feeding internal/core;
 //   - internal/analysis — one function per table and figure in the
 //     paper's evaluation, plus the §5 validation experiments.
 //

@@ -1,13 +1,15 @@
-// Package certgen mints real X.509 certificates (ECDSA P-256) for the
-// live-network path: the loopback server farm serves them over genuine
-// TLS handshakes and the probe scanner fetches and verifies them, just
-// like the paper's certigo/ZGrab2 scans did. The simulated corpuses use
+// Package certgen mints real X.509 certificates (ECDSA P-256 leaves) for
+// the live-network path: the loopback server farm serves them over
+// genuine TLS handshakes and the probe scanner fetches them, just like
+// the paper's certigo/ZGrab2 scans did. The simulated corpuses use
 // package certmodel instead; this package is only for code paths that
 // cross a real crypto/tls connection.
 package certgen
 
 import (
+	"crypto"
 	"crypto/ecdsa"
+	"crypto/ed25519"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/tls"
@@ -21,8 +23,7 @@ import (
 // CA is a certificate authority holding a signing key.
 type CA struct {
 	Cert *x509.Certificate
-	Key  *ecdsa.PrivateKey
-	pool *x509.CertPool
+	Key  crypto.Signer
 }
 
 var serialCounter int64 = 1000
@@ -32,12 +33,24 @@ func nextSerial() *big.Int {
 	return big.NewInt(serialCounter)
 }
 
-// NewCA creates a self-signed root CA valid for ten years.
+// NewCA creates a self-signed root CA valid for ten years, under a
+// fresh random ECDSA key.
 func NewCA(name string) (*CA, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: %w", err)
 	}
+	return newCA(name, key)
+}
+
+// NewCAFromSeed creates a root CA whose Ed25519 key derives from seed,
+// so a chain minted by one process verifies under the next process's
+// CA (ecdsa.GenerateKey gives no such promise for a seeded reader).
+func NewCAFromSeed(name string, seed [ed25519.SeedSize]byte) (*CA, error) {
+	return newCA(name, ed25519.NewKeyFromSeed(seed[:]))
+}
+
+func newCA(name string, key crypto.Signer) (*CA, error) {
 	tpl := &x509.Certificate{
 		SerialNumber:          nextSerial(),
 		Subject:               pkix.Name{Organization: []string{name}, CommonName: name + " Root"},
@@ -47,7 +60,7 @@ func NewCA(name string) (*CA, error) {
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
 		BasicConstraintsValid: true,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tpl, tpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(rand.Reader, tpl, tpl, key.Public(), key)
 	if err != nil {
 		return nil, fmt.Errorf("certgen: %w", err)
 	}
@@ -55,13 +68,8 @@ func NewCA(name string) (*CA, error) {
 	if err != nil {
 		return nil, fmt.Errorf("certgen: %w", err)
 	}
-	pool := x509.NewCertPool()
-	pool.AddCert(cert)
-	return &CA{Cert: cert, Key: key, pool: pool}, nil
+	return &CA{Cert: cert, Key: key}, nil
 }
-
-// Pool returns a cert pool trusting this CA.
-func (ca *CA) Pool() *x509.CertPool { return ca.pool }
 
 // LeafSpec describes an end-entity certificate to issue.
 type LeafSpec struct {

@@ -24,10 +24,10 @@ func TestCAIssuesVerifiableLeaf(t *testing.T) {
 	if got := cert.Leaf.Subject.Organization[0]; got != "Google LLC" {
 		t.Errorf("org = %q", got)
 	}
-	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: ca.Pool(), DNSName: "www.google.com"}); err != nil {
+	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: poolOf(ca), DNSName: "www.google.com"}); err != nil {
 		t.Errorf("leaf should verify for www.google.com: %v", err)
 	}
-	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: ca.Pool(), DNSName: "www.netflix.com"}); err == nil {
+	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: poolOf(ca), DNSName: "www.netflix.com"}); err == nil {
 		t.Error("leaf must not verify for a foreign domain")
 	}
 }
@@ -41,7 +41,7 @@ func TestSelfSignedDoesNotVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: ca.Pool()}); err == nil {
+	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: poolOf(ca)}); err == nil {
 		t.Error("self-signed leaf must not verify against the CA pool")
 	}
 }
@@ -62,12 +62,12 @@ func TestExpiredLeafRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: ca.Pool()}); err == nil {
+	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: poolOf(ca)}); err == nil {
 		t.Error("expired leaf must not verify")
 	}
 	// But it verifies at a time inside its window.
 	if _, err := cert.Leaf.Verify(x509.VerifyOptions{
-		Roots:       ca.Pool(),
+		Roots:       poolOf(ca),
 		CurrentTime: time.Now().Add(-10 * time.Minute),
 	}); err != nil {
 		t.Errorf("leaf should verify inside its window: %v", err)
@@ -84,4 +84,11 @@ func TestDistinctSerials(t *testing.T) {
 	if a.Leaf.SerialNumber.Cmp(b.Leaf.SerialNumber) == 0 {
 		t.Error("serial numbers must be distinct")
 	}
+}
+
+// poolOf is an x509 pool trusting ca.
+func poolOf(ca *CA) *x509.CertPool {
+	pool := x509.NewCertPool()
+	pool.AddCert(ca.Cert)
+	return pool
 }

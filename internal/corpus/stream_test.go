@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"offnetscope/internal/obs"
 )
@@ -408,5 +409,19 @@ func TestStreamOfRoundTrip(t *testing.T) {
 	}
 	if StreamOf(nil, 0) != nil {
 		t.Fatal("StreamOf(nil) is not nil")
+	}
+}
+
+// A producer that knows when it scanned (a live probe wave) validates
+// at that moment; every other producer keeps mid-month.
+func TestStreamScannedAt(t *testing.T) {
+	st := StreamOf(sampleSnapshot(t), 0)
+	if st.ScanTime() != st.Snapshot.MidTime() {
+		t.Fatalf("zero ScannedAt: ScanTime = %v, want mid-month", st.ScanTime())
+	}
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	st.ScannedAt = at
+	if !st.ScanTime().Equal(at) {
+		t.Fatalf("ScanTime = %v, want %v", st.ScanTime(), at)
 	}
 }

@@ -3,7 +3,9 @@
 // with explicit SNI/Host (the ZGrab2 role), built on crypto/tls and
 // net/http with a worker pool, a token-bucket rate limiter, per-dial
 // timeouts, and context cancellation — the ethics-conscious scanning
-// practices §5 describes.
+// practices §5 describes. It only collects: chains are captured
+// unverified, and every §4 decision about them is made by the
+// inference engine (internal/core) the caller feeds them to.
 package probe
 
 import (
@@ -31,9 +33,6 @@ type Config struct {
 	// scans trigger less rate limiting on the remote side — the reason
 	// the authors' four-day scan saw more hosts than Rapid7's.
 	RatePerSecond int
-	// RootCAs verifies fetched chains; nil skips verification status
-	// (the chain is still captured).
-	RootCAs *x509.CertPool
 	// Retries re-attempts failed dials/handshakes with capped
 	// exponential backoff and full jitter (internal/resilience);
 	// transient loss is the main reason fast scans under-count (§5).
@@ -142,33 +141,18 @@ type CertResult struct {
 	// Chain is the presented chain, leaf first. Nil when the handshake
 	// failed (including SNI-only servers probed without a name).
 	Chain []*x509.Certificate
-	// Valid reports whether the chain verifies against Config.RootCAs.
-	Valid bool
 	Err   error
 }
 
-// LeafOrganization returns the leaf's first Organization entry.
-func (r CertResult) LeafOrganization() string {
-	if len(r.Chain) == 0 || len(r.Chain[0].Subject.Organization) == 0 {
-		return ""
-	}
-	return r.Chain[0].Subject.Organization[0]
-}
-
-// LeafDNSNames returns the leaf's dNSNames.
-func (r CertResult) LeafDNSNames() []string {
-	if len(r.Chain) == 0 {
-		return nil
-	}
-	return r.Chain[0].DNSNames
-}
-
 // FetchCerts grabs the default certificate (no SNI) from every address,
-// certigo-style. Results are returned in input order.
+// certigo-style. Results are returned in input order; an address the
+// sweep never reached before ctx ended carries ctx's error.
 func (s *Scanner) FetchCerts(ctx context.Context, addrs []string) []CertResult {
 	results := make([]CertResult, len(addrs))
 	s.fanOut(ctx, len(addrs), func(i int) {
 		results[i] = s.fetchCertRetry(ctx, addrs[i], "")
+	}, func(i int, err error) {
+		results[i] = CertResult{Addr: addrs[i], Err: err}
 	})
 	return results
 }
@@ -228,25 +212,13 @@ func (s *Scanner) fetchCert(ctx context.Context, addr, serverName string) CertRe
 	}
 	conn := tls.Client(rawConn, &tls.Config{
 		ServerName:         serverName,
-		InsecureSkipVerify: true, // capture the chain; validity judged below
+		InsecureSkipVerify: true, // capture the chain; §4.1 judges it later
 	})
 	if err := conn.HandshakeContext(dctx); err != nil {
 		res.Err = err
 		return res
 	}
 	res.Chain = conn.ConnectionState().PeerCertificates
-	if s.cfg.RootCAs != nil && len(res.Chain) > 0 {
-		inter := x509.NewCertPool()
-		for _, c := range res.Chain[1:] {
-			inter.AddCert(c)
-		}
-		opts := x509.VerifyOptions{Roots: s.cfg.RootCAs, Intermediates: inter}
-		if serverName != "" {
-			opts.DNSName = serverName
-		}
-		_, verr := res.Chain[0].Verify(opts)
-		res.Valid = verr == nil
-	}
 	return res
 }
 
@@ -260,11 +232,15 @@ type HeaderResult struct {
 
 // FetchHeaders performs GET / against every address (https when tlsMode,
 // else plain http), recording response headers ZGrab2-style. host sets
-// both SNI and the Host header when non-empty.
+// both SNI and the Host header when non-empty. Results are returned in
+// input order; an address never reached before ctx ended carries ctx's
+// error.
 func (s *Scanner) FetchHeaders(ctx context.Context, addrs []string, host string, tlsMode bool) []HeaderResult {
 	results := make([]HeaderResult, len(addrs))
 	s.fanOut(ctx, len(addrs), func(i int) {
 		results[i] = s.fetchHeadersBreaker(ctx, addrs[i], host, tlsMode)
+	}, func(i int, err error) {
+		results[i] = HeaderResult{Addr: addrs[i], Err: err}
 	})
 	return results
 }
@@ -327,8 +303,11 @@ func (s *Scanner) fetchHeaders(ctx context.Context, addr, host string, tlsMode b
 }
 
 // fanOut runs n jobs across the worker pool, respecting the rate limiter
-// and context cancellation.
-func (s *Scanner) fanOut(ctx context.Context, n int, job func(int)) {
+// and context cancellation. Every index reaches exactly one of job and
+// skip: a job the rate limiter did not admit before ctx ended is
+// skipped with ctx's error, so a sweep cut short still accounts for
+// every target instead of leaving zero results behind.
+func (s *Scanner) fanOut(ctx context.Context, n int, job func(int), skip func(int, error)) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	workers := s.cfg.Concurrency
@@ -341,19 +320,15 @@ func (s *Scanner) fanOut(ctx context.Context, n int, job func(int)) {
 			defer wg.Done()
 			for i := range jobs {
 				if err := s.wait(ctx); err != nil {
-					return
+					skip(i, err)
+					continue
 				}
 				job(i)
 			}
 		}()
 	}
-feed:
 	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()

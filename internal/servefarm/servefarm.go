@@ -4,7 +4,8 @@
 // certificates (SNI-only servers), self-signed impostors, and
 // per-operator response headers. The probe scanner exercises genuine
 // crypto/tls handshakes and HTTP requests against it — the live
-// equivalent of the paper's certigo and ZGrab2 scans.
+// equivalent of the paper's certigo and ZGrab2 scans. StartDemo brings
+// up the one demo farm every live-path command and test scans.
 package servefarm
 
 import (
@@ -63,12 +64,17 @@ type Farm struct {
 	Servers []*Server
 }
 
-// Start brings up every spec on 127.0.0.1 with ephemeral ports.
+// Start brings up every spec on 127.0.0.1 with ephemeral ports, under
+// a fresh random CA.
 func Start(specs []Spec) (*Farm, error) {
 	ca, err := certgen.NewCA("Farm WebPKI")
 	if err != nil {
 		return nil, err
 	}
+	return start(ca, specs)
+}
+
+func start(ca *certgen.CA, specs []Spec) (*Farm, error) {
 	farm := &Farm{CA: ca}
 	for _, spec := range specs {
 		srv, err := startServer(ca, spec)
