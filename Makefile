@@ -47,13 +47,15 @@ fuzz-smoke:
 
 # The fault-injection suite under the race detector: the durable write
 # primitive's step faults, a store never torn for readers mid-Save,
-# corrupted-corpus ingestion, the kill/resume crash-equivalence suite,
-# parallel-runner determinism (including the mid-run cancellation
-# regression), hot reload under load, the serving engine's
-# cache/batch/reload/deadline/breaker races plus its goroutine-leak
-# check, the probe breaker and cut-short sweeps, the
-# SIGHUP-under-loadgen-traffic e2es (good and alternating-corrupt), and
-# the chaos layer itself (reader, HTTP transport, TCP proxy).
+# corrupted-corpus ingestion, the three kill-anytime suites (offnetmap
+# killed at checkpoint counts, the generation log and the real
+# offnetwatchd killed at generation counts), parallel-runner
+# determinism (including the mid-run cancellation regression), hot
+# reload under load, the serving engine's cache/batch/reload/deadline/
+# breaker races plus its goroutine-leak check, the probe breaker and
+# cut-short sweeps, the SIGHUP-under-loadgen-traffic e2es (good and
+# alternating-corrupt), and the chaos layer itself (reader, HTTP
+# transport, TCP proxy, the crash harness).
 chaos-race:
 	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs ./internal/durable
 	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
@@ -63,6 +65,7 @@ chaos-race:
 	go test -race -run 'TestGenLog|TestNewBuilderFrom|TestSave' ./internal/footstore
 	go test -race -run 'TestWave' ./internal/waves
 	go test -race -run 'TestWatchGenLog' ./internal/offnetserve
+	go test -race -run 'TestKillAnytime' ./cmd/offnetwatchd
 	go test -race -run 'TestSIGHUP|TestServerTimeout|TestGenlogMode' ./cmd/offnetd
 	go test -race -run 'TestClassifyTransport|TestDriveClassifies' ./internal/loadgen
 
@@ -117,14 +120,14 @@ soak-smoke:
 soak:
 	go run ./cmd/soak -requests 200000 -rate 4000 -reloads 40
 
-# Kill-anytime smoke for the continuous-measurement pipeline: the wave
-# daemon workload is SIGKILLed at seeded points until it completes,
-# then scored for zero recovery artifacts, byte-identical state versus
-# a never-killed run, and a forward-only served view. The daemon
-# envelope tests (flag wiring, farm waves, genlog serving) ride along.
-# Part of `make ci`.
+# Kill-anytime smoke for the continuous-measurement pipeline: the real
+# offnetwatchd is SIGKILLed at seeded generation counts until it fills
+# the timeline grid, then scored for zero recovery artifacts,
+# byte-identical state versus a never-killed run, and a forward-only
+# served view (TestKillAnytime). The daemon envelope tests (flag
+# wiring, farm waves, startup compaction) ride along. Part of
+# `make ci`.
 watch-smoke:
-	go test -count=1 -run 'TestSoakKill|TestKill|TestCompareGenLogs' ./cmd/soak
 	go test -count=1 ./cmd/offnetwatchd
 
 # Scenario-matrix smoke for CI: one representative adversarial cell

@@ -24,8 +24,7 @@ import (
 // local to individual lines the way real partial-transfer or
 // encoding bugs do, rather than invalidating whole-file checksums.
 // Returns the number of corrupted lines.
-func corruptCorpus(t *testing.T, dir string, seed uint64, rate float64) int {
-	t.Helper()
+func corruptCorpus(dir string, seed uint64, rate float64) (int, error) {
 	corrupted := 0
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".ndjson.gz") {
@@ -66,10 +65,7 @@ func corruptCorpus(t *testing.T, dir string, seed uint64, rate float64) int {
 		}
 		return os.WriteFile(path, buf.Bytes(), 0o644)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return corrupted
+	return corrupted, err
 }
 
 // TestChaosDegradedGrowthRun is the robustness capstone: seed ~1% of
@@ -81,43 +77,30 @@ func TestChaosDegradedGrowthRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is not -short")
 	}
-	dir := t.TempDir()
-	if err := worldgenEquivalent(dir); err != nil {
-		t.Fatal(err)
+	clean := cleanCorpus.baseline(t)
+	if clean.err != nil {
+		t.Fatalf("baseline run: %v\n%s", clean.err, clean.out)
 	}
-
-	basePath := filepath.Join(t.TempDir(), "base.fst")
-	var baseOut strings.Builder
-	if err := run(context.Background(), []string{"-corpus", dir, "-growth", "-store", basePath}, &baseOut); err != nil {
-		t.Fatalf("baseline run: %v\n%s", err, baseOut.String())
+	degraded := corruptedCorpus.baseline(t)
+	t.Logf("corrupted %d corpus lines", corruptedLines)
+	if degraded.err != nil {
+		t.Fatalf("degraded run aborted instead of completing: %v\n%s", degraded.err, degraded.out)
 	}
-
-	n := corruptCorpus(t, dir, 0xc0ffee, 0.01)
-	if n == 0 {
-		t.Fatal("corruption pass touched no lines; rate too low for this corpus")
-	}
-	t.Logf("corrupted %d corpus lines", n)
-
-	corrPath := filepath.Join(t.TempDir(), "corr.fst")
-	var corrOut strings.Builder
-	if err := run(context.Background(), []string{"-corpus", dir, "-growth", "-store", corrPath}, &corrOut); err != nil {
-		t.Fatalf("degraded run aborted instead of completing: %v\n%s", err, corrOut.String())
-	}
-	if !strings.Contains(corrOut.String(), "skipped") {
-		t.Errorf("degraded run output reports no skips:\n%s", corrOut.String())
+	if !strings.Contains(degraded.out, "skipped") {
+		t.Errorf("degraded run output reports no skips:\n%s", degraded.out)
 	}
 
 	// Strict mode must refuse the same corpus.
 	var strictOut strings.Builder
-	if err := run(context.Background(), []string{"-corpus", dir, "-growth", "-tolerant=false"}, &strictOut); err == nil {
+	if err := run(context.Background(), []string{"-corpus", corruptedCorpus.corpus(t), "-growth", "-tolerant=false"}, &strictOut); err == nil {
 		t.Error("strict run accepted the corrupted corpus")
 	}
 
-	base, err := footstore.Open(basePath)
+	base, err := footstore.Open(clean.store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := footstore.Open(corrPath)
+	corr, err := footstore.Open(degraded.store)
 	if err != nil {
 		t.Fatal(err)
 	}

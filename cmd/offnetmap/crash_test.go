@@ -3,153 +3,86 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
-	"offnetscope/internal/rng"
+	"offnetscope/internal/chaos"
 )
 
 // The crash-equivalence suite runs offnetmap as a real subprocess and
-// kills it at seeded points, so SIGKILL lands mid-run exactly as an
-// OOM-kill or power loss would. The test binary doubles as the CLI via
-// the helper-process pattern below.
+// signals it at checkpoint counts (chaos.Harness), so SIGKILL lands
+// mid-run exactly as an OOM-kill or power loss would. The test binary
+// doubles as the CLI when crashHelperEnv is set.
 
 const crashHelperEnv = "OFFNETMAP_CRASH_HELPER"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(crashHelperEnv) == "1" {
-		// Behave exactly like cmd/offnetmap's main(), signal handling
-		// included, so SIGINT exercises the final-checkpoint flush.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		err := run(ctx, os.Args[1:], os.Stdout)
-		stop()
-		if err != nil && !errors.Is(err, flag.ErrHelp) && !isQuiet(err) {
-			fmt.Fprintln(os.Stderr, "offnetmap:", err)
-		}
-		os.Exit(exitStatus(err))
+		main() // exits; its signal handling makes SIGINT flush a final checkpoint
 	}
-	os.Exit(m.Run())
+	var err error
+	if fixtureRoot, err = os.MkdirTemp("", "offnetmap-test-*"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(fixtureRoot)
+	os.Exit(code)
 }
 
-// helperResult is one subprocess invocation's outcome.
-type helperResult struct {
-	code        int
-	out         string
-	interrupted bool // we signalled it and it did not complete
-}
-
-// runHelper execs the test binary as offnetmap, optionally signalling
-// it after killAfter.
-func runHelper(t *testing.T, killAfter time.Duration, sig syscall.Signal, args ...string) helperResult {
+// crashResumeScenario is the tentpole proof: a subprocess run of the
+// fixture is SIGKILLed before its first checkpoint entry, SIGKILLed
+// after one, interrupted with SIGINT after two, and resumed to the end;
+// its store must be byte-identical to the uninterrupted baseline's.
+func crashResumeScenario(t *testing.T, f *fixture) (ckDir string) {
 	t.Helper()
-	exe, err := os.Executable()
+	base := f.baseline(t)
+	if base.err != nil && exitStatus(base.err) != exitReducedCoverage {
+		t.Fatalf("baseline run: %v\n%s", base.err, base.out)
+	}
+	work := t.TempDir()
+	crashPath := filepath.Join(work, "crash.fst")
+	ckDir = filepath.Join(work, "ck")
+	h := &chaos.Harness{
+		Env:  crashHelperEnv + "=1",
+		Args: []string{"-corpus", f.corpus(t), "-growth", "-store", crashPath, "-checkpoint", ckDir, "-resume"},
+		Progress: func() (int, error) {
+			entries, err := filepath.Glob(filepath.Join(ckDir, "snap-*.ckpt"))
+			return len(entries), err
+		},
+	}
+	launches, err := h.Run(
+		chaos.Kill{At: 0, Signal: syscall.SIGKILL},
+		chaos.Kill{At: 1, Signal: syscall.SIGKILL},
+		chaos.Kill{At: 2, Signal: syscall.SIGINT},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), crashHelperEnv+"=1")
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	t.Logf("kill coverage: %s", chaos.Coverage(launches))
+	if k := launches[0]; !k.Sent || k.Left != 0 {
+		t.Errorf("first SIGKILL left %d checkpoint entries (sent %v), want 0", k.Left, k.Sent)
+	}
+	if k := launches[1]; !k.Sent || k.Left < 1 {
+		t.Errorf("second SIGKILL left %d checkpoint entries (sent %v), want at least 1", k.Left, k.Sent)
+	}
+	if k := launches[2]; !k.Sent || k.Code != exitFailure || k.Left < k.SentAt || !strings.Contains(k.Output, "rerun with -resume") {
+		t.Errorf("SIGINT at %d entries (sent %v): exit %d with %d entries left, want exit %d keeping every entry:\n%s",
+			k.SentAt, k.Sent, k.Code, k.Left, exitFailure, k.Output)
+	}
+	final := launches[3]
+	if final.Code != exitOK && final.Code != exitReducedCoverage {
+		t.Fatalf("final run exited %d:\n%s", final.Code, final.Output)
+	}
+	if !strings.Contains(final.Output, "resume: reused") {
+		t.Errorf("resumed run reloaded no checkpoints:\n%s", final.Output)
 	}
 
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-
-	var timer <-chan time.Time
-	if killAfter > 0 {
-		timer = time.After(killAfter)
-	}
-	signalled := false
-	deadline := time.After(5 * time.Minute)
-	for {
-		select {
-		case werr := <-done:
-			code := 0
-			var ee *exec.ExitError
-			if errors.As(werr, &ee) {
-				code = ee.ExitCode()
-			} else if werr != nil {
-				t.Fatalf("waiting for helper: %v", werr)
-			}
-			// Completion means a zero/reduced-coverage exit that the
-			// signal (if any) did not preempt.
-			completed := code == exitOK || code == exitReducedCoverage
-			return helperResult{code: code, out: buf.String(), interrupted: signalled && !completed}
-		case <-timer:
-			timer = nil
-			signalled = true
-			cmd.Process.Signal(sig)
-		case <-deadline:
-			cmd.Process.Kill()
-			t.Fatalf("helper wedged; output so far:\n%s", buf.String())
-		}
-	}
-}
-
-// crashResumeScenario is the tentpole proof: an uninterrupted in-process
-// baseline vs a subprocess run killed at seeded points and resumed until
-// completion — the two stores must be byte-identical.
-func crashResumeScenario(t *testing.T, corpusDir string) (ckDir string) {
-	t.Helper()
-	work := t.TempDir()
-	basePath := filepath.Join(work, "base.fst")
-	crashPath := filepath.Join(work, "crash.fst")
-	ckDir = filepath.Join(work, "ck")
-
-	var baseOut strings.Builder
-	if err := run(context.Background(), []string{"-corpus", corpusDir, "-growth", "-store", basePath}, &baseOut); err != nil && exitStatus(err) != exitReducedCoverage {
-		t.Fatalf("baseline run: %v\n%s", err, baseOut.String())
-	}
-
-	args := []string{"-corpus", corpusDir, "-growth", "-store", crashPath, "-checkpoint", ckDir, "-resume"}
-	g := rng.New(0xdeadc0de).Fork("crash")
-	// SIGKILL is the crash; every third interruption is a SIGINT so the
-	// graceful final-checkpoint flush is exercised too.
-	delay := 1200 * time.Millisecond
-	interruptions, completed := 0, false
-	for attempt := 0; attempt < 8; attempt++ {
-		sig := syscall.SIGKILL
-		if attempt%3 == 2 {
-			sig = syscall.SIGINT
-		}
-		res := runHelper(t, delay, sig, args...)
-		if !res.interrupted {
-			if res.code != exitOK && res.code != exitReducedCoverage {
-				t.Fatalf("run exited %d:\n%s", res.code, res.out)
-			}
-			completed = true
-			break
-		}
-		if sig == syscall.SIGINT && res.code != exitFailure {
-			t.Errorf("SIGINT exit code = %d, want %d; output:\n%s", res.code, exitFailure, res.out)
-		}
-		interruptions++
-		delay += 600*time.Millisecond + time.Duration(g.Float64()*float64(800*time.Millisecond))
-	}
-	if !completed {
-		res := runHelper(t, 0, 0, args...)
-		if res.code != exitOK && res.code != exitReducedCoverage {
-			t.Fatalf("final uninterrupted run exited %d:\n%s", res.code, res.out)
-		}
-		if !strings.Contains(res.out, "resume: reused") {
-			t.Errorf("resumed run reloaded no checkpoints:\n%s", res.out)
-		}
-	}
-	t.Logf("run interrupted %d time(s) before completing", interruptions)
-
-	base, err := os.ReadFile(basePath)
+	want, err := os.ReadFile(base.store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +90,8 @@ func crashResumeScenario(t *testing.T, corpusDir string) (ckDir string) {
 	if err != nil {
 		t.Fatalf("interrupted+resumed run never wrote its store: %v", err)
 	}
-	if !bytes.Equal(base, crash) {
-		t.Fatalf("resumed store differs from uninterrupted baseline (%d vs %d bytes)", len(crash), len(base))
+	if !bytes.Equal(want, crash) {
+		t.Fatalf("resumed store differs from uninterrupted baseline (%d vs %d bytes)", len(crash), len(want))
 	}
 	return ckDir
 }
@@ -167,23 +100,21 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill/resume e2e is not -short")
 	}
-	corpusDir := t.TempDir()
-	if err := worldgenEquivalent(corpusDir); err != nil {
-		t.Fatal(err)
-	}
-	ckDir := crashResumeScenario(t, corpusDir)
+	ckDir := crashResumeScenario(t, cleanCorpus)
 
-	// A stale manifest must be rejected, not silently mixed in: mutate
-	// the corpus and resume against the old checkpoints.
-	if err := os.WriteFile(filepath.Join(corpusDir, "extra.txt"), []byte("new corpus content"), 0o644); err != nil {
+	// A stale manifest must be rejected, not silently mixed in: resume
+	// the checkpoints against a copy of the corpus with one more file.
+	stale := copyCorpus(t, cleanCorpus)
+	if err := os.WriteFile(filepath.Join(stale, "extra.txt"), []byte("new corpus content"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res := runHelper(t, 0, 0, "-corpus", corpusDir, "-growth", "-checkpoint", ckDir, "-resume")
-	if res.code != exitFailure {
-		t.Fatalf("stale-manifest resume exited %d, want %d:\n%s", res.code, exitFailure, res.out)
+	var out strings.Builder
+	err := run(context.Background(), []string{"-corpus", stale, "-growth", "-checkpoint", ckDir, "-resume"}, &out)
+	if code := exitStatus(err); code != exitFailure {
+		t.Fatalf("stale-manifest resume exited %d, want %d:\n%s", code, exitFailure, out.String())
 	}
-	if !strings.Contains(res.out, "manifest") {
-		t.Errorf("stale-manifest rejection message unclear:\n%s", res.out)
+	if !strings.Contains(err.Error(), "manifest") {
+		t.Errorf("stale-manifest rejection message unclear: %v", err)
 	}
 }
 
@@ -191,14 +122,7 @@ func TestCrashResumeEquivalenceUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill/resume e2e is not -short")
 	}
-	corpusDir := t.TempDir()
-	if err := worldgenEquivalent(corpusDir); err != nil {
-		t.Fatal(err)
-	}
-	if n := corruptCorpus(t, corpusDir, 0xc0ffee, 0.01); n == 0 {
-		t.Fatal("corruption pass touched no lines")
-	}
-	crashResumeScenario(t, corpusDir)
+	crashResumeScenario(t, corruptedCorpus)
 }
 
 // TestGrowthJobsByteIdentical pins the parallel runner's determinism:
@@ -207,26 +131,26 @@ func TestGrowthJobsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the growth study twice")
 	}
-	corpusDir := t.TempDir()
-	if err := worldgenEquivalent(corpusDir); err != nil {
-		t.Fatal(err)
+	base := cleanCorpus.baseline(t)
+	if base.err != nil {
+		t.Fatalf("-jobs 1: %v\n%s", base.err, base.out)
+	}
+	path := filepath.Join(t.TempDir(), "out.fst")
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-corpus", cleanCorpus.corpus(t), "-growth", "-jobs", "4", "-store", path}, &out); err != nil {
+		t.Fatalf("-jobs 4: %v\n%s", err, out.String())
 	}
 	stores := make([][]byte, 2)
 	outs := make([]string, 2)
-	for i, jobs := range []string{"1", "4"} {
-		path := filepath.Join(t.TempDir(), "out.fst")
-		var out strings.Builder
-		if err := run(context.Background(), []string{"-corpus", corpusDir, "-growth", "-jobs", jobs, "-store", path}, &out); err != nil {
-			t.Fatalf("-jobs %s: %v\n%s", jobs, err, out.String())
-		}
-		raw, err := os.ReadFile(path)
+	for i, r := range []struct{ store, out string }{{base.store, base.out}, {path, out.String()}} {
+		raw, err := os.ReadFile(r.store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The report embeds the (per-iteration temp) store path; drop
-		// that line so the comparison covers the series table itself.
+		// The report embeds the store path; drop that line so the
+		// comparison covers the series table itself.
 		var lines []string
-		for _, l := range strings.Split(out.String(), "\n") {
+		for _, l := range strings.Split(r.out, "\n") {
 			if !strings.HasPrefix(l, "wrote store ") {
 				lines = append(lines, l)
 			}

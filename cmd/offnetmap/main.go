@@ -134,7 +134,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "with -growth: persist each completed snapshot to this directory (crash-safe)")
 	resume := fs.Bool("resume", false, "with -checkpoint: reload intact checkpoints instead of recomputing (manifest must match)")
 	jobs := fs.Int("jobs", 1, "with -growth: parallel per-snapshot inference workers (output is identical at any setting)")
-	snapTimeout := fs.Duration("snapshot-timeout", 30*time.Minute, "with -growth: per-snapshot watchdog deadline; a stuck snapshot is retried then dropped (0 disables)")
+	snapTimeout := fs.Duration("snapshot-timeout", 30*time.Minute, "with -growth: per-snapshot watchdog deadline; an overrunning snapshot is abandoned at its next record batch, retried, then dropped (0 disables)")
 	metricsPath := fs.String("metrics", "", "write the run's metrics (pipeline funnel, corpus, retry, checkpoint accounting) to this JSON file")
 	verbose := fs.Bool("v", false, "print a human-readable pipeline-funnel summary after the run")
 	fs.Usage = func() {
@@ -633,7 +633,10 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 	}
 	// A month's stats are recorded only once all three record streams
 	// have completed cleanly, so only months read in full report skips.
-	source := func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+	// Each record batch first checks the attempt's context, so the
+	// watchdog or a shutdown abandons the month at its next batch; that
+	// error is no corpus damage and skips classify.
+	source := func(ctx context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 		st, err := corpus.OpenStream(dir, vendor, s, opts)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
@@ -648,6 +651,9 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 		var pending atomic.Int32
 		pending.Store(3)
 		finish := func(err error) error {
+			if err != nil && ctx.Err() != nil {
+				return err
+			}
 			if err != nil {
 				return classify(s, err)
 			}
@@ -659,9 +665,9 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 			return nil
 		}
 		certs, https, http := st.Certs, st.HTTPS, st.HTTP
-		st.Certs = func(yield func([]corpus.CertRecord) error) error { return finish(certs(yield)) }
-		st.HTTPS = func(yield func([]corpus.HeaderRecord) error) error { return finish(https(yield)) }
-		st.HTTP = func(yield func([]corpus.HeaderRecord) error) error { return finish(http(yield)) }
+		st.Certs = func(yield func([]corpus.CertRecord) error) error { return finish(certs(checked(ctx, yield))) }
+		st.HTTPS = func(yield func([]corpus.HeaderRecord) error) error { return finish(https(checked(ctx, yield))) }
+		st.HTTP = func(yield func([]corpus.HeaderRecord) error) error { return finish(http(checked(ctx, yield))) }
 		return st, nil
 	}
 
@@ -736,4 +742,15 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 			len(dropped), strings.Join(dropped, " "))
 	}
 	return sr, len(dropped), nil
+}
+
+// checked wraps a record-batch consumer so each batch first returns
+// ctx's error once ctx is done.
+func checked[T any](ctx context.Context, yield func([]T) error) func([]T) error {
+	return func(batch []T) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return yield(batch)
+	}
 }

@@ -23,11 +23,7 @@ func TestOffnetmapOverGeneratedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a corpus on disk")
 	}
-	dir := t.TempDir()
-	// Generate a three-snapshot Rapid7 corpus via the worldgen logic.
-	if err := worldgenRun(t, dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := cleanCorpus.corpus(t)
 
 	var out strings.Builder
 	err := run(context.Background(), []string{"-corpus", dir, "-snapshot", "2021-04", "-list", "google"}, &out)
@@ -64,19 +60,9 @@ func TestOffnetmapOverGeneratedCorpus(t *testing.T) {
 	}
 }
 
-// worldgenRun produces a corpus using the exact logic cmd/worldgen wraps.
-// It shells through the package's sibling implementation by writing the
-// manifest and snapshots directly via the same libraries.
-func worldgenRun(t *testing.T, dir string) error {
-	t.Helper()
-	// Reuse cmd/worldgen by exec would need a build; instead replicate
-	// its exact invocation through the shared run() signature contract:
-	// write manifest + corpus with the same code path offnetmap expects.
-	return worldgenEquivalent(dir)
-}
-
-// Keep the helper in a separate file-scope function so the test reads as
-// the CLI contract: manifest + NDJSON corpus layout.
+// worldgenEquivalent writes a three-snapshot Rapid7 corpus with the
+// libraries cmd/worldgen wraps: manifest + NDJSON corpus layout, the
+// CLI contract offnetmap reads.
 func worldgenEquivalent(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -96,21 +82,16 @@ func TestOffnetmapStoreFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a corpus on disk")
 	}
-	dir := t.TempDir()
-	if err := worldgenEquivalent(dir); err != nil {
-		t.Fatal(err)
-	}
 	last, _ := timeline.FromLabel("2021-04")
 
-	growthPath := filepath.Join(dir, "growth.fst")
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-corpus", dir, "-growth", "-store", growthPath}, &out); err != nil {
-		t.Fatal(err)
+	growth := cleanCorpus.baseline(t)
+	if growth.err != nil {
+		t.Fatal(growth.err)
 	}
-	if !strings.Contains(out.String(), "wrote store") {
-		t.Errorf("missing store confirmation:\n%s", out.String())
+	if !strings.Contains(growth.out, "wrote store") {
+		t.Errorf("missing store confirmation:\n%s", growth.out)
 	}
-	st, err := footstore.Open(growthPath)
+	st, err := footstore.Open(growth.store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +108,9 @@ func TestOffnetmapStoreFlag(t *testing.T) {
 
 	// The single-snapshot store must agree with the growth store at the
 	// shared snapshot.
-	singlePath := filepath.Join(dir, "single.fst")
-	out.Reset()
-	if err := run(context.Background(), []string{"-corpus", dir, "-snapshot", "2021-04", "-store", singlePath}, &out); err != nil {
+	singlePath := filepath.Join(t.TempDir(), "single.fst")
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-corpus", cleanCorpus.corpus(t), "-snapshot", "2021-04", "-store", singlePath}, &out); err != nil {
 		t.Fatal(err)
 	}
 	single, err := footstore.Open(singlePath)
@@ -151,10 +132,8 @@ func TestOffnetmapMetricsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a corpus on disk")
 	}
-	dir := t.TempDir()
-	if err := worldgenEquivalent(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := cleanCorpus.corpus(t)
+	metricsDir := t.TempDir()
 
 	// counters re-marshals only the deterministic part of a metrics file.
 	counters := func(path string) []byte {
@@ -176,7 +155,7 @@ func TestOffnetmapMetricsDeterministic(t *testing.T) {
 
 	runOnce := func(name string, extra ...string) ([]byte, string) {
 		t.Helper()
-		path := filepath.Join(dir, name)
+		path := filepath.Join(metricsDir, name)
 		var out strings.Builder
 		args := append([]string{"-corpus", dir, "-growth", "-metrics", path, "-v"}, extra...)
 		err := run(context.Background(), args, &out)
@@ -204,7 +183,7 @@ func TestOffnetmapMetricsDeterministic(t *testing.T) {
 	}
 
 	// Sanity: the funnel actually counted work.
-	snapRaw, err := os.ReadFile(filepath.Join(dir, "m1.json"))
+	snapRaw, err := os.ReadFile(filepath.Join(metricsDir, "m1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +211,7 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a corpus on disk")
 	}
-	dir := t.TempDir()
-	if err := worldgenEquivalent(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := copyCorpus(t, cleanCorpus)
 	var plain strings.Builder
 	if err := run(context.Background(), []string{"-corpus", dir, "-snapshot", "2021-04"}, &plain); err != nil {
 		t.Fatal(err)
@@ -328,6 +304,36 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOffnetmapSnapshotTimeout: the watchdog abandons an overrunning
+// attempt at its next record batch instead of letting it finish and
+// discarding the result, so a deadline nothing can meet infers no
+// snapshot and every month is dropped as reduced coverage. The
+// abandonment is no corpus damage, so strict mode drops them too.
+func TestOffnetmapSnapshotTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a corpus on disk")
+	}
+	for _, mode := range []string{"-tolerant=true", "-tolerant=false"} {
+		path := filepath.Join(t.TempDir(), "metrics.json")
+		var out strings.Builder
+		err := run(context.Background(), []string{"-corpus", cleanCorpus.corpus(t), "-growth", mode, "-snapshot-timeout", "1ns", "-metrics", path}, &out)
+		if code := exitStatus(err); code != exitReducedCoverage {
+			t.Fatalf("%s: exit %d (%v), want %d\n%s", mode, code, err, exitReducedCoverage, out.String())
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := obs.ParseSnapshot(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := snap.Counter("funnel.snapshots_inferred"); n != 0 {
+			t.Errorf("%s: funnel.snapshots_inferred = %d, want 0: an abandoned attempt still ran its inference", mode, n)
+		}
 	}
 }
 

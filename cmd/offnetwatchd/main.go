@@ -38,10 +38,14 @@
 //     the daemon logs it and retries next -interval;
 //   - the generation log's manifest rename is the only commit point:
 //     kill the daemon at any instant and the log reopens to exactly the
-//     committed generations, torn tails quarantined (cmd/soak -mode
-//     kill scores precisely this);
+//     committed generations, torn tails quarantined;
 //   - -compact-keep N bounds the log by dropping all but the newest N
-//     generations after each commit; compaction is itself kill-safe.
+//     generations at startup and after each commit; compaction is
+//     itself kill-safe.
+//
+// The kill suite (kill_test.go) proves this on the real daemon: it
+// SIGKILLs it at seeded generation counts until the grid is full and
+// requires the log byte-identical to a never-killed run.
 //
 // The daemon exits 0 when -waves waves have committed, when the
 // timeline grid is full (31 snapshot slots), or on SIGINT/SIGTERM —
@@ -112,7 +116,7 @@ func parseFlags(args []string) (*watchdConfig, error) {
 	fs.IntVar(&cfg.maxWaves, "waves", 0, "stop after N committed waves (0: run until the grid is full or a signal)")
 	fs.DurationVar(&cfg.waveTimeout, "wave-timeout", 2*time.Minute, "deadline for one whole wave (expiry degrades the verdict, not the daemon)")
 	fs.Float64Var(&cfg.minCoverage, "min-coverage", 0.5, "concluded-target fraction in (0, 1] below which a wave commits as reduced-coverage")
-	fs.IntVar(&cfg.compactKeep, "compact-keep", 0, "keep only the newest N generations after each commit (0: never compact)")
+	fs.IntVar(&cfg.compactKeep, "compact-keep", 0, "keep only the newest N generations, at startup and after each commit (0: never compact)")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "mid-wave checkpoint directory (default: LOG/waves-ck)")
 	fs.IntVar(&cfg.concurrency, "concurrency", 16, "probe worker-pool size")
 	fs.IntVar(&cfg.rate, "rate", 0, "probe launches per second (0: unlimited)")
@@ -221,6 +225,26 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	wcfg.Metrics = obs.NewRegistry("offnetwatchd")
 	glog.SetMetrics(wcfg.Metrics)
+	compact := func() error {
+		if cfg.compactKeep <= 0 {
+			return nil
+		}
+		removed, err := glog.Compact(cfg.compactKeep)
+		if err != nil {
+			return fmt.Errorf("compacting log: %w", err)
+		}
+		if removed > 0 {
+			fmt.Fprintf(stdout, "compacted %d generations (window now [%d, %d])\n",
+				removed, glog.Base(), glog.Last())
+		}
+		return nil
+	}
+	// A daemon killed between a commit and its compaction, or restarted
+	// with a smaller -compact-keep, holds more generations than the
+	// budget: enforce it before the first wave, full grid or not.
+	if err := compact(); err != nil {
+		return err
+	}
 
 	runner, err := waves.NewRunner(glog, targets, wcfg)
 	if err != nil {
@@ -244,15 +268,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "wave %s committed as generation %d: verdict=%s concluded=%d/%d confirmed=%d resumed=%d elapsed=%s\n",
 				res.Snapshot.Label(), res.Generation, res.Verdict,
 				res.Concluded, res.Targets, res.Confirmed, res.Resumed, res.Elapsed.Round(time.Millisecond))
-			if cfg.compactKeep > 0 {
-				removed, err := glog.Compact(cfg.compactKeep)
-				if err != nil {
-					return fmt.Errorf("compacting log: %w", err)
-				}
-				if removed > 0 {
-					fmt.Fprintf(stdout, "compacted %d generations (window now [%d, %d])\n",
-						removed, glog.Base(), glog.Last())
-				}
+			if err := compact(); err != nil {
+				return err
 			}
 		case errors.Is(err, waves.ErrGridExhausted):
 			fmt.Fprintln(stdout, "timeline grid full: study window complete")

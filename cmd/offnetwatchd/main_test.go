@@ -217,6 +217,34 @@ func TestRunCompacts(t *testing.T) {
 	}
 }
 
+// TestRunCompactsAtStartup: -compact-keep holds even when no wave
+// commits, so a daemon killed between a commit and its compaction, or
+// restarted into a full grid, still ends within its budget.
+func TestRunCompactsAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-log", dir, "-farm", "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
+	var out strings.Builder
+	if err := run(context.Background(), append(args, "-waves", "3"), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out.Reset()
+	if err := run(ctx, append(args, "-compact-keep", "2"), &out); err != nil {
+		t.Fatalf("restart: %v\n%s", err, out.String())
+	}
+	base, next, err := footstore.PeekGenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != 2 || next != 4 {
+		t.Fatalf("log window [%d, %d), want [2, 4): -compact-keep 2 not enforced at startup\n%s", base, next, out.String())
+	}
+	if !strings.Contains(out.String(), "compacted 1 generations (window now [2, 3])") {
+		t.Errorf("startup compaction not reported:\n%s", out.String())
+	}
+}
+
 // TestRunShutdownMidLoop: cancellation between waves exits cleanly.
 func TestRunShutdownMidLoop(t *testing.T) {
 	dir := t.TempDir()

@@ -23,7 +23,8 @@
 // workload matched; the chaos fault counts are keyed on per-path
 // request sequence, not wall clock). `make soak-smoke` runs a short
 // seeded soak under -race in CI; `make soak` is the full pre-release
-// gate.
+// gate. The continuous-measurement daemon's kill-anytime gate is not
+// here: cmd/offnetwatchd's kill suite SIGKILLs the real daemon.
 //
 // Usage:
 //
@@ -31,15 +32,6 @@
 //	     [-concurrency 8] [-reset-prob 0.02] [-truncate-prob 0.02]
 //	     [-inject-5xx-prob 0.02] [-latency-prob 0.05]
 //	     [-p99-budget 2s] [-out report.json]
-//	soak -mode kill [-seed 1] [-kill-waves 5] [-kill-keep 2]
-//	     [-kill-restarts 25] [-out report.json]
-//
-// -mode kill is the crash-anytime gate for the continuous-measurement
-// pipeline (kill.go): it SIGKILLs a child running the real wave daemon
-// workload at seeded random instants until the workload completes,
-// while an in-process observation server follows the generation log
-// the way offnetd -genlog does, and scores zero-torn-generation,
-// byte-identical-recovery, and forward-only-serving SLOs.
 package main
 
 import (
@@ -71,7 +63,6 @@ import (
 )
 
 func main() {
-	maybeRunKillHelper()
 	log.SetFlags(0)
 	log.SetPrefix("soak: ")
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -83,7 +74,6 @@ func main() {
 
 // soakConfig is the parsed flag set.
 type soakConfig struct {
-	mode        string
 	seed        int64
 	requests    int
 	rate        float64
@@ -100,16 +90,11 @@ type soakConfig struct {
 	p99Budget      time.Duration
 	goroutineSlack int
 	outPath        string
-
-	killWaves    int
-	killKeep     int
-	killRestarts int
 }
 
 func parseFlags(args []string) (*soakConfig, error) {
 	cfg := &soakConfig{}
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
-	fs.StringVar(&cfg.mode, "mode", "reload", "soak mode: reload (SIGHUP chaos soak) or kill (SIGKILL the measurement daemon at seeded points)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "root seed: store, workload, and chaos streams all derive from it")
 	fs.IntVar(&cfg.requests, "requests", 5000, "loadgen requests to schedule")
 	fs.Float64Var(&cfg.rate, "rate", 1200, "open-loop arrival rate in req/s, so reloads land mid-traffic (0 = unpaced)")
@@ -124,20 +109,11 @@ func parseFlags(args []string) (*soakConfig, error) {
 	fs.DurationVar(&cfg.p99Budget, "p99-budget", 2*time.Second, "SLO: p99 latency bound (0 skips the check)")
 	fs.IntVar(&cfg.goroutineSlack, "goroutine-slack", 16, "SLO: allowed goroutine growth after shutdown")
 	fs.StringVar(&cfg.outPath, "out", "", "write the JSON report here (default stdout)")
-	fs.IntVar(&cfg.killWaves, "kill-waves", 5, "kill mode: generations the measurement daemon must commit")
-	fs.IntVar(&cfg.killKeep, "kill-keep", 2, "kill mode: generations retained by compaction after each commit")
-	fs.IntVar(&cfg.killRestarts, "kill-restarts", 25, "kill mode: max daemon launches before giving up")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if cfg.mode != "reload" && cfg.mode != "kill" {
-		return nil, fmt.Errorf("-mode must be reload or kill")
-	}
 	if cfg.reloads < 0 {
 		return nil, fmt.Errorf("-reloads must be >= 0")
-	}
-	if cfg.killWaves < 1 || cfg.killKeep < 1 || cfg.killRestarts < 1 {
-		return nil, fmt.Errorf("-kill-waves, -kill-keep, and -kill-restarts must be >= 1")
 	}
 	return cfg, nil
 }
@@ -190,26 +166,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rep any
-	var violations []string
-	if cfg.mode == "kill" {
-		krep, err := soakKill(ctx, cfg, stderr)
-		if err != nil {
-			return err
-		}
-		if !krep.Pass {
-			violations = krep.Violations
-		}
-		rep = krep
-	} else {
-		srep, err := soak(ctx, cfg, stderr)
-		if err != nil {
-			return err
-		}
-		if !srep.Pass {
-			violations = srep.Violations
-		}
-		rep = srep
+	rep, err := soak(ctx, cfg, stderr)
+	if err != nil {
+		return err
 	}
 	out := stdout
 	if cfg.outPath != "" {
@@ -225,8 +184,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := enc.Encode(rep); err != nil {
 		return err
 	}
-	if violations != nil {
-		return fmt.Errorf("SLO violated: %v", violations)
+	if !rep.Pass {
+		return fmt.Errorf("SLO violated: %v", rep.Violations)
 	}
 	return nil
 }

@@ -11,6 +11,12 @@
 // Every injector derives its randomness from (Config.Seed, label) via
 // rng.Fork, so two readers over different files draw independent fault
 // streams yet the whole experiment replays exactly from one seed.
+//
+// The package also holds the one crash harness (kill.go) the
+// kill-anytime suites share: Harness re-executes the test binary as a
+// child and signals it when its durable progress, read from disk,
+// reaches a plan point, and CompareDirs checks a recovered directory
+// byte for byte against a never-killed one.
 package chaos
 
 import (

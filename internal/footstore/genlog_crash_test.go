@@ -1,29 +1,29 @@
 package footstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
+	"offnetscope/internal/chaos"
 	"offnetscope/internal/durable"
 	"offnetscope/internal/rng"
 )
 
 // The generation-log crash-equivalence suite: a subprocess appends and
 // compacts a deterministic workload while the parent SIGKILLs it at
-// seeded points — mid-append, mid-manifest-commit, mid-compaction.
-// After every kill the log is reopened (quarantining uncommitted tails,
-// removing orphans) and the workload resumes. The final directory must
-// be byte-identical to an uninterrupted run: same manifest, same
-// committed segments, nothing torn ever promoted.
+// seeded generation counts (chaos.Harness) — before the first append,
+// before the first compaction, and after it. After every kill the log
+// is reopened (quarantining uncommitted tails, removing orphans) and
+// the workload resumes. The final directory must be byte-identical to
+// an uninterrupted run: same manifest, same committed segments,
+// nothing torn ever promoted.
 
 const genlogCrashHelperEnv = "GENLOG_CRASH_HELPER"
 
@@ -112,51 +112,6 @@ func genlogCrashHelper(spec string) error {
 	return runGenLogWorkload(parts[0], seed, target, every, keep)
 }
 
-// runGenlogCrashHelper execs the test binary as the workload runner,
-// SIGKILLing it after killAfter (0 = let it finish). Returns whether
-// the process completed (exit 0) and its combined output.
-func runGenlogCrashHelper(t *testing.T, dir string, seed, target, every, keep uint64, killAfter time.Duration) (completed bool, out string) {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%s|%d|%d|%d|%d", genlogCrashHelperEnv, dir, seed, target, every, keep))
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-
-	var timer <-chan time.Time
-	if killAfter > 0 {
-		timer = time.After(killAfter)
-	}
-	for {
-		select {
-		case werr := <-done:
-			var ee *exec.ExitError
-			if errors.As(werr, &ee) {
-				return false, buf.String()
-			}
-			if werr != nil {
-				t.Fatalf("waiting for helper: %v", werr)
-			}
-			return true, buf.String()
-		case <-timer:
-			timer = nil
-			cmd.Process.Signal(syscall.SIGKILL)
-		case <-time.After(2 * time.Minute):
-			cmd.Process.Kill()
-			t.Fatalf("helper wedged; output:\n%s", buf.String())
-		}
-	}
-}
-
 func TestGenLogCrashEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SIGKILL crash-equivalence e2e is not -short")
@@ -176,30 +131,54 @@ func TestGenLogCrashEquivalence(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 
-	// Crash run: SIGKILL at seeded points until the workload completes.
-	g := rng.New(seed).Fork("kill-schedule")
-	kills, completed := 0, false
-	for attempt := 0; attempt < 25; attempt++ {
-		delay := 15*time.Millisecond + time.Duration(g.Int63n(int64(185*time.Millisecond)))
-		ok, out := runGenlogCrashHelper(t, crashDir, seed, target, every, keep, delay)
-		if strings.Contains(out, "genlog crash helper:") {
-			t.Fatalf("helper failed:\n%s", out)
-		}
-		if ok {
-			completed = true
-			break
-		}
-		kills++
+	// Crash run: SIGKILL at seeded generation counts, then run to the
+	// end. The point before the first compaction stays in the lower
+	// half of its range, so a kill that lands a few appends late still
+	// precedes the compaction; four more fall one in each quarter of
+	// the generations after it.
+	g := rng.New(seed).Fork("kill-plan")
+	plan := []chaos.Kill{
+		{At: 0, Signal: syscall.SIGKILL},
+		{At: 1 + g.Intn(int(every)/2-1), Signal: syscall.SIGKILL},
 	}
-	if !completed {
-		if ok, out := runGenlogCrashHelper(t, crashDir, seed, target, every, keep, 0); !ok {
-			t.Fatalf("final uninterrupted helper run failed:\n%s", out)
+	span := (int(target) - int(every) - 1) / 4
+	for q := 0; q < 4; q++ {
+		plan = append(plan, chaos.Kill{At: int(every) + 1 + q*span + g.Intn(span), Signal: syscall.SIGKILL})
+	}
+	h := &chaos.Harness{
+		Env: fmt.Sprintf("%s=%s|%d|%d|%d|%d", genlogCrashHelperEnv, crashDir, seed, target, every, keep),
+		Progress: func() (int, error) {
+			_, next, err := PeekGenLog(crashDir)
+			if errors.Is(err, fs.ErrNotExist) {
+				return 0, nil
+			}
+			return int(next) - 1, err
+		},
+	}
+	launches, err := h.Run(plan...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("kill coverage: %s", chaos.Coverage(launches))
+	var beforeAppend, beforeCompact, afterCompact bool
+	for i, l := range launches {
+		if strings.Contains(l.Output, "genlog crash helper:") {
+			t.Fatalf("launch %d: helper failed:\n%s", i, l.Output)
 		}
+		if l.Signal != 0 && !l.Sent {
+			t.Errorf("launch %d: plan point %d missed", i, l.At)
+		}
+		beforeAppend = beforeAppend || (l.Sent && l.Left == 0)
+		beforeCompact = beforeCompact || (l.Sent && l.Left >= 1 && l.Left < int(every))
+		afterCompact = afterCompact || (l.Sent && l.SentAt > int(every))
 	}
-	if kills == 0 {
-		t.Fatal("no SIGKILL landed mid-run; the suite proved nothing")
+	if !beforeAppend || !beforeCompact || !afterCompact {
+		t.Errorf("kill coverage: before the first append %v, before the first compaction %v, after it %v; want all",
+			beforeAppend, beforeCompact, afterCompact)
 	}
-	t.Logf("workload killed %d time(s) before completing", kills)
+	if final := launches[len(launches)-1]; final.Code != 0 {
+		t.Fatalf("final run exited %d:\n%s", final.Code, final.Output)
+	}
 
 	// One more open repairs any tail the last (completed) run left; a
 	// completed run leaves nothing, so this must be a no-op.
@@ -217,54 +196,14 @@ func TestGenLogCrashEquivalence(t *testing.T) {
 	// Byte-identity: the committed window — manifest and every live
 	// segment — must match the uninterrupted baseline exactly.
 	// Quarantined *.torn files are the only allowed extra artifacts.
-	cb, cn, err := PeekGenLog(cleanDir)
-	if err != nil {
+	if err := chaos.CompareDirs(cleanDir, crashDir, manifestName, "gen-*.seg"); err != nil {
 		t.Fatal(err)
 	}
-	xb, xn, err := PeekGenLog(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb != xb || cn != xn {
-		t.Fatalf("committed windows differ: clean [%d,%d) vs crash [%d,%d)", cb, cn, xb, xn)
-	}
-	mustRead := func(dir, name string) []byte {
-		t.Helper()
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	if !bytes.Equal(mustRead(cleanDir, manifestName), mustRead(crashDir, manifestName)) {
-		t.Fatal("manifests differ")
-	}
-	for gen := cb; gen < cn; gen++ {
-		if !bytes.Equal(mustRead(cleanDir, segName(gen)), mustRead(crashDir, segName(gen))) {
-			t.Fatalf("generation %d segment differs", gen)
+	for _, pattern := range []string{"*" + tornSuffix + "*", durable.TempPrefix + "*"} {
+		if left, _ := filepath.Glob(filepath.Join(cleanDir, pattern)); len(left) > 0 {
+			t.Fatalf("clean run left crash artifacts %v", left)
 		}
 	}
-
-	// The clean directory must hold no quarantines; count the crash
-	// run's for the log line.
-	torn := 0
-	entries, err := os.ReadDir(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), tornSuffix) {
-			torn++
-		}
-	}
-	cleanEntries, err := os.ReadDir(cleanDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range cleanEntries {
-		if strings.Contains(e.Name(), tornSuffix) || strings.HasPrefix(e.Name(), durable.TempPrefix) {
-			t.Fatalf("clean run left crash artifact %s", e.Name())
-		}
-	}
-	t.Logf("crash run quarantined %d torn segment(s); committed window [%d,%d) byte-identical", torn, xb, xn)
+	torn, _ := filepath.Glob(filepath.Join(crashDir, "*"+tornSuffix+"*"))
+	t.Logf("crash run quarantined %d torn segment(s); committed window [%d, %d] byte-identical", len(torn), l.Base(), l.Last())
 }
