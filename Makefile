@@ -1,16 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-short race fuzz-smoke chaos-race golden bench bench-smoke bench-serve loadtest soak-smoke soak watch-smoke scenarios-smoke scenarios experiments corpus serve watch clean
+.PHONY: all ci build vet test test-short race fuzz-smoke chaos-race golden bench bench-smoke bench-serve loadtest soak watch-smoke scenarios-smoke scenarios experiments corpus serve watch clean
 
 all: build vet test
 
 # The full pre-merge gate: build, vet, unit tests, the race detector,
 # a short fuzz pass over every decoder, the chaos/fault-injection
-# suite under race, the golden-regression suite, one-iteration
-# benchmark smoke, the serving-stack load smoke, the short crash-only
-# soak, the kill-anytime continuous-measurement smoke, and the
-# scenario-matrix smoke grid.
-ci: build vet test-short race fuzz-smoke chaos-race golden bench-smoke loadtest soak-smoke watch-smoke scenarios-smoke
+# suite under race (the crash-only offnetd e2e included), the
+# golden-regression suite, one-iteration benchmark smoke, the
+# serving-stack load smoke, the kill-anytime continuous-measurement
+# smoke, and the scenario-matrix smoke grid.
+ci: build vet test-short race fuzz-smoke chaos-race golden bench-smoke loadtest watch-smoke scenarios-smoke
 
 build:
 	go build ./...
@@ -53,9 +53,10 @@ fuzz-smoke:
 # determinism (including the mid-run cancellation regression), hot
 # reload under load, the serving engine's cache/batch/reload/deadline/
 # breaker races plus its goroutine-leak check, the probe breaker and
-# cut-short sweeps, the SIGHUP-under-loadgen-traffic e2es (good and
-# alternating-corrupt), and the chaos layer itself (reader, HTTP
-# transport, TCP proxy, the crash harness).
+# cut-short sweeps, the crash-only offnetd e2e (seeded loadgen traffic
+# through the chaos transport and proxy into the real daemon while
+# SIGHUPs alternate good and corrupt store files), and the chaos layer
+# itself (reader, HTTP transport, TCP proxy, the crash harness).
 chaos-race:
 	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs ./internal/durable
 	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
@@ -107,18 +108,12 @@ bench-serve:
 loadtest:
 	go test -run 'TestLoadtestSmoke|TestTraceDeterminism' -count=1 ./cmd/loadgen
 
-# Short crash-only soak under the race detector (~seconds): seeded
-# chaos traffic against a live daemon under SIGHUP reloads alternating
-# good/corrupt store files, plus the run-twice determinism and report
-# format pins. Part of `make ci`.
-soak-smoke:
-	go test -race -count=1 ./cmd/soak
-
-# The full pre-release soak: a longer seeded run with the default
-# chaos rates. The SLO report lands on stdout; the exit status is the
-# verdict (nonzero on any violation).
+# The pre-release soak: the crash-only offnetd e2e (chaos traffic into
+# the real daemon across 41 SIGHUP reloads, good and corrupt) run 20
+# times; `make chaos-race` runs it once under -race. The exit status is
+# the verdict.
 soak:
-	go run ./cmd/soak -requests 200000 -rate 4000 -reloads 40
+	go test -count=20 -run 'TestSIGHUPAlternatingCorruptReloads' ./cmd/offnetd
 
 # Kill-anytime smoke for the continuous-measurement pipeline: the real
 # offnetwatchd is SIGKILLed at seeded generation counts until it fills

@@ -18,8 +18,9 @@
 // With -target, requests go to a live daemon over HTTP. Without it,
 // loadgen builds the production serving engine in-process from the
 // same store and drives it directly — no socket, no second process —
-// which is how `make loadtest` smoke-checks the serving stack and how
-// the committed serving benchmarks are produced.
+// which is how `make loadtest` smoke-checks the serving stack. The
+// committed serving benchmarks (BENCH_offnetd.json) come from the
+// `go test -bench` suite in internal/loadgen (`make bench-serve`).
 //
 // -rate R paces arrivals open-loop at R req/s (0 = as fast as the
 // concurrency allows); -burst-factor F with -burst-period P and

@@ -61,6 +61,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -135,6 +136,31 @@ func parseFlags(args []string) (*daemonConfig, error) {
 	if cfg.storePath == "" && cfg.genlogDir == "" {
 		fs.Usage()
 		return nil, fmt.Errorf("-store or -genlog is required")
+	}
+	// The engine reads each of these values as a default or as 0, so the
+	// daemon would serve with settings other than the ones it prints.
+	var bad string
+	switch {
+	case cfg.workers < 1:
+		bad = "-workers must be at least 1"
+	case cfg.maxBatch < 1:
+		bad = "-max-batch must be at least 1"
+	case cfg.queueWait <= 0:
+		bad = "-queue-wait must be positive"
+	case cfg.cacheSize < 0:
+		bad = "-cache must not be negative (0 disables)"
+	case cfg.timeout < 0:
+		bad = "-timeout must not be negative (0 disables)"
+	case cfg.breakerFailures == 0:
+		bad = "-breaker-failures must not be 0 (negative disables)"
+	case cfg.breakerOpenFor <= 0:
+		bad = "-breaker-open-for must be positive"
+	case cfg.watchInterval <= 0:
+		bad = "-watch-interval must be positive"
+	}
+	if bad != "" {
+		fs.Usage()
+		return nil, errors.New(bad)
 	}
 	return cfg, nil
 }

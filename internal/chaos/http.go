@@ -32,8 +32,8 @@ import (
 )
 
 // FaultHeader marks responses whose fault was injected by this package
-// (values: "injected-5xx", "truncated-body"), so a soak harness can
-// budget injected faults separately from genuine server errors.
+// (values: "injected-5xx", "truncated-body"), so offnetd's crash-only
+// e2e can tell injected faults from genuine server errors.
 const FaultHeader = "X-Chaos-Fault"
 
 // HTTPConfig tunes the HTTP-layer injectors. The zero value injects
@@ -70,7 +70,8 @@ func (c HTTPConfig) maxLatency() time.Duration {
 
 // FaultCounts totals the faults an injector actually fired. With a
 // fixed seed and a fixed request multiset the totals are reproducible
-// run-to-run, which is what lets a soak report pin them exactly.
+// run-to-run, which is what lets offnetd's crash-only e2e match them
+// exactly against what its driver saw.
 type FaultCounts struct {
 	LatencySpikes   uint64 `json:"latency_spikes"`
 	Resets          uint64 `json:"resets"`

@@ -46,8 +46,8 @@ func TestTransportZeroConfigTransparent(t *testing.T) {
 }
 
 // TestTransportInjects5xx: probability 1 replaces every response with a
-// marked 502 — the marker is what lets a soak budget injected faults
-// apart from genuine ones.
+// marked 502 — the marker is what tells injected faults apart from
+// genuine ones.
 func TestTransportInjects5xx(t *testing.T) {
 	ts := httptest.NewServer(chaosBackend())
 	defer ts.Close()

@@ -113,7 +113,7 @@ func TestDriveClassifiesChaosFaults(t *testing.T) {
 }
 
 // TestOnResponseReceivesHeaders: the hook sees response headers, which
-// is how soak harnesses spot chaos markers.
+// is how offnetd's crash-only e2e spots chaos markers.
 func TestOnResponseReceivesHeaders(t *testing.T) {
 	st := benchStore(t)
 	srv := offnetserve.New(st, offnetserve.Config{CacheSize: 32})

@@ -74,8 +74,8 @@ type Options struct {
 	Registry *obs.Registry
 
 	// OnResponse, when set, observes every completed response after
-	// accounting — the hook e2e tests use to cross-check generation
-	// against content, and soak harnesses use (via the headers) to
+	// accounting — the hook offnetd's crash-only e2e uses to
+	// cross-check generation against content and (via the headers) to
 	// separate chaos-injected faults from genuine ones. Called from
 	// worker goroutines. Responses whose body read failed mid-stream
 	// are counted as transport errors and never reach the hook.
@@ -99,10 +99,11 @@ type Report struct {
 	Transport int `json:"transport_errors"`
 
 	// TransportByClass splits Transport into failure classes — reset,
-	// timeout, eof (torn bodies included), refused, other — so a soak
-	// SLO can budget injected resets separately from, say, dial
-	// refusals that would mean the daemon died. Keys sort in the JSON
-	// encoding, so the report stays byte-deterministic.
+	// timeout, eof (torn bodies included), refused, other — so
+	// offnetd's crash-only e2e can match injected resets and torn
+	// bodies exactly and tell them from, say, dial refusals that would
+	// mean the daemon died. Keys sort in the JSON encoding, so the
+	// report stays byte-deterministic.
 	TransportByClass map[string]int `json:"transport_by_class,omitempty"`
 
 	// Generations histograms the generation field of every 200-status

@@ -19,13 +19,11 @@ import (
 // The state machine is the classic three states:
 //
 //	closed    all calls pass; failures are tallied. Trips to open on
-//	          ConsecutiveFailures in a row, or when the failure fraction
-//	          of the last Window outcomes exceeds ErrorRate.
+//	          ConsecutiveFailures in a row.
 //	open      all calls are rejected with ErrBreakerOpen until OpenFor
-//	          has elapsed, then the breaker admits probes (half-open).
-//	half-open up to HalfOpenProbes calls are admitted concurrently. Any
-//	          failure reopens the breaker; HalfOpenProbes consecutive
-//	          successes close it and reset all tallies.
+//	          has elapsed, then the breaker admits one probe (half-open).
+//	half-open one call is admitted at a time. A failure reopens the
+//	          breaker; a success closes it and resets the tally.
 //
 // Time is read through the Now hook, so tests advance a fake clock and
 // the whole machine is deterministic; the zero hook reads time.Now.
@@ -58,25 +56,14 @@ func (s BreakerState) String() string {
 }
 
 // BreakerPolicy tunes a Breaker. The zero value is usable: trip after 5
-// consecutive failures, no error-rate trip, stay open 5s, close after 1
-// half-open success.
+// consecutive failures, stay open 5s, close after 1 half-open success.
 type BreakerPolicy struct {
 	// ConsecutiveFailures trips the breaker when that many failures are
-	// recorded in a row. Zero means 5; negative disables the
-	// consecutive-failure trip.
+	// recorded in a row. Zero or negative means 5.
 	ConsecutiveFailures int
-	// ErrorRate, when > 0, trips the breaker when the failure fraction
-	// over the last Window outcomes strictly exceeds it (and at least
-	// Window outcomes have been observed since the last reset).
-	ErrorRate float64
-	// Window is the tally length for ErrorRate. Zero means 32.
-	Window int
-	// OpenFor is how long the breaker rejects before admitting probes.
+	// OpenFor is how long the breaker rejects before admitting a probe.
 	// Zero means 5s.
 	OpenFor time.Duration
-	// HalfOpenProbes is both the concurrent-probe cap in half-open and
-	// the consecutive successes required to close. Zero means 1.
-	HalfOpenProbes int
 	// Classify reports whether an error counts as a failure. Nil treats
 	// every non-nil error except the caller's own context ending as a
 	// failure (DefaultClassify) — a cancelled caller says nothing about
@@ -94,17 +81,11 @@ type BreakerPolicy struct {
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
-	if p.ConsecutiveFailures == 0 {
+	if p.ConsecutiveFailures <= 0 {
 		p.ConsecutiveFailures = 5
-	}
-	if p.Window <= 0 {
-		p.Window = 32
 	}
 	if p.OpenFor <= 0 {
 		p.OpenFor = 5 * time.Second
-	}
-	if p.HalfOpenProbes <= 0 {
-		p.HalfOpenProbes = 1
 	}
 	if p.Classify == nil {
 		p.Classify = DefaultClassify
@@ -122,13 +103,12 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 //
 // The closed state is the hot path — a breaker guarding a serving
 // path sees every request — so it is lock-free: Allow reads one
-// atomic, and a successful Record (with no error-rate window to
-// maintain) writes one. Everything rare (failures, trips, open and
-// half-open traffic) serializes on the mutex. The atomics mean a
-// request racing a trip may be admitted as a straggler; Record
-// already treats straggler outcomes as stale, so the state machine
-// stays exact where it matters and the deterministic (sequential)
-// tests see precisely the classic semantics.
+// atomic, and a successful Record writes at most one. Everything rare
+// (failures, trips, open and half-open traffic) serializes on the
+// mutex. The atomics mean a request racing a trip may be admitted as a
+// straggler; Record already treats straggler outcomes as stale, so the
+// state machine stays exact where it matters and the deterministic
+// (sequential) tests see precisely the classic semantics.
 type Breaker struct {
 	p BreakerPolicy
 
@@ -141,14 +121,10 @@ type Breaker struct {
 	fastState   atomic.Int32 // mirrors state for the lock-free closed path
 	consecFails atomic.Int64
 
-	mu           sync.Mutex
-	state        BreakerState
-	window       []bool // ring of outcomes, true = failure
-	windowNext   int
-	windowFilled int
-	openedAt     time.Time
-	probes       int // half-open: probes currently admitted
-	probeOK      int // half-open: consecutive probe successes
+	mu       sync.Mutex
+	state    BreakerState
+	openedAt time.Time
+	probing  bool // half-open: the one probe is admitted and unrecorded
 }
 
 // NewBreaker builds a breaker in the closed state.
@@ -164,7 +140,6 @@ func NewBreaker(p BreakerPolicy) *Breaker {
 		probed:     reg.Counter("breaker." + name + ".half_open"),
 		closed:     reg.Counter("breaker." + name + ".closed"),
 		stateGauge: reg.Gauge("breaker." + name + ".state"),
-		window:     make([]bool, p.Window),
 	}
 	return b
 }
@@ -202,14 +177,13 @@ func (b *Breaker) allowSlow() error {
 		}
 		b.setState(BreakerHalfOpen)
 		b.probed.Inc()
-		b.probes, b.probeOK = 0, 0
 		fallthrough
 	case BreakerHalfOpen:
-		if b.probes >= b.p.HalfOpenProbes {
+		if b.probing {
 			b.rejected.Inc()
 			return ErrBreakerOpen
 		}
-		b.probes++
+		b.probing = true
 		b.allowed.Inc()
 		return nil
 	}
@@ -220,10 +194,9 @@ func (b *Breaker) allowSlow() error {
 // Record feeds the outcome of one admitted call back into the machine.
 func (b *Breaker) Record(err error) {
 	failed := b.p.Classify(err)
-	// Lock-free success path: closed state with no error-rate window
-	// means the only bookkeeping is clearing the consecutive tally.
-	if !failed && b.p.ErrorRate <= 0 &&
-		BreakerState(b.fastState.Load()) == BreakerClosed {
+	// Lock-free success path: in the closed state the only bookkeeping
+	// is clearing the consecutive tally.
+	if !failed && BreakerState(b.fastState.Load()) == BreakerClosed {
 		if b.consecFails.Load() != 0 {
 			b.consecFails.Store(0)
 		}
@@ -236,56 +209,24 @@ func (b *Breaker) Record(err error) {
 	}
 	switch b.state {
 	case BreakerHalfOpen:
-		if b.probes == 0 {
+		if !b.probing {
 			return // straggler admitted before the trip; its outcome is stale
 		}
-		b.probes--
+		b.probing = false
 		if failed {
 			b.trip()
-			return
-		}
-		b.probeOK++
-		if b.probeOK >= b.p.HalfOpenProbes {
+		} else {
 			b.reset()
 		}
 	case BreakerClosed:
-		if failed {
-			b.consecFails.Add(1)
-		} else {
+		if !failed {
 			b.consecFails.Store(0)
-		}
-		if b.p.ErrorRate > 0 {
-			b.window[b.windowNext] = failed
-			b.windowNext = (b.windowNext + 1) % len(b.window)
-			if b.windowFilled < len(b.window) {
-				b.windowFilled++
-			}
-		}
-		if b.tripLocked() {
+		} else if b.consecFails.Add(1) >= int64(b.p.ConsecutiveFailures) {
 			b.trip()
 		}
 	case BreakerOpen:
 		// A straggler from before the trip; its outcome is stale.
 	}
-}
-
-// tripLocked evaluates the closed-state trip conditions.
-func (b *Breaker) tripLocked() bool {
-	if b.p.ConsecutiveFailures > 0 && b.consecFails.Load() >= int64(b.p.ConsecutiveFailures) {
-		return true
-	}
-	if b.p.ErrorRate > 0 && b.windowFilled == len(b.window) {
-		fails := 0
-		for _, f := range b.window {
-			if f {
-				fails++
-			}
-		}
-		if float64(fails)/float64(len(b.window)) > b.p.ErrorRate {
-			return true
-		}
-	}
-	return false
 }
 
 // trip moves to open and stamps the cooldown clock. Caller holds b.mu.
@@ -295,15 +236,11 @@ func (b *Breaker) trip() {
 	b.opened.Inc()
 }
 
-// reset returns to closed with clean tallies. Caller holds b.mu.
+// reset returns to closed with a clean tally. Caller holds b.mu.
 func (b *Breaker) reset() {
 	b.setState(BreakerClosed)
 	b.closed.Inc()
 	b.consecFails.Store(0)
-	b.windowNext, b.windowFilled = 0, 0
-	for i := range b.window {
-		b.window[i] = false
-	}
 }
 
 func (b *Breaker) setState(s BreakerState) {

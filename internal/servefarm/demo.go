@@ -12,7 +12,7 @@ import (
 var demoSeed = [32]byte{'o', 'f', 'f', 'n', 'e', 't', 's', 'c', 'o', 'p', 'e', ' ', 'd', 'e', 'm', 'o'}
 
 // Demo is the demo farm: the miniature Internet that offnetwatchd
-// -farm, cmd/livescan and the wave and soak tests scan, with everything
+// -farm, cmd/livescan and the wave tests scan, with everything
 // §4 needs besides the probes. Server i sits in AS 64512+i.
 type Demo struct {
 	*Farm
