@@ -4,13 +4,12 @@
 
 all: build vet test
 
-# The full pre-merge gate: build, vet, unit tests, the race detector,
-# a short fuzz pass over every decoder, the chaos/fault-injection
-# suite under race (the crash-only offnetd e2e included), the
-# golden-regression suite, one-iteration benchmark smoke, the
-# serving-stack load smoke, the kill-anytime continuous-measurement
-# smoke, and the scenario-matrix smoke grid.
-ci: build vet test-short race fuzz-smoke chaos-race golden bench-smoke loadtest watch-smoke scenarios-smoke
+# The full pre-merge gate: build, vet, every test without -short (the
+# golden suite, the scenario smoke grid, the kill-anytime and load
+# smokes included), the race detector, a short fuzz pass over every
+# decoder, the chaos/fault-injection suite under race (the crash-only
+# offnetd e2e included) and one-iteration benchmark smoke.
+ci: build vet test race fuzz-smoke chaos-race bench-smoke
 
 build:
 	go build ./...
@@ -19,7 +18,7 @@ vet:
 	go vet ./...
 
 test:
-	go test ./...
+	go test -count=1 ./...
 
 test-short:
 	go test -short ./...
@@ -52,8 +51,8 @@ fuzz-smoke:
 # offnetwatchd killed at generation counts), parallel-runner
 # determinism (including the mid-run cancellation regression), hot
 # reload under load, the serving engine's cache/batch/reload/deadline/
-# breaker races plus its goroutine-leak check, the probe breaker and
-# cut-short sweeps, the crash-only offnetd e2e (seeded loadgen traffic
+# breaker races plus its goroutine-leak check, cut-short probe sweeps,
+# the crash-only offnetd e2e (seeded loadgen traffic
 # through the chaos transport and proxy into the real daemon while
 # SIGHUPs alternate good and corrupt store files), and the chaos layer
 # itself (reader, HTTP transport, TCP proxy, the crash harness).
@@ -62,7 +61,7 @@ chaos-race:
 	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
 	go test -race -run 'TestRunStudyConfig' ./internal/core
 	go test -race -run 'TestHotReload|TestLoadShedding|TestPanicRecovery|TestHealth|TestRetryAfter|TestReloadGeneration|TestReloadFile|TestSmokeValidate|TestCache|TestBatch|TestConcurrentLoad|TestDeadline|TestBreaker|TestShed|TestGoroutineLeak' ./internal/offnetserve
-	go test -race -run 'TestProbeBreaker|TestSweepCutShort' ./internal/probe
+	go test -race -run 'TestSweepCutShort' ./internal/probe
 	go test -race -run 'TestGenLog|TestNewBuilderFrom|TestSave' ./internal/footstore
 	go test -race -run 'TestWave' ./internal/waves
 	go test -race -run 'TestWatchGenLog' ./internal/offnetserve
@@ -102,9 +101,9 @@ bench-smoke:
 bench-serve:
 	go test -bench=BenchmarkServe -benchtime=1x -benchmem -run='^$$' ./internal/loadgen | go run ./cmd/benchjson -out BENCH_offnetd.json
 
-# Serving-stack load smoke for CI: a short seeded loadgen run against
-# the in-process offnetd engine must finish healthy (nonzero QPS, zero
-# 5xx) and reproduce its trace hash.
+# Serving-stack load smoke: a short seeded loadgen run against the
+# in-process offnetd engine must finish healthy (nonzero QPS, zero 5xx)
+# and reproduce its trace hash. `make test` runs it too.
 loadtest:
 	go test -run 'TestLoadtestSmoke|TestTraceDeterminism' -count=1 ./cmd/loadgen
 
@@ -120,8 +119,8 @@ soak:
 # the timeline grid, then scored for zero recovery artifacts,
 # byte-identical state versus a never-killed run, and a forward-only
 # served view (TestKillAnytime). The daemon envelope tests (flag
-# wiring, farm waves, startup compaction) ride along. Part of
-# `make ci`.
+# wiring, farm waves, startup compaction) ride along. `make test` runs
+# them too.
 watch-smoke:
 	go test -count=1 ./cmd/offnetwatchd
 
@@ -129,14 +128,14 @@ watch-smoke:
 # per family (IPv6-only, hide-and-seek, cert reuse, flash trajectory,
 # vendor outage) runs the full inference end to end and must land
 # inside its precision/recall/coverage gates; the golden scenario cell
-# and the workers-invariance pin ride along. Part of `make ci`.
+# and the workers-invariance pin ride along. `make test` runs them too.
 scenarios-smoke:
 	go test -count=1 -run 'TestSmokeGridPasses|TestMatrixDeterminism|TestGoldenCell' ./internal/scenarios
 
 # The full pre-release scenario matrix: all 32 adversarial cells, run
 # alongside `make soak` before cutting a release. Regenerates the
 # committed results/SCENARIOS.json and SCENARIOS.md; byte-identical at
-# any -workers/-jobs setting.
+# any -workers setting.
 scenarios:
 	go run ./cmd/scenarios -grid full -workers 2 -out results/SCENARIOS.json -md results/SCENARIOS.md
 

@@ -1,6 +1,6 @@
 // Command livescan demonstrates the methodology over real sockets: it
 // starts the loopback demo farm (servefarm.StartDemo), sweeps it with
-// the concurrent TLS/HTTP prober (the certigo/ZGrab2 roles), and runs
+// the concurrent TLS/HTTPS prober (the certigo/ZGrab2 roles), and runs
 // the one §4 inference engine over what the sweep collected. It prints
 // each server's verdict, then the funnel.drop.* and
 // funnel.cert_invalid.* counters: where the engine dropped records.
@@ -55,6 +55,10 @@ func main() {
 }
 
 func run(ctx context.Context, w io.Writer, concurrency, rate int) error {
+	// The scanner would read either as its default: 16 workers, no limit.
+	if concurrency < 1 || rate < 0 {
+		return fmt.Errorf("-concurrency must be at least 1 and -rate not negative (0: unlimited), got %d and %d", concurrency, rate)
+	}
 	farm, err := servefarm.StartDemo()
 	if err != nil {
 		return err

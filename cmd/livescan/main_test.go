@@ -54,3 +54,16 @@ func TestRunVerdicts(t *testing.T) {
 			counters["funnel.drop.dnsnames_offnet"], out.String())
 	}
 }
+
+// TestRunRejectsReplacedFlagValues: a -concurrency below 1 or a
+// negative -rate is an error before any farm starts, not a scan with
+// the scanner's defaults; -rate 0 (unlimited) stays valid, as
+// TestRunVerdicts shows.
+func TestRunRejectsReplacedFlagValues(t *testing.T) {
+	for _, tc := range []struct{ concurrency, rate int }{{0, 0}, {-4, 0}, {8, -5}} {
+		var out strings.Builder
+		if err := run(context.Background(), &out, tc.concurrency, tc.rate); err == nil {
+			t.Errorf("run(-concurrency %d -rate %d) accepted:\n%s", tc.concurrency, tc.rate, out.String())
+		}
+	}
+}

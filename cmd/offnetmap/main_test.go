@@ -361,3 +361,35 @@ func TestOffnetmapUsageErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestDominantReasonTieBreak pins the corruption class -v names: the
+// largest corpus.skip.* counter, the lexicographically smallest reason
+// among equal counts, whatever the map iteration order, and "none" when
+// nothing was skipped. Counters under other prefixes never compete.
+func TestDominantReasonTieBreak(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		// A fresh map each round: a new iteration order.
+		s := obs.Snapshot{Counters: map[string]int64{
+			"corpus.skip.json":         1,
+			"corpus.skip.ip":           1,
+			"corpus.skip.decode":       1,
+			"funnel.drop.expired_cert": 9,
+		}}
+		if got := dominant(s, "corpus.skip."); got != "decode" {
+			t.Fatalf("round %d: dominant = %q, want decode", i, got)
+		}
+	}
+	for _, tc := range []struct {
+		counters map[string]int64
+		want     string
+	}{
+		{map[string]int64{"corpus.skip.zz": 2, "corpus.skip.aa": 2}, "aa"},
+		{map[string]int64{"corpus.skip.json": 3, "corpus.skip.ip": 1}, "json"},
+		{map[string]int64{"funnel.drop.expired_cert": 4}, "none"},
+		{nil, "none"},
+	} {
+		if got := dominant(obs.Snapshot{Counters: tc.counters}, "corpus.skip."); got != tc.want {
+			t.Errorf("dominant(%v) = %q, want %q", tc.counters, got, tc.want)
+		}
+	}
+}

@@ -112,7 +112,7 @@ func parseFlags(args []string) (*watchdConfig, error) {
 	fs.StringVar(&cfg.logDir, "log", "", "generation-log directory (required; created if missing)")
 	fs.StringVar(&cfg.targetsPath, "targets", "", "target list file: one \"host:port ASN\" per line (no trust roots or AS-organization registry: confirms nothing)")
 	fs.BoolVar(&cfg.farmMode, "farm", false, "scan the loopback demo farm, with its trust store and on-net registry, instead of -targets")
-	fs.DurationVar(&cfg.interval, "interval", 15*time.Second, "pause between waves")
+	fs.DurationVar(&cfg.interval, "interval", 15*time.Second, "pause between waves (0: none)")
 	fs.IntVar(&cfg.maxWaves, "waves", 0, "stop after N committed waves (0: run until the grid is full or a signal)")
 	fs.DurationVar(&cfg.waveTimeout, "wave-timeout", 2*time.Minute, "deadline for one whole wave (expiry degrades the verdict, not the daemon)")
 	fs.Float64Var(&cfg.minCoverage, "min-coverage", 0.5, "concluded-target fraction in (0, 1] below which a wave commits as reduced-coverage")
@@ -133,9 +133,31 @@ func parseFlags(args []string) (*watchdConfig, error) {
 		fs.Usage()
 		return nil, fmt.Errorf("exactly one of -targets or -farm is required")
 	}
-	if !(cfg.minCoverage > 0 && cfg.minCoverage <= 1) || cfg.maxWaves < 0 { // NaN fails the first test
+	// The wave runner and the scanner read each of these values as a
+	// default, as unlimited or as "never", so the daemon would scan with
+	// settings other than the ones it was given.
+	var bad string
+	switch {
+	case !(cfg.minCoverage > 0 && cfg.minCoverage <= 1): // NaN fails too
+		bad = fmt.Sprintf("-min-coverage must be in (0, 1], got %v", cfg.minCoverage)
+	case cfg.maxWaves < 0:
+		bad = "-waves must not be negative (0: until the grid is full)"
+	case cfg.concurrency < 1:
+		bad = "-concurrency must be at least 1"
+	case cfg.rate < 0:
+		bad = "-rate must not be negative (0: unlimited)"
+	case cfg.retries < 0:
+		bad = "-retries must not be negative"
+	case cfg.waveTimeout <= 0:
+		bad = "-wave-timeout must be positive"
+	case cfg.interval < 0:
+		bad = "-interval must not be negative (0: no pause)"
+	case cfg.compactKeep < 0:
+		bad = "-compact-keep must not be negative (0: never compact)"
+	}
+	if bad != "" {
 		fs.Usage()
-		return nil, fmt.Errorf("-min-coverage must be in (0, 1] and -waves not negative, got %v and %d", cfg.minCoverage, cfg.maxWaves)
+		return nil, errors.New(bad)
 	}
 	if cfg.checkpoint == "" {
 		cfg.checkpoint = filepath.Join(cfg.logDir, "waves-ck")

@@ -33,13 +33,33 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"-log", "d", "-farm", "-min-coverage", "1.01"},
 		{"-log", "d", "-farm", "-min-coverage", "+Inf"},
 		{"-log", "d", "-farm", "-waves", "-1"},
+		// Values the scanner or the runner would replace: -retries -1
+		// still makes one attempt, -concurrency below 1 runs 16 workers,
+		// a negative -rate is unlimited, a zero -wave-timeout is 2m, a
+		// negative -interval starts waves back to back and a negative
+		// -compact-keep never compacts.
+		{"-log", "d", "-farm", "-retries", "-1"},
+		{"-log", "d", "-farm", "-concurrency", "0"},
+		{"-log", "d", "-farm", "-concurrency", "-4"},
+		{"-log", "d", "-farm", "-rate", "-5"},
+		{"-log", "d", "-farm", "-wave-timeout", "0"},
+		{"-log", "d", "-farm", "-wave-timeout", "-1s"},
+		{"-log", "d", "-farm", "-interval", "-1s"},
+		{"-log", "d", "-farm", "-compact-keep", "-2"},
 	} {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) accepted", bad)
 		}
 	}
-	if _, err := parseFlags([]string{"-log", "d", "-farm", "-min-coverage", "1"}); err != nil {
-		t.Errorf("-min-coverage 1 rejected: %v", err)
+	// The documented zeros and the smallest positive values stay valid.
+	for _, ok := range [][]string{
+		{"-min-coverage", "1"},
+		{"-rate", "0", "-compact-keep", "0", "-interval", "0", "-retries", "0"},
+		{"-concurrency", "1", "-wave-timeout", "1ms"},
+	} {
+		if _, err := parseFlags(append([]string{"-log", "d", "-farm"}, ok...)); err != nil {
+			t.Errorf("parseFlags(%v): %v", ok, err)
+		}
 	}
 	cfg, err := parseFlags([]string{"-log", "/tmp/gl", "-farm"})
 	if err != nil {

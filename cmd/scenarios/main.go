@@ -8,13 +8,13 @@
 // Usage:
 //
 //	scenarios -grid smoke                      # the CI gate (make scenarios-smoke)
-//	scenarios -grid full -workers 4 -jobs 2    # the committed matrix (make scenarios)
+//	scenarios -grid full -workers 2            # the committed matrix (make scenarios)
 //	scenarios -grid full -out results/SCENARIOS.json -md results/SCENARIOS.md
 //	scenarios -list                            # enumerate cells without running
 //	scenarios -cell hide/null-0.95             # run one cell
 //
-// The matrix is byte-identical at any -workers/-jobs setting for a
-// fixed grid and seed.
+// The matrix is byte-identical at any -workers setting for a fixed grid
+// and seed.
 //
 // Exit codes: 0 all cells pass; 1 failure; 2 usage error; 3 the grid
 // ran to completion but at least one cell violated its thresholds.
@@ -88,7 +88,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	grid := fs.String("grid", "smoke", "scenario grid to run (full, smoke)")
 	seed := fs.Uint64("seed", 1, "world seed driving every cell")
 	workers := fs.Int("workers", 1, "concurrent cells (execution knob; output identical at any value)")
-	jobs := fs.Int("jobs", 1, "per-cell snapshot-inference workers (execution knob)")
 	out := fs.String("out", "", "write the matrix JSON here instead of stdout")
 	md := fs.String("md", "", "also render the markdown results table here")
 	list := fs.Bool("list", false, "list the grid's cells without running anything")
@@ -123,7 +122,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cells = []scenarios.Cell{c}
 	}
 
-	opts := scenarios.Options{Workers: *workers, Jobs: *jobs}
+	opts := scenarios.Options{Workers: *workers}
 	if !*quiet {
 		opts.Progress = func(r scenarios.CellResult) {
 			verdict := "pass"

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"offnetscope/internal/certmodel"
 	"offnetscope/internal/corpus"
@@ -135,9 +134,4 @@ func (a *A3Result) Render() string {
 		b.WriteString(seriesRow("median days", lifetimes) + "\n")
 	}
 	return b.String()
-}
-
-// MedianLifetimeAt is a convenience accessor for tests.
-func (a *A3Result) MedianLifetimeAt(id hg.ID, s timeline.Snapshot) time.Duration {
-	return time.Duration(a.Rows[id][s].MedianLifetimeDays) * 24 * time.Hour
 }

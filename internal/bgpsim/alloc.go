@@ -41,10 +41,6 @@ var allocPlan = map[astopo.Category]Plan{
 	astopo.XLarge: {4, 15},
 }
 
-// PlanForCategory returns the default allocation plan for a size
-// category.
-func PlanForCategory(c astopo.Category) Plan { return allocPlan[c] }
-
 // NewAllocator assigns address space to every AS in the graph, sized by
 // the AS's category at the final snapshot.
 func NewAllocator(g *astopo.Graph, seed uint64) (*Allocator, error) {

@@ -64,12 +64,6 @@ type Options struct {
 	DisableDNSNameFilter    bool // skip the all-dNSNames-on-net rule (§4.3 off)
 	DisableCloudflareFilter bool // keep Cloudflare customer certificates (§7 off)
 	DisableConflictPriority bool // don't prioritise edge-CDN headers (§7 off)
-	DisableNetflixNginx     bool // drop the Netflix default-nginx rule (§4.4 off)
-
-	// IgnoreExpiryFor treats expired-but-otherwise-valid chains as valid
-	// for the listed hypergiants — the Netflix "w/ expired" envelope
-	// line of Fig 3.
-	IgnoreExpiryFor map[hg.ID]bool
 }
 
 // DefaultHeaderMode is the paper's confirmation rule.
@@ -140,9 +134,6 @@ type HGResult struct {
 // SortedConfirmedASes returns the confirmed off-net ASes in order.
 func (r *HGResult) SortedConfirmedASes() []astopo.ASN { return sortedASNs(r.ConfirmedASes) }
 
-// SortedCandidateASes returns the candidate (certs-only) ASes in order.
-func (r *HGResult) SortedCandidateASes() []astopo.ASN { return sortedASNs(r.CandidateASes) }
-
 func sortedASNs(set map[astopo.ASN]struct{}) []astopo.ASN {
 	out := make([]astopo.ASN, 0, len(set))
 	for as := range set {
@@ -166,18 +157,6 @@ type Result struct {
 	HGOffNetCertIPs int // valid HG-matching cert IPs outside HG ASes
 
 	PerHG map[hg.ID]*HGResult
-}
-
-// ASesWithAnyHG counts ASes hosting at least one examined hypergiant's
-// confirmed off-net (Table 2's "any" column).
-func (r *Result) ASesWithAnyHG() int {
-	set := make(map[astopo.ASN]struct{})
-	for _, hr := range r.PerHG {
-		for as := range hr.ConfirmedASes {
-			set[as] = struct{}{}
-		}
-	}
-	return len(set)
 }
 
 // record is a validated certificate observation ready for matching.
@@ -309,7 +288,6 @@ func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record
 	// headers. Rejections are tallied by reason so the funnel report
 	// can show where records leave the pipeline (funnel.drop.*).
 	var hgMatches, expiredDrops, dnsNameDrops, cloudflareDrops, unconfirmed int64
-	allowExpired := p.Opts.IgnoreExpiryFor[h.ID]
 	for i := range records {
 		r := &records[i]
 		if !strings.Contains(r.orgLower, kw) {
@@ -319,7 +297,7 @@ func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record
 			continue
 		}
 		hgMatches++
-		if r.expired && !allowExpired {
+		if r.expired {
 			// Track what ignoring expiry would add (Fig 3 envelope).
 			if p.dnsNamesOnNet(r.leaf, hr.DNSNames) && !p.isCloudflareCustomerCert(h.ID, r.leaf) {
 				for _, as := range r.asns {
@@ -450,7 +428,7 @@ func (p *Pipeline) headersIdentify(h *hg.Hypergiant, headers []hg.Header) bool {
 	if h.MatchesHeaders(headers) {
 		return true
 	}
-	if h.ID == hg.Netflix && !p.Opts.DisableNetflixNginx {
+	if h.ID == hg.Netflix {
 		// A Netflix certificate plus the default nginx Server header is
 		// an Open Connect appliance (§4.4).
 		for _, hd := range headers {

@@ -54,15 +54,3 @@ type Snapshot struct {
 // ScanTime is the instant certificates are validated against — mid-month,
 // matching when the sweeps ran.
 func (s *Snapshot) ScanTime() time.Time { return s.Snapshot.MidTime() }
-
-// UniqueLeafFingerprints counts distinct end-entity certificates in the
-// snapshot, the paper's "unique certificates" statistic.
-func (s *Snapshot) UniqueLeafFingerprints() int {
-	set := make(map[certmodel.Fingerprint]struct{})
-	for _, r := range s.Certs {
-		if leaf := r.Chain.Leaf(); leaf != nil {
-			set[leaf.Fingerprint()] = struct{}{}
-		}
-	}
-	return len(set)
-}

@@ -126,19 +126,6 @@ func TestDirLayout(t *testing.T) {
 	}
 }
 
-func TestUniqueLeafFingerprints(t *testing.T) {
-	snap := sampleSnapshot(t)
-	n := snap.UniqueLeafFingerprints()
-	if n != len(snap.Certs) {
-		t.Fatalf("unique leaves = %d, want %d (all serials distinct)", n, len(snap.Certs))
-	}
-	// Duplicate a record: count must not change.
-	snap.Certs = append(snap.Certs, snap.Certs[0])
-	if snap.UniqueLeafFingerprints() != n {
-		t.Fatal("duplicate record changed unique count")
-	}
-}
-
 func TestScanTime(t *testing.T) {
 	snap := &Snapshot{Snapshot: 0}
 	ts := snap.ScanTime()

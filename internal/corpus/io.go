@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 	"unicode"
@@ -332,29 +331,6 @@ func (st *ReadStats) ReasonTotals() map[string]int {
 		}
 	}
 	return out
-}
-
-// DominantReason returns the skip reason that dropped the most records
-// across the snapshot (ties broken alphabetically) and its count;
-// ("", 0) when nothing was skipped. Reduced-coverage reports quote this
-// verbatim, so the selection must not depend on map iteration order:
-// the reasons are walked in sorted order and a later reason wins only
-// on a strictly larger count.
-func (st *ReadStats) DominantReason() (string, int) {
-	totals := st.ReasonTotals()
-	reasons := make([]string, 0, len(totals))
-	for r := range totals {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	var reason string
-	var max int
-	for _, r := range reasons {
-		if totals[r] > max {
-			reason, max = r, totals[r]
-		}
-	}
-	return reason, max
 }
 
 // recordError tags a per-record decode failure with its accounting

@@ -355,34 +355,6 @@ func TestTruncatedGzipTrailer(t *testing.T) {
 	}
 }
 
-// DominantReason must be byte-identical run to run: with tied counts
-// the lexicographically smallest reason wins, regardless of map
-// iteration order. Run many shuffled constructions to catch an
-// order-dependent implementation.
-func TestDominantReasonTieBreak(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		st := &ReadStats{}
-		fs := st.file("certs.ndjson.gz") // fresh map each round: new iteration order
-		fs.skip("json")
-		fs.skip("ip")
-		fs.skip("decode")
-		reason, n := st.DominantReason()
-		if reason != "decode" || n != 1 {
-			t.Fatalf("round %d: DominantReason = %q/%d, want decode/1", i, reason, n)
-		}
-	}
-	// A tie split across files folds first, then tie-breaks.
-	st := &ReadStats{}
-	st.file("a").skip("zz")
-	st.file("a").skip("zz")
-	b := st.file("b")
-	b.skip("aa")
-	b.skip("aa")
-	if reason, n := st.DominantReason(); reason != "aa" || n != 2 {
-		t.Fatalf("cross-file tie: %q/%d, want aa/2", reason, n)
-	}
-}
-
 // StreamOf reproduces the snapshot it wraps, in order, at any chunk
 // size, and carries its record counts as the size hint — it is the
 // zero-copy bridge that lets scanner output drive the streaming

@@ -111,12 +111,6 @@ func (st *Store) Encode() []byte {
 	return durable.Seal(buf)
 }
 
-// WriteTo implements io.WriterTo.
-func (st *Store) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(st.Encode())
-	return int64(n), err
-}
-
 // Save writes the store to path atomically (durable.WriteFile): a
 // crash or a failed write leaves the previous file intact, and a reader
 // that opens path at any moment sees either the old store or the new

@@ -1,18 +1,18 @@
-// Package probe is the live-network scanner: a concurrent TLS
-// certificate fetcher (the certigo role) and an HTTP(S) banner grabber
-// with explicit SNI/Host (the ZGrab2 role), built on crypto/tls and
-// net/http with a worker pool, a token-bucket rate limiter, per-dial
-// timeouts, and context cancellation — the ethics-conscious scanning
-// practices §5 describes. It only collects: chains are captured
-// unverified, and every §4 decision about them is made by the
-// inference engine (internal/core) the caller feeds them to.
+// Package probe is the live-network scanner: a concurrent fetcher of
+// each address's default TLS certificate chain (no SNI, the certigo
+// role) and an HTTPS banner grabber that names no host (the headers
+// half of the ZGrab2 role), built on crypto/tls and net/http with a
+// worker pool, a token-bucket rate limiter, per-dial timeouts, retries
+// and context cancellation — the ethics-conscious scanning practices
+// §5 describes. It only collects: chains are captured unverified, and
+// every §4 decision about them is made by the inference engine
+// (internal/core) the caller feeds them to.
 package probe
 
 import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
-	"errors"
 	"net"
 	"net/http"
 	"sync"
@@ -41,22 +41,8 @@ type Config struct {
 	// double it up to 10x, each sleep jittered uniformly below the
 	// ceiling. Zero means 100ms.
 	RetryBackoff time.Duration
-	// BreakerFailures, when > 0, arms a per-target circuit breaker:
-	// after that many consecutive exhausted probe attempts against one
-	// address, further probes to it fail fast with
-	// resilience.ErrBreakerOpen for BreakerOpenFor instead of burning a
-	// full dial-timeout × retry budget per touch on a dead host — on a
-	// four-day scan, dead hosts are the common case, not the exception.
-	// Zero disables breakers.
-	BreakerFailures int
-	// BreakerOpenFor is the fail-fast window per tripped target. Zero
-	// means 30s.
-	BreakerOpenFor time.Duration
-	// BreakerNow is the breaker clock hook, for deterministic tests.
-	// Nil means time.Now.
-	BreakerNow func() time.Time
 	// Metrics receives probe accounting (probe.certs, probe.headers,
-	// probe.errors, probe.breaker_fastfail). Nil discards.
+	// probe.errors). Nil discards.
 	Metrics *obs.Registry
 }
 
@@ -70,9 +56,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
 	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 30 * time.Second
-	}
 	return c
 }
 
@@ -80,13 +63,6 @@ func (c Config) withDefaults() Config {
 type Scanner struct {
 	cfg     Config
 	limiter *rateLimiter
-
-	// breakers holds one circuit breaker per probed address, created
-	// lazily on first touch (nil map when disabled). One breaker per
-	// target, not one global: a dead host must not stop the scan of a
-	// healthy one.
-	bmu      sync.Mutex
-	breakers map[string]*resilience.Breaker
 }
 
 // New builds a scanner.
@@ -96,50 +72,14 @@ func New(cfg Config) *Scanner {
 	if cfg.RatePerSecond > 0 {
 		s.limiter = newRateLimiter(cfg.RatePerSecond)
 	}
-	if cfg.BreakerFailures > 0 {
-		s.breakers = make(map[string]*resilience.Breaker)
-	}
 	return s
-}
-
-// breakerFor returns the target's breaker, creating it on first use,
-// or nil when breakers are disabled.
-func (s *Scanner) breakerFor(addr string) *resilience.Breaker {
-	if s.breakers == nil {
-		return nil
-	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	b, ok := s.breakers[addr]
-	if !ok {
-		b = resilience.NewBreaker(resilience.BreakerPolicy{
-			ConsecutiveFailures: s.cfg.BreakerFailures,
-			OpenFor:             s.cfg.BreakerOpenFor,
-			Name:                "probe",
-			Now:                 s.cfg.BreakerNow,
-		})
-		s.breakers[addr] = b
-	}
-	return b
-}
-
-// withBreaker runs op under the target's breaker (or directly when
-// disabled). One op is one fully-retried probe: the breaker counts
-// exhausted retry budgets, not individual attempts, so BreakerFailures
-// means "this many probes in a row found the target dead".
-func (s *Scanner) withBreaker(addr string, op func() error) error {
-	b := s.breakerFor(addr)
-	if b == nil {
-		return op()
-	}
-	return b.Do(op)
 }
 
 // CertResult is one fetched default certificate.
 type CertResult struct {
 	Addr string
 	// Chain is the presented chain, leaf first. Nil when the handshake
-	// failed (including SNI-only servers probed without a name).
+	// failed.
 	Chain []*x509.Certificate
 	Err   error
 }
@@ -150,7 +90,7 @@ type CertResult struct {
 func (s *Scanner) FetchCerts(ctx context.Context, addrs []string) []CertResult {
 	results := make([]CertResult, len(addrs))
 	s.fanOut(ctx, len(addrs), func(i int) {
-		results[i] = s.fetchCertRetry(ctx, addrs[i], "")
+		results[i] = s.fetchCertRetry(ctx, addrs[i])
 	}, func(i int, err error) {
 		results[i] = CertResult{Addr: addrs[i], Err: err}
 	})
@@ -161,42 +101,28 @@ func (s *Scanner) FetchCerts(ctx context.Context, addrs []string) []CertResult {
 // every handshake failure is presumed transient (resilience's default
 // classification) because under-counting hosts costs more than a
 // wasted retry.
-func (s *Scanner) fetchCertRetry(ctx context.Context, addr, serverName string) CertResult {
+func (s *Scanner) fetchCertRetry(ctx context.Context, addr string) CertResult {
 	res := CertResult{Addr: addr}
-	err := s.withBreaker(addr, func() error {
-		return resilience.Retry(ctx, resilience.Policy{
-			MaxAttempts: s.cfg.Retries + 1,
-			BaseDelay:   s.cfg.RetryBackoff,
-			MaxDelay:    10 * s.cfg.RetryBackoff,
-		}, func(ctx context.Context) error {
-			res = s.fetchCert(ctx, addr, serverName)
-			return res.Err
-		})
+	err := resilience.Retry(ctx, resilience.Policy{
+		MaxAttempts: s.cfg.Retries + 1,
+		BaseDelay:   s.cfg.RetryBackoff,
+		MaxDelay:    10 * s.cfg.RetryBackoff,
+	}, func(ctx context.Context) error {
+		res = s.fetchCert(ctx, addr)
+		return res.Err
 	})
 	if err != nil && res.Err == nil {
-		// The breaker rejected without probing, or the context died
-		// before the first attempt ran.
+		// The context died before the first attempt ran.
 		res.Err = err
 	}
 	s.cfg.Metrics.Counter("probe.certs").Inc()
 	if res.Err != nil {
 		s.cfg.Metrics.Counter("probe.errors").Inc()
-		if errors.Is(res.Err, resilience.ErrBreakerOpen) {
-			s.cfg.Metrics.Counter("probe.breaker_fastfail").Inc()
-		}
 	}
 	return res
 }
 
-// FetchCertSNI grabs the certificate presented for one explicit SNI.
-func (s *Scanner) FetchCertSNI(ctx context.Context, addr, serverName string) CertResult {
-	if err := s.wait(ctx); err != nil {
-		return CertResult{Addr: addr, Err: err}
-	}
-	return s.fetchCertRetry(ctx, addr, serverName)
-}
-
-func (s *Scanner) fetchCert(ctx context.Context, addr, serverName string) CertResult {
+func (s *Scanner) fetchCert(ctx context.Context, addr string) CertResult {
 	res := CertResult{Addr: addr}
 	dialer := &net.Dialer{Timeout: s.cfg.Timeout}
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
@@ -211,7 +137,6 @@ func (s *Scanner) fetchCert(ctx context.Context, addr, serverName string) CertRe
 		rawConn.SetDeadline(deadline) //nolint:errcheck — best effort
 	}
 	conn := tls.Client(rawConn, &tls.Config{
-		ServerName:         serverName,
 		InsecureSkipVerify: true, // capture the chain; §4.1 judges it later
 	})
 	if err := conn.HandshakeContext(dctx); err != nil {
@@ -230,62 +155,38 @@ type HeaderResult struct {
 	Err     error
 }
 
-// FetchHeaders performs GET / against every address (https when tlsMode,
-// else plain http), recording response headers ZGrab2-style. host sets
-// both SNI and the Host header when non-empty. Results are returned in
-// input order; an address never reached before ctx ended carries ctx's
-// error.
-func (s *Scanner) FetchHeaders(ctx context.Context, addrs []string, host string, tlsMode bool) []HeaderResult {
+// FetchHeaders performs an HTTPS GET / against every address, naming no
+// host, and records the response headers ZGrab2-style. Results are
+// returned in input order; an address never reached before ctx ended
+// carries ctx's error.
+func (s *Scanner) FetchHeaders(ctx context.Context, addrs []string) []HeaderResult {
 	results := make([]HeaderResult, len(addrs))
 	s.fanOut(ctx, len(addrs), func(i int) {
-		results[i] = s.fetchHeadersBreaker(ctx, addrs[i], host, tlsMode)
+		results[i] = s.fetchHeaders(ctx, addrs[i])
+		s.cfg.Metrics.Counter("probe.headers").Inc()
+		if results[i].Err != nil {
+			s.cfg.Metrics.Counter("probe.errors").Inc()
+		}
 	}, func(i int, err error) {
 		results[i] = HeaderResult{Addr: addrs[i], Err: err}
 	})
 	return results
 }
 
-// fetchHeadersBreaker runs one banner grab under the target's breaker.
-func (s *Scanner) fetchHeadersBreaker(ctx context.Context, addr, host string, tlsMode bool) HeaderResult {
-	res := HeaderResult{Addr: addr}
-	err := s.withBreaker(addr, func() error {
-		res = s.fetchHeaders(ctx, addr, host, tlsMode)
-		return res.Err
-	})
-	if err != nil && res.Err == nil {
-		res.Err = err // breaker rejected without probing
-	}
-	s.cfg.Metrics.Counter("probe.headers").Inc()
-	if res.Err != nil {
-		s.cfg.Metrics.Counter("probe.errors").Inc()
-		if errors.Is(res.Err, resilience.ErrBreakerOpen) {
-			s.cfg.Metrics.Counter("probe.breaker_fastfail").Inc()
-		}
-	}
-	return res
-}
-
-func (s *Scanner) fetchHeaders(ctx context.Context, addr, host string, tlsMode bool) HeaderResult {
+func (s *Scanner) fetchHeaders(ctx context.Context, addr string) HeaderResult {
 	res := HeaderResult{Addr: addr}
 	transport := &http.Transport{
 		DialContext:       (&net.Dialer{Timeout: s.cfg.Timeout}).DialContext,
+		TLSClientConfig:   &tls.Config{InsecureSkipVerify: true},
 		DisableKeepAlives: true,
-	}
-	scheme := "http"
-	if tlsMode {
-		scheme = "https"
-		transport.TLSClientConfig = &tls.Config{ServerName: host, InsecureSkipVerify: true}
 	}
 	client := &http.Client{Transport: transport, Timeout: s.cfg.Timeout}
 	defer transport.CloseIdleConnections()
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, scheme+"://"+addr+"/", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "https://"+addr+"/", nil)
 	if err != nil {
 		res.Err = err
 		return res
-	}
-	if host != "" {
-		req.Host = host
 	}
 	resp, err := client.Do(req)
 	if err != nil {

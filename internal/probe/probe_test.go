@@ -21,9 +21,8 @@ import (
 )
 
 // liveFarm builds a miniature Internet on loopback: Google on-net and
-// off-net boxes, an Akamai edge that also serves Apple, a Cloudflare
-// customer origin, a self-signed impostor, an SNI-only server, and
-// background hosts.
+// off-net boxes, an Akamai edge, a self-signed impostor, and a
+// background host.
 func liveFarm(t testing.TB) *servefarm.Farm {
 	t.Helper()
 	specs := []servefarm.Spec{
@@ -41,21 +40,12 @@ func liveFarm(t testing.TB) *servefarm.Farm {
 			Name: "akamai-edge", Organization: "Akamai Technologies, Inc.",
 			DNSNames: []string{"a248.e.akamai.net"},
 			Headers:  []hg.Header{{Name: "Server", Value: "AkamaiGHost"}},
-			ExtraDomains: map[string]servefarm.ExtraCert{
-				"www.apple.com": {Organization: "Apple Inc.", DNSNames: []string{"*.apple.com"}},
-			},
 		},
 		{
 			Name: "impostor", Organization: "Google LLC",
 			DNSNames:   []string{"*.google.com"},
 			SelfSigned: true,
 			Headers:    []hg.Header{{Name: "Server", Value: "nginx"}},
-		},
-		{
-			Name: "sni-only", Organization: "Google LLC",
-			DNSNames: []string{"*.google.com"},
-			SNIOnly:  true,
-			Headers:  []hg.Header{{Name: "Server", Value: "gws"}},
 		},
 		{
 			Name: "background", Organization: "Acme Web Services",
@@ -105,45 +95,6 @@ func TestFetchCertsDefault(t *testing.T) {
 	if imp.Err != nil || len(imp.Chain) != 1 {
 		t.Fatalf("impostor should present its lone self-signed leaf: chain=%d err=%v", len(imp.Chain), imp.Err)
 	}
-
-	sni := byName["sni-only"]
-	if sni.Err == nil {
-		t.Error("SNI-only server must fail the default-certificate handshake")
-	}
-}
-
-func TestFetchCertSNI(t *testing.T) {
-	farm := liveFarm(t)
-	s := New(Config{})
-	defer s.Close()
-	ctx := context.Background()
-
-	var akamai, sniOnly *servefarm.Server
-	for _, srv := range farm.Servers {
-		switch srv.Spec.Name {
-		case "akamai-edge":
-			akamai = srv
-		case "sni-only":
-			sniOnly = srv
-		}
-	}
-
-	// The Akamai edge serves Apple's certificate for Apple SNI — the §5
-	// cross-validation surprise.
-	r := s.FetchCertSNI(ctx, akamai.TLSAddr, "www.apple.com")
-	if r.Err != nil || leafOrg(r) != "Apple Inc." {
-		t.Fatalf("SNI fetch: org=%q err=%v", leafOrg(r), r.Err)
-	}
-	// Default SNI still yields Akamai's own certificate.
-	r = s.FetchCertSNI(ctx, akamai.TLSAddr, "a248.e.akamai.net")
-	if r.Err != nil || !strings.Contains(leafOrg(r), "Akamai") {
-		t.Fatalf("default SNI: org=%q err=%v", leafOrg(r), r.Err)
-	}
-	// The SNI-only server answers when asked properly.
-	r = s.FetchCertSNI(ctx, sniOnly.TLSAddr, "www.google.com")
-	if r.Err != nil || leafOrg(r) != "Google LLC" {
-		t.Fatalf("sni-only with SNI: org=%q err=%v", leafOrg(r), r.Err)
-	}
 }
 
 func TestFetchHeaders(t *testing.T) {
@@ -159,17 +110,12 @@ func TestFetchHeaders(t *testing.T) {
 			onnet = srv
 		}
 	}
-	res := s.FetchHeaders(ctx, []string{onnet.TLSAddr}, "www.google.com", true)
+	res := s.FetchHeaders(ctx, []string{onnet.TLSAddr})
 	if res[0].Err != nil || res[0].Status != 200 {
 		t.Fatalf("https headers: %+v", res[0])
 	}
 	if !google.MatchesHeaders(res[0].Headers) {
 		t.Errorf("gws header not detected in %v", res[0].Headers)
-	}
-	// Plain HTTP too.
-	res = s.FetchHeaders(ctx, []string{onnet.HTTPAddr}, "", false)
-	if res[0].Err != nil || !google.MatchesHeaders(res[0].Headers) {
-		t.Errorf("http headers: %+v", res[0])
 	}
 }
 
@@ -190,7 +136,7 @@ func TestLiveMethodologyEndToEnd(t *testing.T) {
 
 	addrs := farm.TLSAddrs()
 	certs := s.FetchCerts(ctx, addrs)
-	heads := s.FetchHeaders(ctx, addrs, "", true)
+	heads := s.FetchHeaders(ctx, addrs)
 	trust := certmodel.NewTrustStore()
 	if err := trust.AddX509Root(farm.CA.Cert); err != nil {
 		t.Fatal(err)
@@ -267,7 +213,7 @@ func TestSweepCutShortReportsEveryTarget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	certs := s.FetchCerts(ctx, addrs)
-	heads := s.FetchHeaders(ctx, addrs, "", true)
+	heads := s.FetchHeaders(ctx, addrs)
 	cutShort := 0
 	for i := range addrs {
 		c, h := certs[i], heads[i]

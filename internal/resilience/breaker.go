@@ -12,9 +12,9 @@ import (
 
 // Breaker is the second half of the package's overload story. Retry
 // protects one operation against transient failure; the breaker protects
-// the *system* against an operation that keeps failing — a flaky probe
-// target, an overloaded serving path — by failing fast instead of
-// queueing more work behind a dependency that cannot absorb it.
+// the *system* against an operation that keeps failing — an overloaded
+// serving path — by failing fast instead of queueing more work behind a
+// dependency that cannot absorb it.
 //
 // The state machine is the classic three states:
 //

@@ -19,7 +19,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -223,16 +222,12 @@ func CorpusFingerprint(dir string) (string, error) {
 // OptionsHash digests the pipeline options that affect inference
 // output. Worker count, timeouts, and retry policy are deliberately
 // excluded: they change how the run executes, never what it computes.
+// The fixed "nginx=false expiry=[]" keeps the digest of checkpoints
+// written when Options had two more fields, which no command could
+// set, so those checkpoints still resume.
 func OptionsHash(opts core.Options) string {
-	var ids []int
-	for id, on := range opts.IgnoreExpiryFor {
-		if on {
-			ids = append(ids, int(id))
-		}
-	}
-	sort.Ints(ids)
-	h := sha256.Sum256([]byte(fmt.Sprintf("mode=%d chain=%t dns=%t cf=%t conflict=%t nginx=%t expiry=%v",
+	h := sha256.Sum256([]byte(fmt.Sprintf("mode=%d chain=%t dns=%t cf=%t conflict=%t nginx=false expiry=[]",
 		opts.HeaderMode, opts.DisableChainValidation, opts.DisableDNSNameFilter,
-		opts.DisableCloudflareFilter, opts.DisableConflictPriority, opts.DisableNetflixNginx, ids)))
+		opts.DisableCloudflareFilter, opts.DisableConflictPriority)))
 	return fmt.Sprintf("%x", h[:])
 }

@@ -303,15 +303,31 @@ func TestOptionsHash(t *testing.T) {
 	if OptionsHash(changed) == h1 {
 		t.Fatal("option change not reflected in hash")
 	}
+}
 
-	withExpiry := base
-	withExpiry.IgnoreExpiryFor = map[hg.ID]bool{hg.Netflix: true, hg.Google: true}
-	alsoExpiry := base
-	alsoExpiry.IgnoreExpiryFor = map[hg.ID]bool{hg.Google: true, hg.Netflix: true, hg.Akamai: false}
-	if OptionsHash(withExpiry) != OptionsHash(alsoExpiry) {
-		t.Fatal("hash depends on map representation, not effective set")
-	}
-	if OptionsHash(withExpiry) == h1 {
-		t.Fatal("expiry set not reflected in hash")
+// TestOptionsHashPinned pins the digests of the paper's configuration,
+// the two other header modes and the ablation option sets. A checkpoint
+// directory records the digest in its manifest, so changing one makes
+// every existing checkpoint refuse to resume: such a change must be
+// deliberate.
+func TestOptionsHashPinned(t *testing.T) {
+	e := core.HeadersEither
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+		want string
+	}{
+		{"default", core.DefaultOptions(), "cc37dd1332cd9a85b3deb74c8f9254ed63b092d538f3c16f2cf0cd5500f0297d"},
+		{"certs only", core.Options{HeaderMode: core.CertsOnly}, "8cad73458cb28adfbc9448c7b8a8372b6fe164538e81836ca7e803f0a0a7a645"},
+		{"headers both", core.Options{HeaderMode: core.HeadersBoth}, "edc048ec336a50aa258af1142e64d695961cdb5361b894193e4a34dd0aaa6a57"},
+		// The four option sets of analysis.Ablations.
+		{"no chain validation", core.Options{HeaderMode: e, DisableChainValidation: true}, "a26f9962d1a158bdf1b8b6b894991e9a2c2d6b4812c44fd21e65f1622ecabf73"},
+		{"no dNSName rule", core.Options{HeaderMode: e, DisableDNSNameFilter: true}, "42bcfa2ad131ebbc42194d354dd5382cf8601750ef3cc86f91c778a63e083e5b"},
+		{"no Cloudflare filter", core.Options{HeaderMode: e, DisableCloudflareFilter: true}, "ea8bbfefc8c4a577fccfd15e6cc37282c21e8b2e000c2b56bda669de1fd14685"},
+		{"no conflict priority", core.Options{HeaderMode: e, DisableConflictPriority: true}, "9c28fc5e6cfdc5ebaccadc00cf71efc285c60a3313267921aab4321c1e6144eb"},
+	} {
+		if got := OptionsHash(tc.opts); got != tc.want {
+			t.Errorf("%s: OptionsHash = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

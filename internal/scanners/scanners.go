@@ -77,11 +77,6 @@ func CertigoProfile() Profile {
 	}
 }
 
-// Profiles returns the three campaign profiles (Table 2's corpuses).
-func Profiles() []Profile {
-	return []Profile{Rapid7Profile(), CensysProfile(), CertigoProfile()}
-}
-
 // Available reports whether the vendor has certificate data for s.
 func (p Profile) Available(s timeline.Snapshot) bool { return s >= p.CertsFrom }
 

@@ -10,7 +10,7 @@ import (
 // Matrix is the committed artifact of a grid run: every cell's scores
 // and verdicts, in grid order. Encoding is canonical (sorted keys via
 // struct order, three-decimal floats, trailing newline) so the same
-// grid and seed produce the same bytes at any Workers/Jobs setting.
+// grid and seed produce the same bytes at any Workers setting.
 type Matrix struct {
 	Grid  string       `json:"grid"`
 	Seed  uint64       `json:"seed"`

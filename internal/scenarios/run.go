@@ -16,15 +16,12 @@ import (
 	"offnetscope/internal/worldsim"
 )
 
-// Options tunes matrix execution. Workers and Jobs are pure execution
-// levers: the matrix is byte-identical at any setting.
+// Options tunes matrix execution. Workers is a pure execution lever:
+// the matrix is byte-identical at any setting.
 type Options struct {
 	// Workers bounds how many cells run concurrently; zero or one means
 	// sequential.
 	Workers int
-	// Jobs is forwarded to core.StudyConfig.Jobs inside each cell
-	// (per-snapshot inference workers).
-	Jobs int
 	// Progress, when non-nil, is called as each cell finishes (from the
 	// collecting goroutine, serialized).
 	Progress func(CellResult)
@@ -82,8 +79,9 @@ func snapshotSet(ss []timeline.Snapshot) map[timeline.Snapshot]bool {
 // run the full longitudinal inference over the simulated Rapid7
 // corpus (honoring the cell's outage and damage schedule through the
 // runner's no-data and retry/drop paths), score against ground truth,
-// and apply the thresholds.
-func RunCell(ctx context.Context, c Cell, opts Options) (CellResult, error) {
+// and apply the thresholds. The study runs sequentially: Run spreads
+// the cells, not a cell's snapshots, over the CPUs.
+func RunCell(ctx context.Context, c Cell) (CellResult, error) {
 	if err := c.Validate(); err != nil {
 		return CellResult{}, err
 	}
@@ -109,7 +107,7 @@ func RunCell(ctx context.Context, c Cell, opts Options) (CellResult, error) {
 		}
 		return corpus.StreamOf(scanners.Scan(w, profile, s), 0), nil
 	}
-	sr, err := p.RunStudyStream(ctx, source, core.StudyConfig{Jobs: opts.Jobs})
+	sr, err := p.RunStudyStream(ctx, source, core.StudyConfig{})
 	if err != nil {
 		return CellResult{}, fmt.Errorf("scenarios: cell %q: %w", c.ID, err)
 	}
@@ -178,7 +176,7 @@ func RunCell(ctx context.Context, c Cell, opts Options) (CellResult, error) {
 // Run executes every cell of a grid on a bounded pool of Workers and
 // assembles the Matrix. Results land in grid order regardless of
 // worker count, so the encoded matrix is byte-identical at any
-// Workers/Jobs setting.
+// Workers setting.
 func Run(ctx context.Context, grid string, cells []Cell, opts Options) (*Matrix, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("scenarios: empty grid")
@@ -204,7 +202,7 @@ func Run(ctx context.Context, grid string, cells []Cell, opts Options) (*Matrix,
 		go func() {
 			defer wg.Done()
 			for idx := range work {
-				results[idx], errs[idx] = RunCell(ctx, cells[idx], opts)
+				results[idx], errs[idx] = RunCell(ctx, cells[idx])
 				select {
 				case done <- idx:
 				case <-ctx.Done():

@@ -112,18 +112,18 @@ func TestSmokeGridPasses(t *testing.T) {
 }
 
 // TestMatrixDeterminism pins the artifact contract: the same grid and
-// seed must encode byte-identically at any Workers/Jobs setting. Two
+// seed must encode byte-identically at any Workers setting. Two
 // cells keep it affordable.
 func TestMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four studies; skipped under -short")
 	}
 	grid := SmokeGrid(7)[:2]
-	seq, err := Run(context.Background(), "det", grid, Options{Workers: 1, Jobs: 1})
+	seq, err := Run(context.Background(), "det", grid, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), "det", grid, Options{Workers: 4, Jobs: 2})
+	par, err := Run(context.Background(), "det", grid, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

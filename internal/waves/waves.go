@@ -17,8 +17,9 @@
 //     time (or concluded fewer targets than MinCoverage) still commits,
 //     with a "reduced-coverage" verdict, mirroring offnetmap's
 //     degraded-mode semantics;
-//   - per-target retry/backoff and circuit breakers come from the
-//     scanner's own resilience kit (probe.Config);
+//   - a failed dial or handshake is retried with capped, jittered
+//     backoff (probe.Config.Retries); every wave probes every target
+//     afresh, however often it failed before;
 //   - progress is checkpointed batch-by-batch through runstate blobs,
 //     so a SIGKILL mid-wave resumes the wave where it stopped instead
 //     of re-probing concluded targets; the checkpoint holds chains and
@@ -84,8 +85,8 @@ func FarmTargets(d *servefarm.Demo) ([]Target, []PrefixRow) {
 
 // Config tunes the wave runner.
 type Config struct {
-	// Probe configures the scanner (concurrency, rate, retries,
-	// breakers). Its Metrics field is overridden with Config.Metrics.
+	// Probe configures the scanner (concurrency, rate, timeout,
+	// retries). Its Metrics field is overridden with Config.Metrics.
 	Probe probe.Config
 	// Trust is §4.1's root store. Nil means empty: no chain validates,
 	// so nothing is confirmed and no headers are fetched.
@@ -257,7 +258,7 @@ func Sweep(ctx context.Context, s *probe.Scanner, addrs []string, headers bool) 
 			live, liveIdx = append(live, addrs[i]), append(liveIdx, i)
 		}
 	}
-	for j, h := range s.FetchHeaders(ctx, live, "", true) {
+	for j, h := range s.FetchHeaders(ctx, live) {
 		if h.Err == nil {
 			out[liveIdx[j]].Headers = h.Headers
 		}

@@ -118,12 +118,6 @@ type HideAndSeek struct {
 // every distributional result, small enough to regenerate in seconds.
 const DefaultScale = 0.1
 
-// DefaultConfig is the configuration used by examples, benchmarks, and
-// cmd/experiments unless overridden.
-func DefaultConfig() Config {
-	return Config{Seed: 1, Scale: DefaultScale}
-}
-
 // WithDefaults returns c with zero-valued knobs replaced by their
 // defaults. It is idempotent: applying it twice equals applying it once.
 func (c Config) WithDefaults() Config {
