@@ -26,8 +26,9 @@ test-short:
 race:
 	go test -race -short ./...
 
-# Smoke-fuzz every input decoder (go test allows one -fuzz target per
-# invocation, hence one line per target).
+# Smoke-fuzz every input decoder and the hypergiant matchers (header
+# fingerprints against their strings.ToLower definition); go test
+# allows one -fuzz target per invocation, hence one line per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzCorpusRead -fuzztime=$(FUZZTIME) ./internal/corpus
@@ -40,6 +41,7 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzParseIP -fuzztime=$(FUZZTIME) ./internal/netmodel
 	go test -run=^$$ -fuzz=FuzzParsePrefix -fuzztime=$(FUZZTIME) ./internal/netmodel
 	go test -run=^$$ -fuzz=FuzzMatchDomain -fuzztime=$(FUZZTIME) ./internal/hg
+	go test -run=^$$ -fuzz=FuzzHeaderFingerprintMatches -fuzztime=$(FUZZTIME) ./internal/hg
 	go test -run=^$$ -fuzz=FuzzFromLabel -fuzztime=$(FUZZTIME) ./internal/timeline
 	go test -run=^$$ -fuzz=FuzzMetricsSnapshot -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=^$$ -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenarios

@@ -56,18 +56,28 @@ func (db *OrgDB) Name(as ASN, s timeline.Snapshot) string {
 	return name
 }
 
-// ASesMatching returns, sorted, every AS whose organization name at
-// snapshot s contains keyword case-insensitively — the paper's manual
-// "parse organization name literals" step.
-func (db *OrgDB) ASesMatching(keyword string, s timeline.Snapshot) []ASN {
-	kw := strings.ToLower(keyword)
-	var out []ASN
+// ASesMatching returns, for each keyword, every AS whose organization
+// name at snapshot s contains it case-insensitively, sorted — the
+// paper's manual "parse organization name literals" step. One sweep
+// over the registry lowercases each name once, however many keywords
+// it is matched against.
+func (db *OrgDB) ASesMatching(keywords []string, s timeline.Snapshot) [][]ASN {
+	kws := make([]string, len(keywords))
+	for i, kw := range keywords {
+		kws[i] = strings.ToLower(kw)
+	}
+	out := make([][]ASN, len(keywords))
 	for as := range db.entries {
-		if strings.Contains(strings.ToLower(db.Name(as, s)), kw) {
-			out = append(out, as)
+		name := strings.ToLower(db.Name(as, s))
+		for i, kw := range kws {
+			if strings.Contains(name, kw) {
+				out[i] = append(out[i], as)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for _, ases := range out {
+		sort.Slice(ases, func(i, j int) bool { return ases[i] < ases[j] })
+	}
 	return out
 }
 

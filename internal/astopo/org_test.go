@@ -1,6 +1,7 @@
 package astopo
 
 import (
+	"reflect"
 	"testing"
 
 	"offnetscope/internal/timeline"
@@ -50,15 +51,20 @@ func TestOrgDBASesMatching(t *testing.T) {
 	db.Set(ASN(3), 0, "Netflix, Inc.")
 	db.Set(ASN(4), 5, "Google Cloud") // appears later
 
-	got := db.ASesMatching("google", 0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ASesMatching at 0 = %v", got)
+	got := db.ASesMatching([]string{"google", "GOOGLE", "amazon", "inc."}, 0)
+	if len(got) != 4 {
+		t.Fatalf("ASesMatching returned %d lists for 4 keywords", len(got))
 	}
-	got = db.ASesMatching("GOOGLE", 10)
-	if len(got) != 3 {
-		t.Fatalf("ASesMatching at 10 = %v", got)
+	for i, want := range [][]ASN{{1, 2}, {1, 2}, nil, {1, 3}} {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("ASesMatching at 0, keyword %d = %v, want %v", i, got[i], want)
+		}
 	}
-	if n := len(db.ASesMatching("amazon", timeline.Snapshot(10))); n != 0 {
+	got = db.ASesMatching([]string{"GOOGLE", "amazon"}, timeline.Snapshot(10))
+	if want := []ASN{1, 2, 4}; !reflect.DeepEqual(got[0], want) {
+		t.Errorf("ASesMatching at 10 = %v, want %v", got[0], want)
+	}
+	if n := len(got[1]); n != 0 {
 		t.Errorf("amazon matches = %d", n)
 	}
 	if db.NumASes() != 4 {

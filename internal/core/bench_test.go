@@ -62,8 +62,8 @@ func BenchmarkCorpusDecode(b *testing.B) {
 	b.ReportMetric(float64(want)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkStageValidate measures §4.1 chain validation + AS annotation
-// over one snapshot's certificate records.
+// BenchmarkStageValidate measures §4.1 chain validation, AS annotation
+// and keyword classification over one snapshot's certificate records.
 func BenchmarkStageValidate(b *testing.B) {
 	p := testPipeline(DefaultOptions())
 	snap := benchSnapshot(b)
@@ -77,9 +77,25 @@ func BenchmarkStageValidate(b *testing.B) {
 
 // validateAll runs step 1 over a whole snapshot as one batch.
 func validateAll(p *Pipeline, snap *corpus.Snapshot) []record {
-	res := &Result{InvalidByReason: make(map[string]int), PerHG: make(map[hg.ID]*HGResult)}
+	res := newResult(snap)
 	records := make([]record, 0, len(snap.Certs))
-	return p.validateBatch(res, make(map[astopo.ASN]struct{}), records, snap.Certs, snap.ScanTime(), p.Mapper(snap.Snapshot))
+	return p.validateBatch(res, make(map[astopo.ASN]struct{}), make(orgMatcher), records, snap.Certs, snap.ScanTime(), p.Mapper(snap.Snapshot))
+}
+
+// matchAll runs steps 2–5 for every hypergiant over validated records.
+func matchAll(p *Pipeline, snap *corpus.Snapshot, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *Result {
+	res := newResult(snap)
+	p.matchAndCount(res, records, httpsIdx, httpIdx)
+	return res
+}
+
+func newResult(snap *corpus.Snapshot) *Result {
+	return &Result{
+		Vendor:          snap.Vendor,
+		Snapshot:        snap.Snapshot,
+		InvalidByReason: make(map[string]int),
+		PerHG:           make(map[hg.ID]*HGResult, hg.Count),
+	}
 }
 
 // headerIndex indexes one snapshot's header records by IP, as inference
@@ -90,24 +106,26 @@ func headerIndex(records []corpus.HeaderRecord) map[netmodel.IP][]hg.Header {
 	return idx
 }
 
-// BenchmarkStageCertMatch measures steps 2–3 — fingerprint learning,
-// keyword match, and the dNSName filter — with header confirmation
-// voided by empty header indexes.
+// BenchmarkStageCertMatch measures the §4.2–4.5 match for all 23
+// hypergiants — on-net ASes, fingerprint learning, the keyword match,
+// the dNSName and Cloudflare filters, and the Fig 2 split — with header
+// confirmation voided by CertsOnly and empty header indexes.
 func BenchmarkStageCertMatch(b *testing.B) {
 	p := testPipeline(Options{HeaderMode: CertsOnly})
 	snap := benchSnapshot(b)
 	records := validateAll(p, snap)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hr := p.runHG(hg.Get(hg.Google), lastSnap, records, nil, nil)
-		if hr.CandidateIPs == 0 {
+		res := matchAll(p, snap, records, nil, nil)
+		if res.PerHG[hg.Google].CandidateIPs == 0 {
 			b.Fatal("no candidates")
 		}
 	}
 }
 
 // BenchmarkStageHeaderConfirm measures §4.5 header confirmation alone:
-// both confirmation modes over every previously computed candidate IP.
+// both confirmation modes over every Google candidate IP of the full
+// match.
 func BenchmarkStageHeaderConfirm(b *testing.B) {
 	p := testPipeline(DefaultOptions())
 	snap := benchSnapshot(b)
@@ -115,7 +133,7 @@ func BenchmarkStageHeaderConfirm(b *testing.B) {
 	httpsIdx := headerIndex(snap.HTTPS)
 	httpIdx := headerIndex(snap.HTTP)
 	h := hg.Get(hg.Google)
-	hr := p.runHG(h, lastSnap, records, httpsIdx, httpIdx)
+	hr := matchAll(p, snap, records, httpsIdx, httpIdx).PerHG[h.ID]
 	if len(hr.CandidateIPList) == 0 {
 		b.Fatal("no candidate IPs to confirm")
 	}

@@ -21,6 +21,7 @@
 package core
 
 import (
+	"math/bits"
 	"regexp"
 	"sort"
 	"strings"
@@ -54,7 +55,7 @@ const (
 	HeadersBoth
 )
 
-// Options toggles individual methodology steps; the zero value is the
+// Options toggles individual methodology steps; DefaultOptions is the
 // paper's configuration. The Disable* fields exist for the ablation
 // studies in DESIGN.md.
 type Options struct {
@@ -66,7 +67,8 @@ type Options struct {
 	DisableConflictPriority bool // don't prioritise edge-CDN headers (§7 off)
 }
 
-// DefaultHeaderMode is the paper's confirmation rule.
+// DefaultOptions returns the paper's configuration: every step on, and
+// candidates confirmed when either port's headers match (HeadersEither).
 func DefaultOptions() Options {
 	return Options{HeaderMode: HeadersEither}
 }
@@ -161,11 +163,49 @@ type Result struct {
 
 // record is a validated certificate observation ready for matching.
 type record struct {
-	ip       netmodel.IP
-	asns     []astopo.ASN
-	leaf     *certmodel.Certificate
-	orgLower string
-	expired  bool // invalid solely because the leaf expired
+	ip   netmodel.IP
+	asns []astopo.ASN
+	leaf *certmodel.Certificate
+	// hgs has bit h.ID set for every hypergiant h whose keyword the
+	// leaf's Subject Organization contains (§4.2).
+	hgs     uint32
+	expired bool // invalid solely because the leaf expired
+}
+
+// A record's hgs holds bit h.ID for IDs 1..hg.Count: this constant
+// overflows, and the build fails, once hg.Count outgrows 31.
+const _ uint32 = 1 << hg.Count
+
+// hgKeywords holds every hypergiant's §4.2 keyword, lowercased, indexed
+// by ID.
+var hgKeywords = func() (kws [hg.Count + 1]string) {
+	for _, h := range hg.All() {
+		kws[h.ID] = strings.ToLower(h.Keyword)
+	}
+	return kws
+}()
+
+// orgMatcher memoizes, per distinct Subject Organization, the set of
+// hypergiants whose keyword it contains case-insensitively, as a
+// record's hgs bitmask. The decoder interns organizations, so a month
+// has few distinct ones and each is lowercased and searched once.
+// InferSnapshotStream makes one per snapshot for its certificate
+// consumer goroutine alone; nothing outlives the snapshot.
+type orgMatcher map[string]uint32
+
+func (m orgMatcher) match(org string) uint32 {
+	set, ok := m[org]
+	if ok {
+		return set
+	}
+	lower := strings.ToLower(org)
+	for id := 1; id <= hg.Count; id++ {
+		if strings.Contains(lower, hgKeywords[id]) {
+			set |= 1 << id
+		}
+	}
+	m[org] = set
+	return set
 }
 
 // Run executes the methodology over one in-memory corpus snapshot. It
@@ -176,18 +216,95 @@ func (p *Pipeline) Run(snap *corpus.Snapshot) *Result {
 	return inf.Result
 }
 
-// matchAndCount is the post-validation half of the methodology — the
-// per-hypergiant match/confirm passes (steps 2–5), the corpus-wide IP
-// split, and every per-snapshot funnel counter.
+// hgMatch is one hypergiant's state across matchAndCount's two record
+// passes.
+type hgMatch struct {
+	h     *hg.Hypergiant
+	hr    *HGResult
+	onNet map[astopo.ASN]struct{}
+
+	// Steps 3–5: records that matched the keyword outside the on-net
+	// ASes, and why candidates were rejected (funnel.drop.*).
+	matches, expiredDrops, dnsNameDrops, cloudflareDrops, unconfirmed int64
+}
+
+// matchAndCount is the post-validation half of the methodology — steps
+// 2–5 for every hypergiant, the corpus-wide on-net/off-net IP split,
+// and every per-snapshot funnel counter. It walks the records twice,
+// whatever the number of hypergiants: each record visits only the
+// hypergiants in its keyword set, in record order, so every
+// per-hypergiant list keeps record order.
 func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) {
 	m := p.Metrics
 	matchStart := time.Now()
-	for _, h := range hg.All() {
-		hr := p.runHG(h, res.Snapshot, records, httpsIdx, httpIdx)
-		res.PerHG[h.ID] = hr
+
+	// Step 2 starts from the on-net ASes in the organization registry;
+	// hg.All() and hgKeywords[1:] are both in ID order.
+	onNetASes := p.Orgs.ASesMatching(hgKeywords[1:], res.Snapshot)
+	var byID [hg.Count + 1]*hgMatch
+	for i, h := range hg.All() {
+		hm := &hgMatch{
+			h: h,
+			hr: &HGResult{
+				HG:                    h.ID,
+				OnNetASes:             onNetASes[i],
+				DNSNames:              make(map[string]struct{}),
+				CandidateASes:         make(map[astopo.ASN]struct{}),
+				ConfirmedASes:         make(map[astopo.ASN]struct{}),
+				ConfirmedByEitherASes: make(map[astopo.ASN]struct{}),
+				ConfirmedByBothASes:   make(map[astopo.ASN]struct{}),
+				ExpiredASes:           make(map[astopo.ASN]struct{}),
+				CertIPGroups:          make(map[certmodel.Fingerprint]int),
+			},
+			onNet: make(map[astopo.ASN]struct{}, len(onNetASes[i])),
+		}
+		for _, as := range onNetASes[i] {
+			hm.onNet[as] = struct{}{}
+		}
+		byID[h.ID] = hm
+		res.PerHG[h.ID] = hm.hr
+	}
+
+	// Pass 1, step 2: the dNSName fingerprint from valid on-net
+	// certificates, plus Fig 2's split of valid matching IPs, where a
+	// record counts once, under its first hypergiant in hg.All() order
+	// (the lowest set bit).
+	for i := range records {
+		r := &records[i]
+		if r.hgs == 0 || r.expired {
+			continue
+		}
+		if anyIn(r.asns, byID[bits.TrailingZeros32(r.hgs)].onNet) {
+			res.HGOnNetCertIPs++
+		} else {
+			res.HGOffNetCertIPs++
+		}
+		for set := r.hgs; set != 0; set &= set - 1 {
+			hm := byID[bits.TrailingZeros32(set)]
+			if !anyIn(r.asns, hm.onNet) {
+				continue
+			}
+			hm.hr.OnNetIPs++
+			hm.hr.CertIPGroups[r.leaf.Fingerprint()]++
+			for _, d := range r.leaf.DNSNames {
+				hm.hr.DNSNames[d] = struct{}{}
+			}
+		}
+	}
+
+	// Pass 2, steps 3–5, which need the complete fingerprints.
+	for i := range records {
+		r := &records[i]
+		if r.hgs == 0 || len(r.asns) == 0 {
+			continue
+		}
+		for set := r.hgs; set != 0; set &= set - 1 {
+			if hm := byID[bits.TrailingZeros32(set)]; !anyIn(r.asns, hm.onNet) {
+				p.offNetCandidate(hm, r, httpsIdx, httpIdx)
+			}
+		}
 	}
 	m.Histogram("funnel.match_ns").Since(matchStart)
-	p.countHGIPs(res, records)
 
 	// The per-snapshot funnel (§3–§4): how many records each stage
 	// admitted. All plain additions, so study totals are identical at
@@ -200,22 +317,28 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 	}
 	m.Counter("funnel.hg_cert_onnet_ips").Add(int64(res.HGOnNetCertIPs))
 	m.Counter("funnel.hg_cert_offnet_ips").Add(int64(res.HGOffNetCertIPs))
-	for _, hr := range res.PerHG {
-		m.Counter("funnel.onnet_fingerprint_ips").Add(int64(hr.OnNetIPs))
-		m.Counter("funnel.candidate_ips").Add(int64(hr.CandidateIPs))
-		m.Counter("funnel.confirmed_ips").Add(int64(hr.ConfirmedIPs))
-		m.Counter("funnel.confirmed_ases").Add(int64(len(hr.ConfirmedASes)))
+	for _, hm := range byID[1:] {
+		m.Counter("funnel.hg_cert_matches").Add(hm.matches)
+		m.Counter("funnel.drop.expired_cert").Add(hm.expiredDrops)
+		m.Counter("funnel.drop.dnsnames_offnet").Add(hm.dnsNameDrops)
+		m.Counter("funnel.drop.cloudflare_customer").Add(hm.cloudflareDrops)
+		m.Counter("funnel.drop.header_unconfirmed").Add(hm.unconfirmed)
+		m.Counter("funnel.onnet_fingerprint_ips").Add(int64(hm.hr.OnNetIPs))
+		m.Counter("funnel.candidate_ips").Add(int64(hm.hr.CandidateIPs))
+		m.Counter("funnel.confirmed_ips").Add(int64(hm.hr.ConfirmedIPs))
+		m.Counter("funnel.confirmed_ases").Add(int64(len(hm.hr.ConfirmedASes)))
 	}
 }
 
 // validateBatch is step 1 over one batch of certificate records:
-// verify every chain and annotate records with their origin AS. Invalid
-// chains are dropped (counted by reason in res) except expired-only
-// leaves, which are kept flagged for the Fig 3 envelope. Validated
-// records append to records and tallies add to res and asSet, so
-// batches validated in record order keep corpus order and every tally
-// byte-identical at any chunk size. It is the only §4.1 pass.
-func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
+// verify every chain and annotate records with their origin AS and
+// keyword set. Invalid chains are dropped (counted by reason in res)
+// except expired-only leaves, which are kept flagged for the Fig 3
+// envelope. Validated records append to records and tallies add to res
+// and asSet, so batches validated in record order keep corpus order and
+// every tally byte-identical at any chunk size. It is the only §4.1
+// pass.
+func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, orgs orgMatcher, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
 	for _, cr := range batch {
 		asns := mapper.Lookup(cr.IP)
 		for _, as := range asns {
@@ -234,131 +357,80 @@ func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, rec
 		if !expired {
 			res.ValidCertIPs++
 		}
+		leaf := cr.Chain.Leaf()
 		records = append(records, record{
-			ip:       cr.IP,
-			asns:     asns,
-			leaf:     cr.Chain.Leaf(),
-			orgLower: strings.ToLower(cr.Chain.Leaf().Subject.Organization),
-			expired:  expired,
+			ip:      cr.IP,
+			asns:    asns,
+			leaf:    leaf,
+			hgs:     orgs.match(leaf.Subject.Organization),
+			expired: expired,
 		})
 	}
 	res.TotalCertIPs += len(batch)
 	return records
 }
 
-// runHG executes steps 2-5 for one hypergiant in two record passes:
-// the step-2 fingerprint scan, then the step-3/5 candidate scan, which
-// needs the complete dNSName fingerprint.
-func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *HGResult {
-	hr := &HGResult{
-		HG:                    h.ID,
-		DNSNames:              make(map[string]struct{}),
-		CandidateASes:         make(map[astopo.ASN]struct{}),
-		ConfirmedASes:         make(map[astopo.ASN]struct{}),
-		ConfirmedByEitherASes: make(map[astopo.ASN]struct{}),
-		ConfirmedByBothASes:   make(map[astopo.ASN]struct{}),
-		ExpiredASes:           make(map[astopo.ASN]struct{}),
-		CertIPGroups:          make(map[certmodel.Fingerprint]int),
-	}
-
-	// Step 2: on-net ASes from the organization registry, then the
-	// dNSName fingerprint from valid on-net certificates.
-	hr.OnNetASes = p.Orgs.ASesMatching(h.Keyword, s)
-	onNet := make(map[astopo.ASN]struct{}, len(hr.OnNetASes))
-	for _, as := range hr.OnNetASes {
-		onNet[as] = struct{}{}
-	}
-	kw := strings.ToLower(h.Keyword)
-	for i := range records {
-		r := &records[i]
-		if r.expired || !strings.Contains(r.orgLower, kw) {
-			continue
-		}
-		if !anyIn(r.asns, onNet) {
-			continue
-		}
-		hr.OnNetIPs++
-		hr.CertIPGroups[r.leaf.Fingerprint()]++
-		for _, d := range r.leaf.DNSNames {
-			hr.DNSNames[d] = struct{}{}
-		}
-	}
-
-	// Steps 3 + 5: candidates outside the on-net ASes, confirmed by
-	// headers. Rejections are tallied by reason so the funnel report
-	// can show where records leave the pipeline (funnel.drop.*).
-	var hgMatches, expiredDrops, dnsNameDrops, cloudflareDrops, unconfirmed int64
-	for i := range records {
-		r := &records[i]
-		if !strings.Contains(r.orgLower, kw) {
-			continue
-		}
-		if len(r.asns) == 0 || anyIn(r.asns, onNet) {
-			continue
-		}
-		hgMatches++
-		if r.expired {
-			// Track what ignoring expiry would add (Fig 3 envelope).
-			if p.dnsNamesOnNet(r.leaf, hr.DNSNames) && !p.isCloudflareCustomerCert(h.ID, r.leaf) {
-				for _, as := range r.asns {
-					hr.ExpiredASes[as] = struct{}{}
-				}
-				hr.ExpiredIPs = append(hr.ExpiredIPs, r.ip)
+// offNetCandidate runs steps 3–5 for one record that matched hm's
+// keyword outside its on-net ASes: the §4.3 candidate filters, then
+// header confirmation. Rejections are tallied by reason so the funnel
+// report can show where records leave the pipeline (funnel.drop.*).
+func (p *Pipeline) offNetCandidate(hm *hgMatch, r *record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) {
+	hr := hm.hr
+	hm.matches++
+	if r.expired {
+		// Track what ignoring expiry would add (Fig 3 envelope).
+		if p.dnsNamesOnNet(r.leaf, hr.DNSNames) && !p.isCloudflareCustomerCert(hr.HG, r.leaf) {
+			for _, as := range r.asns {
+				hr.ExpiredASes[as] = struct{}{}
 			}
-			expiredDrops++
-			continue
+			hr.ExpiredIPs = append(hr.ExpiredIPs, r.ip)
 		}
-		if !p.dnsNamesOnNet(r.leaf, hr.DNSNames) {
-			dnsNameDrops++
-			continue
-		}
-		if p.isCloudflareCustomerCert(h.ID, r.leaf) {
-			cloudflareDrops++
-			continue
-		}
-		hr.CandidateIPs++
-		hr.CandidateIPList = append(hr.CandidateIPList, r.ip)
+		hm.expiredDrops++
+		return
+	}
+	if !p.dnsNamesOnNet(r.leaf, hr.DNSNames) {
+		hm.dnsNameDrops++
+		return
+	}
+	if p.isCloudflareCustomerCert(hr.HG, r.leaf) {
+		hm.cloudflareDrops++
+		return
+	}
+	hr.CandidateIPs++
+	hr.CandidateIPList = append(hr.CandidateIPList, r.ip)
+	for _, as := range r.asns {
+		hr.CandidateASes[as] = struct{}{}
+	}
+	hr.CertIPGroups[r.leaf.Fingerprint()]++
+
+	// Step 5: header confirmation, in every mode at once.
+	either, both := p.confirmModes(hm.h, r.ip, httpsIdx, httpIdx)
+	if either {
 		for _, as := range r.asns {
-			hr.CandidateASes[as] = struct{}{}
-		}
-		hr.CertIPGroups[r.leaf.Fingerprint()]++
-
-		// Step 5: header confirmation, in every mode at once.
-		either, both := p.confirmModes(h, r.ip, httpsIdx, httpIdx)
-		if either {
-			for _, as := range r.asns {
-				hr.ConfirmedByEitherASes[as] = struct{}{}
-			}
-		}
-		if both {
-			for _, as := range r.asns {
-				hr.ConfirmedByBothASes[as] = struct{}{}
-			}
-		}
-		confirmed := either
-		switch p.Opts.HeaderMode {
-		case CertsOnly:
-			confirmed = true
-		case HeadersBoth:
-			confirmed = both
-		}
-		if confirmed {
-			hr.ConfirmedIPs++
-			hr.ConfirmedIPList = append(hr.ConfirmedIPList, r.ip)
-			for _, as := range r.asns {
-				hr.ConfirmedASes[as] = struct{}{}
-			}
-		} else {
-			unconfirmed++
+			hr.ConfirmedByEitherASes[as] = struct{}{}
 		}
 	}
-	m := p.Metrics
-	m.Counter("funnel.hg_cert_matches").Add(hgMatches)
-	m.Counter("funnel.drop.expired_cert").Add(expiredDrops)
-	m.Counter("funnel.drop.dnsnames_offnet").Add(dnsNameDrops)
-	m.Counter("funnel.drop.cloudflare_customer").Add(cloudflareDrops)
-	m.Counter("funnel.drop.header_unconfirmed").Add(unconfirmed)
-	return hr
+	if both {
+		for _, as := range r.asns {
+			hr.ConfirmedByBothASes[as] = struct{}{}
+		}
+	}
+	confirmed := either
+	switch p.Opts.HeaderMode {
+	case CertsOnly:
+		confirmed = true
+	case HeadersBoth:
+		confirmed = both
+	}
+	if !confirmed {
+		hm.unconfirmed++
+		return
+	}
+	hr.ConfirmedIPs++
+	hr.ConfirmedIPList = append(hr.ConfirmedIPList, r.ip)
+	for _, as := range r.asns {
+		hr.ConfirmedASes[as] = struct{}{}
+	}
 }
 
 // dnsNamesOnNet applies the §4.3 subset rule: every dNSName on the
@@ -432,46 +504,12 @@ func (p *Pipeline) headersIdentify(h *hg.Hypergiant, headers []hg.Header) bool {
 		// A Netflix certificate plus the default nginx Server header is
 		// an Open Connect appliance (§4.4).
 		for _, hd := range headers {
-			if strings.EqualFold(hd.Name, "Server") && strings.HasPrefix(strings.ToLower(hd.Value), "nginx") {
+			if strings.EqualFold(hd.Name, "Server") && hg.HasLowerPrefix(hd.Value, "nginx") {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// countHGIPs splits valid HG-matching certificate IPs into on-net and
-// off-net populations (Fig 2's right axis).
-func (p *Pipeline) countHGIPs(res *Result, records []record) {
-	type kwOnNet struct {
-		kw    string
-		onNet map[astopo.ASN]struct{}
-	}
-	var hgs []kwOnNet
-	for _, h := range hg.All() {
-		onNet := make(map[astopo.ASN]struct{})
-		for _, as := range res.PerHG[h.ID].OnNetASes {
-			onNet[as] = struct{}{}
-		}
-		hgs = append(hgs, kwOnNet{kw: strings.ToLower(h.Keyword), onNet: onNet})
-	}
-	for i := range records {
-		r := &records[i]
-		if r.expired {
-			continue
-		}
-		for _, k := range hgs {
-			if !strings.Contains(r.orgLower, k.kw) {
-				continue
-			}
-			if anyIn(r.asns, k.onNet) {
-				res.HGOnNetCertIPs++
-			} else {
-				res.HGOffNetCertIPs++
-			}
-			break
-		}
-	}
 }
 
 func anyIn(asns []astopo.ASN, set map[astopo.ASN]struct{}) bool {

@@ -16,10 +16,11 @@ import (
 // streams vendor-months straight off disk. Chains, header slices, and a
 // month's raw record slices never materialize at once. What does stay
 // resident per snapshot is one compact record per validated certificate
-// observation (the two-pass §4.2/§4.3 scan needs them), the set of
-// certificate IPs, and the HTTP(S) header indexes, which hold every
-// header record of the month: memory is O(chunk + validated records +
-// the month's header records).
+// observation (§4.2–4.5 match every hypergiant in two passes over them,
+// each record carrying a bitmask of the hypergiants whose keyword its
+// organization contains), the set of certificate IPs, and the HTTP(S)
+// header indexes, which hold every header record of the month: memory
+// is O(chunk + validated records + the month's header records).
 //
 // Determinism contract: batches arrive in record order and validate in
 // arrival order, so the fold order is chunk order, which is record
@@ -57,6 +58,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	var (
 		records  = make([]record, 0, hint[0])
 		asSet    = make(map[astopo.ASN]struct{})
+		orgs     = make(orgMatcher)
 		certIPs  = make(map[netmodel.IP]struct{}, hint[0])
 		httpsIdx = make(map[netmodel.IP][]hg.Header, hint[1])
 		httpIdx  = make(map[netmodel.IP][]hg.Header, hint[2])
@@ -73,7 +75,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 			for i := range batch {
 				certIPs[batch[i].IP] = struct{}{}
 			}
-			records = p.validateBatch(res, asSet, records, batch, at, mapper)
+			records = p.validateBatch(res, asSet, orgs, records, batch, at, mapper)
 			return nil
 		})
 	}()

@@ -5,6 +5,7 @@ package core
 // failure here localizes the pipeline logic itself.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -333,5 +334,44 @@ func TestUnitOrgRenameTracked(t *testing.T) {
 		if got := res.PerHG[hg.Google].OnNetASes; len(got) != 1 || got[0] != 1 {
 			t.Fatalf("at %v on-net ASes = %v", s, got)
 		}
+	}
+}
+
+// TestUnitMultiKeywordOrganization: an organization naming two
+// hypergiants belongs to both. It feeds each one's fingerprint where
+// it is on-net and each one's candidates where it is not, and Fig 2's
+// split counts it once, under the first in hg.All() order. Keywords
+// match case-insensitively.
+func TestUnitMultiKeywordOrganization(t *testing.T) {
+	tw := newToyWorld(t)
+	tw.orgs.Set(10, 0, "Akamai Technologies, Inc.")
+	tw.addCert(100, 1, tw.leaf("Google LLC", "*.google.com"))
+	// Inside Akamai's on-net AS only: off-net for Google, which comes
+	// first in hg.All() order.
+	tw.addCert(300, 10, tw.leaf("Google Akamai Services", "*.google.com"))
+	tw.addHeaders(300, true, hg.Header{Name: "Server", Value: "gws"})
+	tw.addCert(400, 3, tw.leaf("GOOGLE LLC", "*.google.com"))
+	tw.addHeaders(400, true, hg.Header{Name: "Server", Value: "gws"})
+
+	res := tw.pipeline(DefaultOptions()).Run(tw.snap)
+	if res.HGOnNetCertIPs != 1 || res.HGOffNetCertIPs != 2 {
+		t.Errorf("HG cert IPs on-net/off-net = %d/%d, want 1/2", res.HGOnNetCertIPs, res.HGOffNetCertIPs)
+	}
+	a := res.PerHG[hg.Akamai]
+	if len(a.OnNetASes) != 1 || a.OnNetASes[0] != 10 {
+		t.Fatalf("Akamai on-net ASes = %v", a.OnNetASes)
+	}
+	if _, ok := a.DNSNames["*.google.com"]; a.OnNetIPs != 1 || !ok {
+		t.Errorf("Akamai on-net IPs = %d, fingerprint %v; want the shared record's", a.OnNetIPs, a.DNSNames)
+	}
+	if a.CandidateIPs != 0 {
+		t.Errorf("Akamai candidates = %v, want none: the record is on-net", a.CandidateIPList)
+	}
+	g := res.PerHG[hg.Google]
+	if want := []netmodel.IP{300, 400}; !reflect.DeepEqual(g.CandidateIPList, want) {
+		t.Errorf("Google candidates = %v, want %v", g.CandidateIPList, want)
+	}
+	if want := map[astopo.ASN]struct{}{3: {}, 10: {}}; !reflect.DeepEqual(g.ConfirmedASes, want) {
+		t.Errorf("Google confirmed ASes = %v, want %v", g.ConfirmedASes, want)
 	}
 }

@@ -72,23 +72,69 @@ type HeaderFingerprint struct {
 }
 
 // Matches reports whether the fingerprint matches one concrete header.
+// Names and value prefixes compare as strings.ToLower of both sides
+// would, without allocating.
 func (f HeaderFingerprint) Matches(h Header) bool {
-	name := strings.ToLower(h.Name)
-	fname := strings.ToLower(f.Name)
 	if f.NamePrefix {
-		if !strings.HasPrefix(name, fname) {
+		if !HasLowerPrefix(h.Name, f.Name) {
 			return false
 		}
-	} else if name != fname {
+	} else if !equalLower(h.Name, f.Name) {
 		return false
 	}
 	if f.Value == "" {
 		return true
 	}
 	if f.ValuePrefix {
-		return strings.HasPrefix(strings.ToLower(h.Value), strings.ToLower(f.Value))
+		return HasLowerPrefix(h.Value, f.Value)
 	}
 	return strings.EqualFold(h.Value, f.Value)
+}
+
+// lowerByte lowercases one ASCII byte.
+func lowerByte(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
+}
+
+// HasLowerPrefix reports whether strings.ToLower(s) begins with
+// strings.ToLower(prefix). ASCII bytes compare in place; once a byte ≥
+// 0x80 is involved it evaluates that exact expression, because Unicode
+// lowercasing can change a string's length and map non-ASCII onto ASCII
+// (the Kelvin sign "K" lowercases to "k"), which strings.EqualFold does
+// not reproduce.
+func HasLowerPrefix(s, prefix string) bool {
+	for i := 0; i < len(prefix); i++ {
+		if i == len(s) {
+			// ToLower never empties a non-empty remainder, so the
+			// lowered prefix is longer than the lowered s.
+			return false
+		}
+		if s[i]|prefix[i] >= 0x80 {
+			return strings.HasPrefix(strings.ToLower(s), strings.ToLower(prefix))
+		}
+		if lowerByte(s[i]) != lowerByte(prefix[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// equalLower reports whether strings.ToLower(a) == strings.ToLower(b),
+// comparing ASCII in place as HasLowerPrefix does.
+func equalLower(a, b string) bool {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i]|b[i] >= 0x80 {
+			return strings.ToLower(a) == strings.ToLower(b)
+		}
+		if lowerByte(a[i]) != lowerByte(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 // Hypergiant describes one examined hypergiant from the measurer's

@@ -36,7 +36,7 @@ func TestWorldConstruction(t *testing.T) {
 			}
 			// On-net ASes must be discoverable by org keyword (§A.2).
 			found := false
-			for _, match := range w.Orgs().ASesMatching(h.Keyword, last()) {
+			for _, match := range w.Orgs().ASesMatching([]string{h.Keyword}, last())[0] {
 				if match == as {
 					found = true
 				}
