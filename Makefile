@@ -6,9 +6,10 @@ all: build vet test
 
 # The full pre-merge gate: build, vet, every test without -short (the
 # golden suite, the scenario smoke grid, the kill-anytime and load
-# smokes included), the race detector, a short fuzz pass over every
-# decoder, the chaos/fault-injection suite under race (the crash-only
-# offnetd e2e included) and one-iteration benchmark smoke.
+# smokes included), every test -short keeps under the race detector
+# (the fault-injection suites and the crash-only offnetd e2e included),
+# the crash suites -short skips under the race detector too, a short
+# fuzz pass over every decoder, and one-iteration benchmark smoke.
 ci: build vet test race fuzz-smoke chaos-race bench-smoke
 
 build:
@@ -46,30 +47,18 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzMetricsSnapshot -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=^$$ -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenarios
 
-# The fault-injection suite under the race detector: the durable write
-# primitive's step faults, a store never torn for readers mid-Save,
-# corrupted-corpus ingestion, the three kill-anytime suites (offnetmap
-# killed at checkpoint counts, the generation log and the real
-# offnetwatchd killed at generation counts), parallel-runner
-# determinism (including the mid-run cancellation regression), hot
-# reload under load, the serving engine's cache/batch/reload/deadline/
-# breaker races plus its goroutine-leak check, cut-short probe sweeps,
-# the crash-only offnetd e2e (seeded loadgen traffic
-# through the chaos transport and proxy into the real daemon while
-# SIGHUPs alternate good and corrupt store files), and the chaos layer
-# itself (reader, HTTP transport, TCP proxy, the crash harness).
+# The crash suites that -short skips, under the race detector: offnetmap
+# killed at checkpoint counts (also under chaos, and at any -jobs), the
+# generation log and the real offnetwatchd killed at generation counts.
+# Every other fault-injection test (the durable write primitive, torn
+# stores, corrupted corpora, reload under load, the serving engine's
+# races, cut-short sweeps, the crash-only offnetd e2e and the chaos
+# layer itself) is not short-skipped, so `make race` already runs it
+# under -race.
 chaos-race:
-	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs ./internal/durable
-	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
-	go test -race -run 'TestRunStudyConfig' ./internal/core
-	go test -race -run 'TestHotReload|TestLoadShedding|TestPanicRecovery|TestHealth|TestRetryAfter|TestReloadGeneration|TestReloadFile|TestSmokeValidate|TestCache|TestBatch|TestConcurrentLoad|TestDeadline|TestBreaker|TestShed|TestGoroutineLeak' ./internal/offnetserve
-	go test -race -run 'TestSweepCutShort' ./internal/probe
-	go test -race -run 'TestGenLog|TestNewBuilderFrom|TestSave' ./internal/footstore
-	go test -race -run 'TestWave' ./internal/waves
-	go test -race -run 'TestWatchGenLog' ./internal/offnetserve
+	go test -race -run 'TestChaosDegradedGrowthRun|TestCrashResume|TestGrowthJobsByteIdentical' ./cmd/offnetmap
+	go test -race -run 'TestGenLogCrashEquivalence' ./internal/footstore
 	go test -race -run 'TestKillAnytime' ./cmd/offnetwatchd
-	go test -race -run 'TestSIGHUP|TestServerTimeout|TestGenlogMode' ./cmd/offnetd
-	go test -race -run 'TestClassifyTransport|TestDriveClassifies' ./internal/loadgen
 
 # The golden-regression suite: exact funnel metrics, growth series,
 # and report tables of the seeded study — one batch per month, parallel
@@ -111,8 +100,8 @@ loadtest:
 
 # The pre-release soak: the crash-only offnetd e2e (chaos traffic into
 # the real daemon across 41 SIGHUP reloads, good and corrupt) run 20
-# times; `make chaos-race` runs it once under -race. The exit status is
-# the verdict.
+# times; `make race` runs it once under -race. The exit status is the
+# verdict.
 soak:
 	go test -count=20 -run 'TestSIGHUPAlternatingCorruptReloads' ./cmd/offnetd
 
@@ -155,7 +144,7 @@ corpus:
 #   go run ./cmd/offnetd -genlog ./data/genlog
 # in another terminal to serve the live timeline.
 watch:
-	go run ./cmd/offnetwatchd -log ./data/genlog -farm -interval 5s -compact-keep 8
+	go run ./cmd/offnetwatchd -log ./data/genlog -interval 5s -compact-keep 8
 
 # End-to-end serving demo: generate a small world, freeze its inferred
 # footprints into a store, and serve them on localhost:8097.

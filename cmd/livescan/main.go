@@ -74,7 +74,7 @@ func run(ctx context.Context, w io.Writer, concurrency, rate int) error {
 	defer scanner.Close()
 
 	start := time.Now()
-	observed := waves.Sweep(ctx, scanner, farm.TLSAddrs(), true)
+	observed := waves.Sweep(ctx, scanner, farm.TLSAddrs())
 	if observed == nil {
 		return fmt.Errorf("scan interrupted: %w", ctx.Err())
 	}

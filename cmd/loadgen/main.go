@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,6 +82,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *storePath == "" {
 		fs.Usage()
 		return fmt.Errorf("-store is required")
+	}
+	// The plan, the driver and the in-process server read each of these
+	// values as a default or as "off", so the run would use settings
+	// other than the ones it was given.
+	var bad string
+	switch {
+	case *concurrency < 1:
+		bad = "-concurrency must be at least 1"
+	case *batch < 0:
+		bad = "-batch must not be negative (0: single requests)"
+	case !(*zipf > 1): // NaN fails too
+		bad = "-zipf must be greater than 1"
+	case !(*rate >= 0):
+		bad = "-rate must not be negative (0: unpaced)"
+	case *cacheSize < 0:
+		bad = "-cache must not be negative (0 disables)"
+	case *workers < 1:
+		bad = "-workers must be at least 1"
+	}
+	if bad != "" {
+		fs.Usage()
+		return errors.New(bad)
 	}
 
 	st, err := footstore.Open(*storePath)

@@ -169,3 +169,29 @@ func TestOutFileAndBadFlags(t *testing.T) {
 		t.Error("zero requests should fail")
 	}
 }
+
+// TestRejectsReplacedFlagValues: a value the plan, the driver or the
+// in-process server would replace is an error before the plan is
+// built; the documented zeros still run.
+func TestRejectsReplacedFlagValues(t *testing.T) {
+	store := smokeStore(t)
+	for _, bad := range [][]string{
+		{"-workers", "0"},     // the server would run 256 workers
+		{"-concurrency", "0"}, // the driver would keep 32 in flight
+		{"-cache", "-1"},      // the server would disable its cache
+		{"-zipf", "0"},        // the plan would use 1.2
+		{"-rate", "-5"},       // the plan would not pace
+		{"-batch", "-2"},      // the plan would send single requests
+	} {
+		var stdout, stderr strings.Builder
+		args := append([]string{"-store", store, "-requests", "50"}, bad...)
+		err := run(context.Background(), args, &stdout, &stderr)
+		if err == nil {
+			t.Errorf("run(%v) accepted", bad)
+		}
+		if strings.Contains(stderr.String(), "plan:") {
+			t.Errorf("run(%v) built a plan before rejecting the flag:\n%s", bad, stderr.String())
+		}
+	}
+	runCLI(t, "-store", store, "-requests", "50", "-cache", "0", "-batch", "0", "-rate", "0")
+}

@@ -46,7 +46,6 @@ import (
 	"io"
 	"io/fs"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -130,7 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	growth := fs.Bool("growth", false, "run every snapshot on disk and print growth series")
 	storePath := fs.String("store", "", "freeze the inferred footprints into a footstore file (serve it with offnetd)")
 	tolerant := fs.Bool("tolerant", true, "skip malformed corpus records within -max-bad; in -growth, drop corrupt vendor-months instead of aborting")
-	maxBad := fs.Float64("max-bad", 0.05, "per-file error budget: max fraction (at most 1) of malformed records a tolerant read accepts (0 = zero tolerance)")
+	maxBad := fs.Float64("max-bad", 0.05, "per-file error budget: max fraction in [0, 1] of malformed records a tolerant read accepts (0 = zero tolerance)")
 	checkpoint := fs.String("checkpoint", "", "with -growth: persist each completed snapshot to this directory (crash-safe)")
 	resume := fs.Bool("resume", false, "with -checkpoint: reload intact checkpoints instead of recomputing (manifest must match)")
 	jobs := fs.Int("jobs", 1, "with -growth: parallel per-snapshot inference workers (output is identical at any setting)")
@@ -167,17 +166,22 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *jobs < 1 {
 		return usageError(fmt.Errorf("-jobs must be at least 1"))
 	}
-	if math.IsNaN(*maxBad) || math.IsInf(*maxBad, 0) || *maxBad > 1 {
+	if !(*maxBad >= 0 && *maxBad <= 1) {
 		// NaN would otherwise pass every budget comparison and silently
-		// accept a fully corrupt month.
-		return usageError(fmt.Errorf("-max-bad must be a fraction no greater than 1, got %v", *maxBad))
+		// accept a fully corrupt month; a negative budget would run with
+		// zero tolerance.
+		return usageError(fmt.Errorf("-max-bad must be a fraction in [0, 1], got %v", *maxBad))
+	}
+	if *snapTimeout < 0 {
+		// The watchdog is armed only for a positive deadline.
+		return usageError(fmt.Errorf("-snapshot-timeout must not be negative (0 disables), got %v", *snapTimeout))
 	}
 	// The registry is always live: every counter is a lock-free atomic,
 	// so instrumenting unconditionally costs nothing measurable and the
 	// -metrics / -v decision reduces to "where to render the snapshot".
 	reg := obs.NewRegistry("offnetmap")
 	budget := *maxBad
-	if budget <= 0 {
+	if budget == 0 {
 		// An explicit -max-bad 0 means strictness, not "use the default":
 		// the flag's own default carries the 5% budget.
 		budget = corpus.NoBudget

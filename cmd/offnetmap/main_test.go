@@ -351,6 +351,10 @@ func TestOffnetmapUsageErrors(t *testing.T) {
 		{"max-bad NaN", []string{"-max-bad", "NaN"}},
 		{"max-bad Inf", []string{"-max-bad", "Inf"}},
 		{"max-bad above one", []string{"-max-bad", "1.5"}},
+		// Values the engine would replace: a negative budget runs with
+		// zero tolerance and a negative deadline arms no watchdog.
+		{"max-bad negative", []string{"-max-bad", "-0.5"}},
+		{"snapshot-timeout negative", []string{"-snapshot-timeout", "-1m"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

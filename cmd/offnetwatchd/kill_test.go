@@ -118,7 +118,7 @@ func TestKillAnytime(t *testing.T) {
 	const keep = 2
 	root := t.TempDir()
 	crashDir, cleanDir := filepath.Join(root, "crash"), filepath.Join(root, "clean")
-	flags := []string{"-farm", "-compact-keep", "2", "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
+	flags := []string{"-compact-keep", "2", "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
 
 	obsCtx, obsCancel := context.WithCancel(context.Background())
 	defer obsCancel()

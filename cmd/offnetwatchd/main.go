@@ -1,30 +1,24 @@
 // Command offnetwatchd is the continuous-measurement daemon: it runs
-// scheduled scan waves (internal/waves) against a fixed target list,
-// runs the paper's §4 inference engine (core.Pipeline) over what each
-// wave collected, and commits each wave as a new generation in an
+// scheduled scan waves (internal/waves) against the demo farm, runs the
+// paper's §4 inference engine (core.Pipeline) over what each wave
+// collected, and commits each wave as a new generation in an
 // append-only, crash-safe generation log (footstore.GenLog).
 // cmd/offnetd -genlog serves that log as a live timeline; the two
 // daemons share nothing but the directory.
 //
 // Usage:
 //
-//	offnetwatchd -log DIR (-targets FILE | -farm) [-waves N] [-interval 15s]
+//	offnetwatchd -log DIR [-waves N] [-interval 15s]
 //	             [-wave-timeout 2m] [-min-coverage 0.5] [-compact-keep 0]
 //	             [-checkpoint DIR] [-concurrency 16] [-rate 0] [-retries 2]
 //	             [-metrics]
 //
-// -targets names a file of "host:port ASN" lines (#-comments and blank
-// lines ignored) — the live analogue of a cert-corpus target list
-// already resolved through the IP-to-AS table. -targets mode has no
-// trust roots and no AS-organization registry, so every chain is
-// untrusted, no header is fetched and no off-net is confirmed: it
-// exercises TLS probing and commits, not inference. -farm instead
-// starts the demo farm (servefarm.StartDemo), a miniature loopback
-// Internet with its own trust store and on-net registry, and scans
-// that: Google, Akamai and Netflix on-nets and off-nets, a self-signed
-// impostor, a partner sharing a Google certificate, and a background
-// site. That is how the whole daemon loop is demoed and smoke-tested
-// without touching real networks.
+// The demo farm (servefarm.StartDemo) is a miniature loopback Internet
+// with its own trust store (§4.1) and on-net registry (§4.2): Google,
+// Akamai and Netflix on-nets and off-nets, a self-signed impostor, a
+// partner sharing a Google certificate, and a background site. It is
+// the one thing the daemon scans, so the whole loop runs and is
+// smoke-tested without touching real networks.
 //
 // Crash-only by construction, top to bottom:
 //
@@ -54,7 +48,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -64,12 +57,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"offnetscope/internal/astopo"
 	"offnetscope/internal/footstore"
 	"offnetscope/internal/obs"
 	"offnetscope/internal/probe"
@@ -88,9 +78,7 @@ func main() {
 }
 
 type watchdConfig struct {
-	logDir      string
-	targetsPath string
-	farmMode    bool
+	logDir string
 
 	interval    time.Duration
 	maxWaves    int
@@ -110,8 +98,6 @@ func parseFlags(args []string) (*watchdConfig, error) {
 	cfg := &watchdConfig{}
 	fs := flag.NewFlagSet("offnetwatchd", flag.ContinueOnError)
 	fs.StringVar(&cfg.logDir, "log", "", "generation-log directory (required; created if missing)")
-	fs.StringVar(&cfg.targetsPath, "targets", "", "target list file: one \"host:port ASN\" per line (no trust roots or AS-organization registry: confirms nothing)")
-	fs.BoolVar(&cfg.farmMode, "farm", false, "scan the loopback demo farm, with its trust store and on-net registry, instead of -targets")
 	fs.DurationVar(&cfg.interval, "interval", 15*time.Second, "pause between waves (0: none)")
 	fs.IntVar(&cfg.maxWaves, "waves", 0, "stop after N committed waves (0: run until the grid is full or a signal)")
 	fs.DurationVar(&cfg.waveTimeout, "wave-timeout", 2*time.Minute, "deadline for one whole wave (expiry degrades the verdict, not the daemon)")
@@ -128,10 +114,6 @@ func parseFlags(args []string) (*watchdConfig, error) {
 	if cfg.logDir == "" {
 		fs.Usage()
 		return nil, fmt.Errorf("-log is required")
-	}
-	if cfg.farmMode == (cfg.targetsPath != "") {
-		fs.Usage()
-		return nil, fmt.Errorf("exactly one of -targets or -farm is required")
 	}
 	// The wave runner and the scanner read each of these values as a
 	// default, as unlimited or as "never", so the daemon would scan with
@@ -165,74 +147,31 @@ func parseFlags(args []string) (*watchdConfig, error) {
 	return cfg, nil
 }
 
-// parseTargets reads "host:port ASN" lines; blank lines and #-comments
-// are skipped.
-func parseTargets(path string) ([]waves.Target, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []waves.Target
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("%s:%d: want \"host:port ASN\", got %q", path, line, text)
-		}
-		as, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil || as == 0 {
-			return nil, fmt.Errorf("%s:%d: bad ASN %q", path, line, fields[1])
-		}
-		out = append(out, waves.Target{Addr: fields[0], AS: astopo.ASN(as)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no targets", path)
-	}
-	return out, nil
-}
-
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
 
-	// -targets mode leaves the trust store and registry nil (empty).
+	farm, err := servefarm.StartDemo()
+	if err != nil {
+		return err
+	}
+	defer farm.Close()
+	targets, prefixes := waves.FarmTargets(farm)
+	fmt.Fprintf(stdout, "demo farm: %d loopback servers\n", len(targets))
 	wcfg := waves.Config{
 		Probe: probe.Config{
 			Concurrency:   cfg.concurrency,
 			RatePerSecond: cfg.rate,
 			Retries:       cfg.retries,
 		},
+		Trust:         farm.Trust,
+		Orgs:          farm.Orgs,
 		WaveTimeout:   cfg.waveTimeout,
 		MinCoverage:   cfg.minCoverage,
 		CheckpointDir: cfg.checkpoint,
-	}
-	var targets []waves.Target
-	if cfg.farmMode {
-		farm, err := servefarm.StartDemo()
-		if err != nil {
-			return err
-		}
-		defer farm.Close()
-		targets, wcfg.Prefixes = waves.FarmTargets(farm)
-		wcfg.Trust, wcfg.Orgs = farm.Trust, farm.Orgs
-		fmt.Fprintf(stdout, "farm mode: %d loopback servers\n", len(targets))
-	} else {
-		if targets, err = parseTargets(cfg.targetsPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "loaded %d targets from %s\n", len(targets), cfg.targetsPath)
+		Prefixes:      prefixes,
 	}
 
 	glog, rec, err := footstore.OpenGenLog(cfg.logDir)

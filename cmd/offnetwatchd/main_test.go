@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,40 +11,36 @@ import (
 	"offnetscope/internal/footstore"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/obs"
-	"offnetscope/internal/servefarm"
 )
 
 // The wave engine is tested in internal/waves; this file covers the
-// daemon envelope: flag parsing, the targets-file format, and the
-// run-waves-commit-generations loop end to end against the loopback
-// farm.
+// daemon envelope: flag parsing and the run-waves-commit-generations
+// loop end to end against the loopback farm.
 
 func TestParseFlagsValidation(t *testing.T) {
 	for _, bad := range [][]string{
-		{},                                      // no -log
-		{"-log", "d"},                           // neither -targets nor -farm
-		{"-log", "d", "-targets", "f", "-farm"}, // both
+		{}, // no -log
 		// A -min-coverage outside (0, 1] would disable or invert the
 		// reduced-coverage verdict: NaN compares false with everything.
-		{"-log", "d", "-farm", "-min-coverage", "NaN"},
-		{"-log", "d", "-farm", "-min-coverage", "0"},
-		{"-log", "d", "-farm", "-min-coverage", "-0.5"},
-		{"-log", "d", "-farm", "-min-coverage", "1.01"},
-		{"-log", "d", "-farm", "-min-coverage", "+Inf"},
-		{"-log", "d", "-farm", "-waves", "-1"},
+		{"-log", "d", "-min-coverage", "NaN"},
+		{"-log", "d", "-min-coverage", "0"},
+		{"-log", "d", "-min-coverage", "-0.5"},
+		{"-log", "d", "-min-coverage", "1.01"},
+		{"-log", "d", "-min-coverage", "+Inf"},
+		{"-log", "d", "-waves", "-1"},
 		// Values the scanner or the runner would replace: -retries -1
 		// still makes one attempt, -concurrency below 1 runs 16 workers,
 		// a negative -rate is unlimited, a zero -wave-timeout is 2m, a
 		// negative -interval starts waves back to back and a negative
 		// -compact-keep never compacts.
-		{"-log", "d", "-farm", "-retries", "-1"},
-		{"-log", "d", "-farm", "-concurrency", "0"},
-		{"-log", "d", "-farm", "-concurrency", "-4"},
-		{"-log", "d", "-farm", "-rate", "-5"},
-		{"-log", "d", "-farm", "-wave-timeout", "0"},
-		{"-log", "d", "-farm", "-wave-timeout", "-1s"},
-		{"-log", "d", "-farm", "-interval", "-1s"},
-		{"-log", "d", "-farm", "-compact-keep", "-2"},
+		{"-log", "d", "-retries", "-1"},
+		{"-log", "d", "-concurrency", "0"},
+		{"-log", "d", "-concurrency", "-4"},
+		{"-log", "d", "-rate", "-5"},
+		{"-log", "d", "-wave-timeout", "0"},
+		{"-log", "d", "-wave-timeout", "-1s"},
+		{"-log", "d", "-interval", "-1s"},
+		{"-log", "d", "-compact-keep", "-2"},
 	} {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) accepted", bad)
@@ -57,45 +52,16 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"-rate", "0", "-compact-keep", "0", "-interval", "0", "-retries", "0"},
 		{"-concurrency", "1", "-wave-timeout", "1ms"},
 	} {
-		if _, err := parseFlags(append([]string{"-log", "d", "-farm"}, ok...)); err != nil {
+		if _, err := parseFlags(append([]string{"-log", "d"}, ok...)); err != nil {
 			t.Errorf("parseFlags(%v): %v", ok, err)
 		}
 	}
-	cfg, err := parseFlags([]string{"-log", "/tmp/gl", "-farm"})
+	cfg, err := parseFlags([]string{"-log", "/tmp/gl"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := filepath.Join("/tmp/gl", "waves-ck"); cfg.checkpoint != want {
 		t.Errorf("default checkpoint = %q, want %q", cfg.checkpoint, want)
-	}
-}
-
-func TestParseTargets(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "targets.txt")
-	body := "# demo list\n\n10.0.0.1:443 64512\n  10.0.0.2:443\t64513\n"
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ts, err := parseTargets(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 2 || ts[0].Addr != "10.0.0.1:443" || ts[1].AS != 64513 {
-		t.Fatalf("parseTargets = %+v", ts)
-	}
-
-	for name, body := range map[string]string{
-		"empty":     "# only comments\n",
-		"malformed": "10.0.0.1:443\n",
-		"badASN":    "10.0.0.1:443 zero\n",
-		"zeroASN":   "10.0.0.1:443 0\n",
-	} {
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := parseTargets(path); err == nil {
-			t.Errorf("%s targets file accepted", name)
-		}
 	}
 }
 
@@ -105,10 +71,10 @@ func TestParseTargets(t *testing.T) {
 // continuous-measurement daemon owes its log.
 func TestRunFarmWaves(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-log", dir, "-farm", "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
+	args := []string{"-log", dir, "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
 
 	var out strings.Builder
-	if err := run(context.Background(), append(args, "-waves", "2"), &out); err != nil {
+	if err := run(context.Background(), append(args, "-waves", "2", "-metrics"), &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	glog, rec, err := footstore.OpenGenLog(dir)
@@ -118,6 +84,12 @@ func TestRunFarmWaves(t *testing.T) {
 	if rec.Committed != 2 || glog.Last() != 2 {
 		t.Fatalf("after first run: committed=%d last=%d, want 2 generations\n%s",
 			rec.Committed, glog.Last(), out.String())
+	}
+	// Every wave handshakes with all 10 servers and sends each of them
+	// its HTTPS GET.
+	snap := dumpedMetrics(t, out.String())
+	if certs, headers := snap.Counter("probe.certs"), snap.Counter("probe.headers"); certs != 20 || headers != 20 {
+		t.Errorf("probe.certs = %d, probe.headers = %d over 2 waves; want 10 of each per wave", certs, headers)
 	}
 	st, err := glog.Load(2)
 	if err != nil {
@@ -170,48 +142,12 @@ func TestRunFarmWaves(t *testing.T) {
 	}
 }
 
-// TestRunTargetsConfirmsNothing: -targets mode has no trust roots and
-// no AS-organization registry, so even the demo farm's genuine
-// off-nets conclude but never confirm, and no target gets a header
-// request, which could change no verdict.
-func TestRunTargetsConfirmsNothing(t *testing.T) {
-	farm, err := servefarm.StartDemo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer farm.Close()
-	var list strings.Builder
-	for i, s := range farm.Servers {
-		fmt.Fprintf(&list, "%s %d\n", s.TLSAddr, farm.ASes[i])
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "targets.txt")
-	if err := os.WriteFile(path, []byte(list.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-log", filepath.Join(dir, "gl"), "-targets", path, "-waves", "1", "-metrics"}, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	dump := out.String()
-	if !strings.Contains(dump, "concluded=10/10 confirmed=0 ") {
-		t.Errorf("want all 10 targets concluded and none confirmed:\n%s", dump)
-	}
-	snap, err := obs.ParseSnapshot([]byte(dump[strings.Index(dump, "\n{")+1:]))
-	if err != nil {
-		t.Fatalf("-metrics dump: %v\n%s", err, dump)
-	}
-	if certs, headers := snap.Counter("probe.certs"), snap.Counter("probe.headers"); certs != 10 || headers != 0 {
-		t.Errorf("probe.certs = %d, probe.headers = %d; want 10 handshakes and no header request", certs, headers)
-	}
-}
-
 // TestRunCompacts: -compact-keep bounds the log after each commit.
 func TestRunCompacts(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
 	err := run(context.Background(), []string{
-		"-log", dir, "-farm", "-waves", "3", "-interval", "10ms",
+		"-log", dir, "-waves", "3", "-interval", "10ms",
 		"-wave-timeout", "30s", "-retries", "1", "-compact-keep", "1", "-metrics",
 	}, &out)
 	if err != nil {
@@ -225,16 +161,23 @@ func TestRunCompacts(t *testing.T) {
 		t.Fatalf("log window [%d, %d] with %d committed, want exactly generation 3\n%s",
 			glog.Base(), glog.Last(), rec.Committed, out.String())
 	}
-	dump := out.String()
-	snap, err := obs.ParseSnapshot([]byte(dump[strings.Index(dump, "\n{")+1:]))
-	if err != nil {
-		t.Fatalf("-metrics dump: %v\n%s", err, dump)
-	}
+	snap := dumpedMetrics(t, out.String())
 	for _, counter := range []string{"waves.committed", "funnel.drop.dnsnames_offnet", "funnel.cert_invalid.self-signed-leaf"} {
 		if snap.Counter(counter) < 1 {
-			t.Errorf("-metrics dump: %s = %d, want at least 1\n%s", counter, snap.Counter(counter), dump)
+			t.Errorf("-metrics dump: %s = %d, want at least 1\n%s", counter, snap.Counter(counter), out.String())
 		}
 	}
+}
+
+// dumpedMetrics parses the registry that -metrics writes after the
+// daemon's log lines.
+func dumpedMetrics(t *testing.T, out string) obs.Snapshot {
+	t.Helper()
+	snap, err := obs.ParseSnapshot([]byte(out[strings.Index(out, "\n{")+1:]))
+	if err != nil {
+		t.Fatalf("-metrics dump: %v\n%s", err, out)
+	}
+	return snap
 }
 
 // TestRunCompactsAtStartup: -compact-keep holds even when no wave
@@ -242,7 +185,7 @@ func TestRunCompacts(t *testing.T) {
 // restarted into a full grid, still ends within its budget.
 func TestRunCompactsAtStartup(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-log", dir, "-farm", "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
+	args := []string{"-log", dir, "-interval", "10ms", "-wave-timeout", "30s", "-retries", "1"}
 	var out strings.Builder
 	if err := run(context.Background(), append(args, "-waves", "3"), &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -275,7 +218,7 @@ func TestRunShutdownMidLoop(t *testing.T) {
 	}()
 	var out strings.Builder
 	err := run(ctx, []string{
-		"-log", dir, "-farm", "-interval", "1h", "-wave-timeout", "30s", "-retries", "1",
+		"-log", dir, "-interval", "1h", "-wave-timeout", "30s", "-retries", "1",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run under cancellation: %v\n%s", err, out.String())

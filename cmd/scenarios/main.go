@@ -102,6 +102,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if fs.NArg() != 0 {
 		return usageError(fmt.Errorf("unexpected arguments: %v", fs.Args()))
 	}
+	if *workers < 1 {
+		// scenarios.Run would run one worker instead.
+		return usageError(fmt.Errorf("-workers must be at least 1, got %d", *workers))
+	}
 
 	cells, err := scenarios.GridByName(*grid, *seed)
 	if err != nil {

@@ -29,6 +29,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-grid", "nope"},
 		{"-cell", "no/such-cell"},
 		{"stray-arg"},
+		// Worker counts scenarios.Run would replace with one; -list, so
+		// an accepted value runs nothing.
+		{"-workers", "0", "-list"},
+		{"-workers", "-3", "-list"},
 	}
 	for _, args := range cases {
 		err := run(context.Background(), args, &bytes.Buffer{})

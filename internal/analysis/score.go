@@ -127,8 +127,3 @@ func ScoreStudy(truth OffNetTruth, sr *core.StudyResult) *ScoreResult {
 	}
 	return ScoreStudyAt(truth, sr, s)
 }
-
-// Score is the Env convenience wrapper over ScoreStudy.
-func Score(e *Env, sr *core.StudyResult) *ScoreResult {
-	return ScoreStudy(e.World, sr)
-}

@@ -178,9 +178,6 @@ func (s *TrustStore) Trusted(key KeyID) bool {
 	return ok
 }
 
-// Len returns the number of trusted roots.
-func (s *TrustStore) Len() int { return len(s.roots) }
-
 // Roots returns the trusted root certificates in deterministic order.
 func (s *TrustStore) Roots() []*Certificate {
 	out := make([]*Certificate, 0, len(s.roots))

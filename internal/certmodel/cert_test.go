@@ -151,7 +151,7 @@ func TestTrustStoreRejectsNonCARoot(t *testing.T) {
 	if err := store.AddRoot(ch.Leaf()); err == nil {
 		t.Fatal("leaf accepted as trust root")
 	}
-	if store.Len() != 0 {
+	if len(store.Roots()) != 0 {
 		t.Fatal("failed AddRoot must not modify the store")
 	}
 }

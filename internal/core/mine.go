@@ -11,8 +11,8 @@ import (
 // responses, surface the most frequent header name:value pairs and
 // header names after filtering common standard headers. The paper then
 // classified these manually into the appendix-A.5 registry; the mining
-// step is reproduced here so that classification can be audited (the
-// analysis package checks that mining recovers Table 4).
+// step is reproduced here so that classification can be audited
+// (TestMiningRecoversTable4 checks that mining recovers Table 4).
 
 // commonHeaderNames are standard headers carried by virtually every
 // response; they identify nothing.

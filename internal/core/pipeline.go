@@ -49,10 +49,10 @@ const (
 	// CertsOnly skips header confirmation entirely.
 	CertsOnly HeaderMode = iota
 	// HeadersEither confirms when the HTTP or the HTTPS response
-	// matches (the paper's default, "Certs & (HTTP or HTTPS)").
+	// matches (the paper's default, "Certs & (HTTP or HTTPS)"). Fig 4's
+	// stricter "every collected port matches" line is not a mode: every
+	// run records it in HGResult.ConfirmedByBothASes.
 	HeadersEither
-	// HeadersBoth requires every collected port to match.
-	HeadersBoth
 )
 
 // Options toggles individual methodology steps; DefaultOptions is the
@@ -415,14 +415,7 @@ func (p *Pipeline) offNetCandidate(hm *hgMatch, r *record, httpsIdx, httpIdx map
 			hr.ConfirmedByBothASes[as] = struct{}{}
 		}
 	}
-	confirmed := either
-	switch p.Opts.HeaderMode {
-	case CertsOnly:
-		confirmed = true
-	case HeadersBoth:
-		confirmed = both
-	}
-	if !confirmed {
+	if !either && p.Opts.HeaderMode != CertsOnly {
 		hm.unconfirmed++
 		return
 	}

@@ -306,7 +306,7 @@ func TestOptionsHash(t *testing.T) {
 }
 
 // TestOptionsHashPinned pins the digests of the paper's configuration,
-// the two other header modes and the ablation option sets. A checkpoint
+// the certs-only header mode and the ablation option sets. A checkpoint
 // directory records the digest in its manifest, so changing one makes
 // every existing checkpoint refuse to resume: such a change must be
 // deliberate.
@@ -319,7 +319,6 @@ func TestOptionsHashPinned(t *testing.T) {
 	}{
 		{"default", core.DefaultOptions(), "cc37dd1332cd9a85b3deb74c8f9254ed63b092d538f3c16f2cf0cd5500f0297d"},
 		{"certs only", core.Options{HeaderMode: core.CertsOnly}, "8cad73458cb28adfbc9448c7b8a8372b6fe164538e81836ca7e803f0a0a7a645"},
-		{"headers both", core.Options{HeaderMode: core.HeadersBoth}, "edc048ec336a50aa258af1142e64d695961cdb5361b894193e4a34dd0aaa6a57"},
 		// The four option sets of analysis.Ablations.
 		{"no chain validation", core.Options{HeaderMode: e, DisableChainValidation: true}, "a26f9962d1a158bdf1b8b6b894991e9a2c2d6b4812c44fd21e65f1622ecabf73"},
 		{"no dNSName rule", core.Options{HeaderMode: e, DisableDNSNameFilter: true}, "42bcfa2ad131ebbc42194d354dd5382cf8601750ef3cc86f91c778a63e083e5b"},

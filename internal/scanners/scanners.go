@@ -96,6 +96,24 @@ func (p Profile) dropped(ip netmodel.IP, s timeline.Snapshot, port uint64) bool 
 	return float64(h%100000)/100000 < p.DropFrac
 }
 
+// sees reports whether p's sweep at s receives h's answer on port 443
+// (TLS and HTTPS) or 80 (HTTP). It is the vendor's whole filter: each
+// port's probe is rate limited independently, and a blocklisted AS is
+// never probed unless a hypergiant owns it — hypergiants never opt
+// their own serving infrastructure out of scans; blocklists are an
+// eyeball-network phenomenon.
+func (p Profile) sees(w *worldsim.World, h *worldsim.Host, s timeline.Snapshot, port uint64) bool {
+	up := h.HTTPSUp
+	if port == 80 {
+		up = h.HTTPUp
+	}
+	if !up || p.dropped(h.IP, s, port) {
+		return false
+	}
+	_, isOnNet := w.HGOfOnNetAS(h.TrueAS)
+	return isOnNet || !p.excluded(h.TrueAS, s)
+}
+
 func hashScan(vendor string, a, b, c uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(vendor); i++ {
@@ -121,12 +139,7 @@ func Scan(w *worldsim.World, p Profile, s timeline.Snapshot) *corpus.Snapshot {
 	wantHTTP := !p.NoHeaders && s >= p.HTTPHeadersFrom
 
 	w.Hosts(s, func(h *worldsim.Host) bool {
-		// Hypergiants never opt their own serving infrastructure out of
-		// scans; blocklists are an eyeball-network phenomenon.
-		if _, isOnNet := w.HGOfOnNetAS(h.TrueAS); !isOnNet && p.excluded(h.TrueAS, s) {
-			return true
-		}
-		if h.HTTPSUp && !p.dropped(h.IP, s, 443) {
+		if p.sees(w, h, s, 443) {
 			if h.Chain != nil {
 				snap.Certs = append(snap.Certs, corpus.CertRecord{IP: h.IP, Chain: h.Chain})
 			}
@@ -134,7 +147,7 @@ func Scan(w *worldsim.World, p Profile, s timeline.Snapshot) *corpus.Snapshot {
 				snap.HTTPS = append(snap.HTTPS, corpus.HeaderRecord{IP: h.IP, Headers: h.HTTPSHeaders})
 			}
 		}
-		if wantHTTP && h.HTTPUp && !p.dropped(h.IP, s, 80) {
+		if wantHTTP && p.sees(w, h, s, 80) {
 			snap.HTTP = append(snap.HTTP, corpus.HeaderRecord{IP: h.IP, Headers: h.HTTPHeaders})
 		}
 		return true
@@ -164,10 +177,7 @@ func ScanStream(w *worldsim.World, p Profile, s timeline.Snapshot, chunk int) *c
 	st.Certs = func(yield func([]corpus.CertRecord) error) error {
 		cy := newChunkYielder(chunk, yield)
 		w.CertHosts(s, func(h *worldsim.Host) bool {
-			if _, isOnNet := w.HGOfOnNetAS(h.TrueAS); !isOnNet && p.excluded(h.TrueAS, s) {
-				return true
-			}
-			if h.HTTPSUp && h.Chain != nil && !p.dropped(h.IP, s, 443) {
+			if h.Chain != nil && p.sees(w, h, s, 443) {
 				return cy.add(corpus.CertRecord{IP: h.IP, Chain: h.Chain})
 			}
 			return true
@@ -180,10 +190,7 @@ func ScanStream(w *worldsim.World, p Profile, s timeline.Snapshot, chunk int) *c
 		}
 		cy := newChunkYielder(chunk, yield)
 		w.Hosts(s, func(h *worldsim.Host) bool {
-			if _, isOnNet := w.HGOfOnNetAS(h.TrueAS); !isOnNet && p.excluded(h.TrueAS, s) {
-				return true
-			}
-			if h.HTTPSUp && h.HTTPSHeaders != nil && !p.dropped(h.IP, s, 443) {
+			if h.HTTPSHeaders != nil && p.sees(w, h, s, 443) {
 				return cy.add(corpus.HeaderRecord{IP: h.IP, Headers: h.HTTPSHeaders})
 			}
 			return true
@@ -196,10 +203,7 @@ func ScanStream(w *worldsim.World, p Profile, s timeline.Snapshot, chunk int) *c
 		}
 		cy := newChunkYielder(chunk, yield)
 		w.Hosts(s, func(h *worldsim.Host) bool {
-			if _, isOnNet := w.HGOfOnNetAS(h.TrueAS); !isOnNet && p.excluded(h.TrueAS, s) {
-				return true
-			}
-			if h.HTTPUp && !p.dropped(h.IP, s, 80) {
+			if p.sees(w, h, s, 80) {
 				return cy.add(corpus.HeaderRecord{IP: h.IP, Headers: h.HTTPHeaders})
 			}
 			return true

@@ -11,9 +11,9 @@ import (
 // checkpointed still validates under the next process's trust store.
 var demoSeed = [32]byte{'o', 'f', 'f', 'n', 'e', 't', 's', 'c', 'o', 'p', 'e', ' ', 'd', 'e', 'm', 'o'}
 
-// Demo is the demo farm: the miniature Internet that offnetwatchd
-// -farm, cmd/livescan and the wave tests scan, with everything
-// §4 needs besides the probes. Server i sits in AS 64512+i.
+// Demo is the demo farm: the miniature Internet that offnetwatchd,
+// cmd/livescan and the wave tests scan, with everything §4 needs
+// besides the probes. Server i sits in AS 64512+i.
 type Demo struct {
 	*Farm
 	ASes  []astopo.ASN          // ASes[i] is Servers[i]'s AS

@@ -88,11 +88,10 @@ type Config struct {
 	// Probe configures the scanner (concurrency, rate, timeout,
 	// retries). Its Metrics field is overridden with Config.Metrics.
 	Probe probe.Config
-	// Trust is §4.1's root store. Nil means empty: no chain validates,
-	// so nothing is confirmed and no headers are fetched.
+	// Trust is §4.1's root store. Required.
 	Trust *certmodel.TrustStore
 	// Orgs is the AS-to-organization registry that supplies §4.2's
-	// on-net ASes. Nil means empty.
+	// on-net ASes. Required.
 	Orgs *astopo.OrgDB
 	// WaveTimeout bounds one whole wave. Zero means 2m.
 	WaveTimeout time.Duration
@@ -113,12 +112,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Trust == nil {
-		c.Trust = certmodel.NewTrustStore()
-	}
-	if c.Orgs == nil {
-		c.Orgs = astopo.NewOrgDB()
-	}
 	if c.WaveTimeout <= 0 {
 		c.WaveTimeout = 2 * time.Minute
 	}
@@ -238,11 +231,11 @@ type Observation struct {
 }
 
 // Sweep probes addrs the way the vendor corpora were collected: every
-// address's default certificate chain (no SNI), then, when headers is
-// set, an HTTPS GET of every address whose handshake succeeded, naming
-// no hostname of its own. It returns nil when ctx ended mid-sweep,
-// because the observations are then partial.
-func Sweep(ctx context.Context, s *probe.Scanner, addrs []string, headers bool) []Observation {
+// address's default certificate chain (no SNI), then an HTTPS GET of
+// every address whose handshake succeeded, naming no hostname of its
+// own. It returns nil when ctx ended mid-sweep, because the
+// observations are then partial.
+func Sweep(ctx context.Context, s *probe.Scanner, addrs []string) []Observation {
 	out := make([]Observation, len(addrs))
 	var live []string
 	var liveIdx []int
@@ -254,9 +247,7 @@ func Sweep(ctx context.Context, s *probe.Scanner, addrs []string, headers bool) 
 		for _, cert := range c.Chain {
 			out[i].Chain = append(out[i].Chain, cert.Raw)
 		}
-		if headers {
-			live, liveIdx = append(live, addrs[i]), append(liveIdx, i)
-		}
+		live, liveIdx = append(live, addrs[i]), append(liveIdx, i)
 	}
 	for j, h := range s.FetchHeaders(ctx, live) {
 		if h.Err == nil {
@@ -287,7 +278,6 @@ func (t positions) Lookup(ip netmodel.IP) []astopo.ASN { return []astopo.ASN{t[i
 // earlier than the sweep's last probe. Only c's Trust, Orgs and Metrics
 // are read.
 func (c Config) Infer(s timeline.Snapshot, at time.Time, targets []Target, obs []Observation) *core.Result {
-	c = c.withDefaults()
 	snap := &corpus.Snapshot{Vendor: corpus.Certigo, Snapshot: s}
 	for i, o := range obs {
 		chain, err := x509.ParseCertificates(bytes.Join(o.Chain, nil))
@@ -339,8 +329,7 @@ func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 	r.cfg.Metrics.Counter("waves.resumed_targets").Add(int64(resumed))
 
 	// Probe in deterministic batches, checkpointing after each, so a
-	// kill loses at most one batch of work. Without trust roots no chain
-	// validates, so headers could change no verdict: fetch none.
+	// kill loses at most one batch of work.
 	var pending []string
 	for _, t := range r.targets {
 		if _, done := seen[t.Addr]; !done {
@@ -349,7 +338,7 @@ func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 	}
 	for len(pending) > 0 && wctx.Err() == nil {
 		n := min(r.cfg.BatchSize, len(pending))
-		batch := Sweep(wctx, r.scanner, pending[:n], r.cfg.Trust.Len() > 0)
+		batch := Sweep(wctx, r.scanner, pending[:n])
 		pending = pending[n:]
 		if batch == nil {
 			// The deadline or a shutdown landed mid-batch; its results

@@ -315,7 +315,7 @@ func TestWaveResumesMidWaveFromCheckpoint(t *testing.T) {
 	bg := targets[asBackground-64512]
 	scanner := probe.New(probe.Config{})
 	defer scanner.Close()
-	planted := Sweep(context.Background(), scanner, []string{targets[0].Addr}, true)[0]
+	planted := Sweep(context.Background(), scanner, []string{targets[0].Addr})[0]
 	planted.Addr = bg.Addr
 	ck := ckFile{Snapshot: 0, TargetsHash: r.targetsHash, Observations: []Observation{planted}}
 	raw, err := json.Marshal(ck)
