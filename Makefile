@@ -15,8 +15,12 @@ ci: build vet test race fuzz-smoke chaos-race bench-smoke
 build:
 	go build ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target
+# and is named.
 vet:
 	go vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	go test -count=1 ./...

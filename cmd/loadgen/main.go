@@ -25,6 +25,7 @@
 // -rate R paces arrivals open-loop at R req/s (0 = as fast as the
 // concurrency allows); -burst-factor F with -burst-period P and
 // -burst-dur D multiplies the rate by F during the first D of every P.
+// A factor other than 1 needs R, P and D all positive.
 // -batch N folds the IP lookups into POST /v1/batch bodies of N
 // addresses. -assert-healthy exits nonzero if the run saw any 5xx or
 // transport error, for use in CI.
@@ -100,6 +101,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		bad = "-cache must not be negative (0 disables)"
 	case *workers < 1:
 		bad = "-workers must be at least 1"
+	case !(*burstFactor > 0): // NaN fails too
+		bad = "-burst-factor must be greater than 0 (1: no bursts)"
+	case *burstPeriod < 0:
+		bad = "-burst-period must not be negative (0: no bursts)"
+	case *burstDur < 0:
+		bad = "-burst-dur must not be negative (0: no bursts)"
+	case *burstFactor != 1 && (*rate == 0 || *burstPeriod == 0 || *burstDur == 0):
+		bad = "-burst-factor other than 1 needs a positive -rate, -burst-period and -burst-dur, or no burst ever fires"
 	}
 	if bad != "" {
 		fs.Usage()

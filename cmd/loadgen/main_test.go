@@ -182,6 +182,18 @@ func TestRejectsReplacedFlagValues(t *testing.T) {
 		{"-zipf", "0"},        // the plan would use 1.2
 		{"-rate", "-5"},       // the plan would not pace
 		{"-batch", "-2"},      // the plan would send single requests
+		// Burst settings the schedule would never fire: it replaces a
+		// factor <= 0 with 1 and bursts only when -rate, -burst-period
+		// and -burst-dur are all positive.
+		{"-burst-factor", "0"},
+		{"-burst-factor", "-3"},
+		{"-burst-factor", "NaN"},
+		{"-rate", "1000", "-burst-period", "-1s"},
+		{"-rate", "1000", "-burst-dur", "-200ms"},
+		{"-rate", "1000", "-burst-factor", "4", "-burst-period", "-1s", "-burst-dur", "200ms"},
+		{"-rate", "1000", "-burst-factor", "4", "-burst-period", "1s"},
+		{"-rate", "1000", "-burst-factor", "4", "-burst-dur", "200ms"},
+		{"-burst-factor", "4", "-burst-period", "1s", "-burst-dur", "200ms"},
 	} {
 		var stdout, stderr strings.Builder
 		args := append([]string{"-store", store, "-requests", "50"}, bad...)
@@ -194,4 +206,6 @@ func TestRejectsReplacedFlagValues(t *testing.T) {
 		}
 	}
 	runCLI(t, "-store", store, "-requests", "50", "-cache", "0", "-batch", "0", "-rate", "0")
+	runCLI(t, "-store", store, "-requests", "50", "-rate", "5000",
+		"-burst-factor", "4", "-burst-period", "10ms", "-burst-dur", "2ms")
 }

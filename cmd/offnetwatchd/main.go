@@ -10,8 +10,7 @@
 //
 //	offnetwatchd -log DIR [-waves N] [-interval 15s]
 //	             [-wave-timeout 2m] [-min-coverage 0.5] [-compact-keep 0]
-//	             [-checkpoint DIR] [-concurrency 16] [-rate 0] [-retries 2]
-//	             [-metrics]
+//	             [-concurrency 16] [-rate 0] [-retries 2] [-metrics]
 //
 // The demo farm (servefarm.StartDemo) is a miniature loopback Internet
 // with its own trust store (§4.1) and on-net registry (§4.2): Google,
@@ -22,17 +21,16 @@
 //
 // Crash-only by construction, top to bottom:
 //
-//   - a wave is bounded by -wave-timeout; one that runs out of time or
+//   - a wave is one sweep of the farm under -wave-timeout; one that
 //     concludes fewer than -min-coverage of its targets still commits,
 //     with a "reduced-coverage" verdict;
-//   - mid-wave progress is checkpointed to -checkpoint (default
-//     DIR/waves-ck) after every probed batch, so a SIGKILL resumes the
-//     wave where it stopped instead of re-probing concluded targets;
-//   - a wave that concludes nothing at all fails without committing;
-//     the daemon logs it and retries next -interval;
+//   - a wave that concludes nothing fails without committing, and so
+//     does one whose sweep -wave-timeout cut short: a partial sweep
+//     concludes nothing. The daemon logs it and retries next -interval;
 //   - the generation log's manifest rename is the only commit point:
 //     kill the daemon at any instant and the log reopens to exactly the
-//     committed generations, torn tails quarantined;
+//     committed generations, torn tails quarantined, and the wave that
+//     was in flight is probed again on restart;
 //   - -compact-keep N bounds the log by dropping all but the newest N
 //     generations at startup and after each commit; compaction is
 //     itself kill-safe.
@@ -43,8 +41,8 @@
 //
 // The daemon exits 0 when -waves waves have committed, when the
 // timeline grid is full (31 snapshot slots), or on SIGINT/SIGTERM —
-// a shutdown mid-wave leaves the checkpoint behind for the next
-// incarnation. -metrics dumps the obs registry as JSON on exit.
+// a shutdown mid-wave commits nothing, and the next run probes that
+// wave again. -metrics dumps the obs registry as JSON on exit.
 package main
 
 import (
@@ -56,7 +54,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -85,7 +82,6 @@ type watchdConfig struct {
 	waveTimeout time.Duration
 	minCoverage float64
 	compactKeep int
-	checkpoint  string
 
 	concurrency int
 	rate        int
@@ -100,10 +96,9 @@ func parseFlags(args []string) (*watchdConfig, error) {
 	fs.StringVar(&cfg.logDir, "log", "", "generation-log directory (required; created if missing)")
 	fs.DurationVar(&cfg.interval, "interval", 15*time.Second, "pause between waves (0: none)")
 	fs.IntVar(&cfg.maxWaves, "waves", 0, "stop after N committed waves (0: run until the grid is full or a signal)")
-	fs.DurationVar(&cfg.waveTimeout, "wave-timeout", 2*time.Minute, "deadline for one whole wave (expiry degrades the verdict, not the daemon)")
+	fs.DurationVar(&cfg.waveTimeout, "wave-timeout", 2*time.Minute, "deadline for one wave's sweep (a sweep cut short commits nothing and is retried next interval)")
 	fs.Float64Var(&cfg.minCoverage, "min-coverage", 0.5, "concluded-target fraction in (0, 1] below which a wave commits as reduced-coverage")
 	fs.IntVar(&cfg.compactKeep, "compact-keep", 0, "keep only the newest N generations, at startup and after each commit (0: never compact)")
-	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "mid-wave checkpoint directory (default: LOG/waves-ck)")
 	fs.IntVar(&cfg.concurrency, "concurrency", 16, "probe worker-pool size")
 	fs.IntVar(&cfg.rate, "rate", 0, "probe launches per second (0: unlimited)")
 	fs.IntVar(&cfg.retries, "retries", 2, "probe retries with backoff+jitter per target")
@@ -141,9 +136,6 @@ func parseFlags(args []string) (*watchdConfig, error) {
 		fs.Usage()
 		return nil, errors.New(bad)
 	}
-	if cfg.checkpoint == "" {
-		cfg.checkpoint = filepath.Join(cfg.logDir, "waves-ck")
-	}
 	return cfg, nil
 }
 
@@ -166,12 +158,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			RatePerSecond: cfg.rate,
 			Retries:       cfg.retries,
 		},
-		Trust:         farm.Trust,
-		Orgs:          farm.Orgs,
-		WaveTimeout:   cfg.waveTimeout,
-		MinCoverage:   cfg.minCoverage,
-		CheckpointDir: cfg.checkpoint,
-		Prefixes:      prefixes,
+		Trust:       farm.Trust,
+		Orgs:        farm.Orgs,
+		WaveTimeout: cfg.waveTimeout,
+		MinCoverage: cfg.minCoverage,
+		Prefixes:    prefixes,
 	}
 
 	glog, rec, err := footstore.OpenGenLog(cfg.logDir)
@@ -226,9 +217,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		switch {
 		case err == nil:
 			committed++
-			fmt.Fprintf(stdout, "wave %s committed as generation %d: verdict=%s concluded=%d/%d confirmed=%d resumed=%d elapsed=%s\n",
+			fmt.Fprintf(stdout, "wave %s committed as generation %d: verdict=%s concluded=%d/%d confirmed=%d elapsed=%s\n",
 				res.Snapshot.Label(), res.Generation, res.Verdict,
-				res.Concluded, res.Targets, res.Confirmed, res.Resumed, res.Elapsed.Round(time.Millisecond))
+				res.Concluded, res.Targets, res.Confirmed, res.Elapsed.Round(time.Millisecond))
 			if err := compact(); err != nil {
 				return err
 			}
@@ -238,8 +229,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		case errors.Is(err, waves.ErrWaveFailed):
 			fmt.Fprintf(stdout, "wave %s failed (no targets concluded), retrying next interval\n", snap.Label())
 		case ctx.Err() != nil:
-			// Shutdown mid-wave: the checkpoint stays behind for the next
-			// incarnation of the daemon.
+			// Shutdown mid-wave: nothing was committed, and the next run
+			// of the daemon probes the wave again.
 			fmt.Fprintln(stdout, "shutting down")
 			return nil
 		default:

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -55,13 +54,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		if _, err := parseFlags(append([]string{"-log", "d"}, ok...)); err != nil {
 			t.Errorf("parseFlags(%v): %v", ok, err)
 		}
-	}
-	cfg, err := parseFlags([]string{"-log", "/tmp/gl"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := filepath.Join("/tmp/gl", "waves-ck"); cfg.checkpoint != want {
-		t.Errorf("default checkpoint = %q, want %q", cfg.checkpoint, want)
 	}
 }
 

@@ -189,7 +189,7 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 	dirty := false
 	for _, e := range entries {
 		if e.IsDir() {
-			continue // e.g. a wave-checkpoint subdirectory
+			continue // a subdirectory is not the log's to sweep
 		}
 		name := e.Name()
 		if strings.HasPrefix(name, durable.TempPrefix) {

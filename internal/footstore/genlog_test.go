@@ -231,9 +231,9 @@ func TestGenLogTempsSweptAndSubdirsIgnored(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, durable.TempPrefix+"MANIFEST.glm-123"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Wave checkpoints live in a subdirectory of the log dir; the sweep
-	// must not trip over it.
-	if err := os.MkdirAll(filepath.Join(dir, "waves-ck"), 0o755); err != nil {
+	// A subdirectory of the log dir is not the log's: the sweep must
+	// neither trip over it nor remove it.
+	if err := os.MkdirAll(filepath.Join(dir, "foreign"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	l2, rec := mustOpen(t, dir)
@@ -243,7 +243,7 @@ func TestGenLogTempsSweptAndSubdirsIgnored(t *testing.T) {
 	if l2.Last() != 1 {
 		t.Fatalf("Last = %d", l2.Last())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "waves-ck")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "foreign")); err != nil {
 		t.Fatalf("subdirectory disturbed: %v", err)
 	}
 }

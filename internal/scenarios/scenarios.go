@@ -105,126 +105,6 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// GridSpec parameterizes grid generation. The curated FullGrid and
-// SmokeGrid are built from fixed specs; the fuzz harness feeds it
-// arbitrary values, which Cells clamps into the valid ranges so every
-// generated cell passes Validate.
-type GridSpec struct {
-	Seed           uint64
-	BaseScale      float64
-	Scales         []float64
-	V6Fracs        []float64
-	NullCertFracs  []float64
-	SharedFracs    []float64
-	CustomerBoosts []float64
-	FlashPeaks     []float64
-	OutageEras     [][2]int
-}
-
-// clampFrac forces v into [0, hi], mapping NaN/negatives to 0.
-func clampFrac(v, hi float64) float64 {
-	if math.IsNaN(v) || v < 0 {
-		return 0
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// clampScale keeps world scales affordable and positive.
-func clampScale(v float64) float64 {
-	if math.IsNaN(v) || v < 0.002 {
-		return 0.002
-	}
-	if v > 0.2 {
-		return 0.2
-	}
-	return v
-}
-
-// clampSnap forces an int onto the study window.
-func clampSnap(v int) timeline.Snapshot {
-	if v < 0 {
-		return 0
-	}
-	if v >= timeline.Count() {
-		return timeline.Snapshot(timeline.Count() - 1)
-	}
-	return timeline.Snapshot(v)
-}
-
-// Cells expands the spec into one cell per listed knob value, clamping
-// every value into its valid range first.
-func (g GridSpec) Cells() []Cell {
-	base := worldsim.Config{Seed: g.Seed, Scale: clampScale(g.BaseScale)}
-	var out []Cell
-	cell := func(family, name, label string, cfg worldsim.Config) Cell {
-		return Cell{
-			ID:     family + "/" + name,
-			Family: family,
-			Label:  label,
-			Config: cfg,
-		}
-	}
-	for _, sc := range g.Scales {
-		sc = clampScale(sc)
-		cfg := base
-		cfg.Scale = sc
-		out = append(out, cell("scale", fmt.Sprintf("%g", sc), fmt.Sprintf("world scale %g", sc), cfg))
-	}
-	for _, f := range g.V6Fracs {
-		f = clampFrac(f, 0.95)
-		cfg := base
-		cfg.IPv6OnlyASFrac = f
-		out = append(out, cell("v6", fmt.Sprintf("%g", f), fmt.Sprintf("%.0f%% of eyeball ASes IPv6-only", 100*f), cfg))
-	}
-	for _, f := range g.NullCertFracs {
-		f = clampFrac(f, 1)
-		cfg := base
-		cfg.Hide = worldsim.HideAndSeek{NullDefaultCertFrac: f}
-		out = append(out, cell("hide", fmt.Sprintf("null-%g", f), fmt.Sprintf("null default certs on %.0f%% of off-nets", 100*f), cfg))
-	}
-	for _, f := range g.SharedFracs {
-		f = clampFrac(f, 1)
-		cfg := base
-		cfg.SharedCertFrac = f
-		out = append(out, cell("certreuse", fmt.Sprintf("shared-%g", f), fmt.Sprintf("%.1f%% of background hosts share HG certs", 100*f), cfg))
-	}
-	for _, b := range g.CustomerBoosts {
-		b = clampFrac(b, 100)
-		cfg := base
-		cfg.CustomerCertBoost = b
-		out = append(out, cell("certreuse", fmt.Sprintf("cf-boost-%g", b), fmt.Sprintf("Cloudflare customer footprint ×%g", b), cfg))
-	}
-	for _, p := range g.FlashPeaks {
-		p = clampFrac(p, 1e6)
-		cfg := base
-		cfg.Trajectories = map[hg.ID]worldsim.TrajectoryOverride{
-			hg.Google: {FlashPeakASes: p, FlashAt: 20, FlashWidth: 5},
-		}
-		c := cell("flash", fmt.Sprintf("google-%g", p), fmt.Sprintf("Google flash expansion of %g paper ASes @ 2018-10", p), cfg)
-		c.ScoreSnapshots = []timeline.Snapshot{20}
-		out = append(out, c)
-	}
-	for _, era := range g.OutageEras {
-		from, to := clampSnap(era[0]), clampSnap(era[1])
-		if to < from {
-			from, to = to, from
-		}
-		if int(to-from) >= timeline.Count()-1 {
-			to = from // never wipe the whole study
-		}
-		c := cell("outage", fmt.Sprintf("%d-%d", int(from), int(to)),
-			fmt.Sprintf("vendor outage %s..%s", from.Label(), to.Label()), base)
-		for s := from; s <= to; s++ {
-			c.Outages = append(c.Outages, s)
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // fullBaseScale keeps a full-grid cell's study in the low seconds; the
 // scale family sweeps above and below it.
 const fullBaseScale = 0.01

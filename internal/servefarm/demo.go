@@ -7,8 +7,9 @@ import (
 	"offnetscope/internal/hg"
 )
 
-// demoSeed fixes the demo farm's CA key, so a chain one process's wave
-// checkpointed still validates under the next process's trust store.
+// demoSeed fixes the demo farm's CA key, so every process that starts
+// the farm trusts the same root and the farm stays deterministic from
+// one run to the next.
 var demoSeed = [32]byte{'o', 'f', 'f', 'n', 'e', 't', 's', 'c', 'o', 'p', 'e', ' ', 'd', 'e', 'm', 'o'}
 
 // Demo is the demo farm: the miniature Internet that offnetwatchd,

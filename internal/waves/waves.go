@@ -11,21 +11,23 @@
 // in the list (Key), which the engine's mapper resolves to the
 // target's AS. cmd/livescan uses the same Sweep and Infer.
 //
-// Waves are crash-only and degrade instead of aborting:
+// A wave is one sweep of every target under a deadline, and it is
+// crash-only: it commits whole or not at all.
 //
-//   - a per-wave deadline bounds the whole wave; a wave that ran out of
-//     time (or concluded fewer targets than MinCoverage) still commits,
-//     with a "reduced-coverage" verdict, mirroring offnetmap's
+//   - a wave that concluded fewer targets than MinCoverage still
+//     commits, with a "reduced-coverage" verdict, mirroring offnetmap's
 //     degraded-mode semantics;
 //   - a failed dial or handshake is retried with capped, jittered
 //     backoff (probe.Config.Retries); every wave probes every target
 //     afresh, however often it failed before;
-//   - progress is checkpointed batch-by-batch through runstate blobs,
-//     so a SIGKILL mid-wave resumes the wave where it stopped instead
-//     of re-probing concluded targets; the checkpoint holds chains and
-//     headers, never verdicts, so they are validated again on resume;
-//   - only a wave that concluded nothing at all fails (ErrWaveFailed) —
-//     the daemon logs it and tries again next interval.
+//   - a wave that concluded nothing fails (ErrWaveFailed) and commits
+//     nothing; so does one whose sweep the deadline cut short, since a
+//     partial sweep concludes nothing. The daemon logs it and tries
+//     again next interval;
+//   - nothing of a wave outlives it but its committed generation: a
+//     wave that shutdown or SIGKILL interrupts is probed again from the
+//     start when the daemon next runs. The generation log's manifest
+//     rename is the one commit point.
 //
 // The timeline grid is finite (31 quarterly snapshots); each committed
 // wave occupies the next free snapshot, and ErrGridExhausted tells the
@@ -93,17 +95,11 @@ type Config struct {
 	// Orgs is the AS-to-organization registry that supplies §4.2's
 	// on-net ASes. Required.
 	Orgs *astopo.OrgDB
-	// WaveTimeout bounds one whole wave. Zero means 2m.
+	// WaveTimeout bounds a wave's sweep. Zero means 2m.
 	WaveTimeout time.Duration
 	// MinCoverage is the concluded-target fraction below which a wave
 	// commits with a reduced-coverage verdict. Zero means 0.5.
 	MinCoverage float64
-	// CheckpointDir holds mid-wave progress blobs (runstate). Empty
-	// disables checkpointing; a killed wave then restarts from scratch.
-	CheckpointDir string
-	// BatchSize is how many targets are probed between checkpoints.
-	// Zero means 16.
-	BatchSize int
 	// Prefixes is installed into the builder when the log is empty.
 	Prefixes []PrefixRow
 	// Metrics receives waves.*, probe.* and the engine's funnel.*
@@ -117,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if !(c.MinCoverage > 0) { // also NaN
 		c.MinCoverage = 0.5
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
 	}
 	c.Probe.Metrics = c.Metrics
 	return c
@@ -135,9 +128,9 @@ const (
 // a committed generation; the study window is complete.
 var ErrGridExhausted = errors.New("waves: timeline grid exhausted")
 
-// ErrWaveFailed means a wave concluded zero targets — nothing to
-// commit. The wave's checkpoint is cleared so the retry re-probes
-// everything.
+// ErrWaveFailed means a wave concluded zero targets, or its sweep ran
+// past the wave deadline and so concluded nothing: there is nothing to
+// commit, and the retry probes every target again.
 var ErrWaveFailed = errors.New("waves: wave concluded no targets")
 
 // Result summarises one committed wave.
@@ -149,19 +142,16 @@ type Result struct {
 	Concluded  int               // targets that yielded a verdict
 	Failed     int               // targets whose probes never succeeded
 	Confirmed  int               // confirmed off-net IPs, summed over hypergiants
-	Resumed    int               // outcomes restored from the checkpoint
-	TimedOut   bool              // the wave deadline expired
 	Elapsed    time.Duration
 }
 
 // Runner drives scan waves against one target list, committing each
 // into the generation log. Not safe for concurrent use.
 type Runner struct {
-	log         *footstore.GenLog
-	targets     []Target
-	targetsHash uint64 // pins checkpoints to the target list
-	cfg         Config
-	scanner     *probe.Scanner
+	log     *footstore.GenLog
+	targets []Target
+	cfg     Config
+	scanner *probe.Scanner
 
 	builder *footstore.Builder
 	next    timeline.Snapshot
@@ -181,11 +171,10 @@ func NewRunner(log *footstore.GenLog, targets []Target, cfg Config) (*Runner, er
 	}
 	cfg = cfg.withDefaults()
 	r := &Runner{
-		log:         log,
-		targets:     append([]Target(nil), targets...),
-		targetsHash: hashTargets(targets),
-		cfg:         cfg,
-		scanner:     probe.New(cfg.Probe),
+		log:     log,
+		targets: append([]Target(nil), targets...),
+		cfg:     cfg,
+		scanner: probe.New(cfg.Probe),
 	}
 	if err := r.rebuild(); err != nil {
 		r.scanner.Close()
@@ -223,24 +212,22 @@ func (r *Runner) Close() { r.scanner.Close() }
 
 // Observation is what one target answered in a sweep: its chain (DER,
 // leaf first; empty when the handshake never succeeded) and HTTPS
-// headers. It is what a wave checkpoints.
+// headers.
 type Observation struct {
-	Addr    string      `json:"addr"`
-	Chain   [][]byte    `json:"chain,omitempty"`
-	Headers []hg.Header `json:"headers,omitempty"`
+	Chain   [][]byte
+	Headers []hg.Header
 }
 
 // Sweep probes addrs the way the vendor corpora were collected: every
 // address's default certificate chain (no SNI), then an HTTPS GET of
 // every address whose handshake succeeded, naming no hostname of its
-// own. It returns nil when ctx ended mid-sweep, because the
-// observations are then partial.
+// own. The i-th observation is what addrs[i] answered. It returns nil
+// when ctx ended mid-sweep, because the observations are then partial.
 func Sweep(ctx context.Context, s *probe.Scanner, addrs []string) []Observation {
 	out := make([]Observation, len(addrs))
 	var live []string
 	var liveIdx []int
 	for i, c := range s.FetchCerts(ctx, addrs) {
-		out[i].Addr = addrs[i]
 		if c.Err != nil {
 			continue
 		}
@@ -259,9 +246,6 @@ func Sweep(ctx context.Context, s *probe.Scanner, addrs []string) []Observation 
 	}
 	return out
 }
-
-// clock is the wall clock a wave validates chains at.
-var clock = time.Now
 
 // Key is the record key of the target at position i of its list.
 func Key(i int) netmodel.IP { return netmodel.IP(i) }
@@ -282,7 +266,7 @@ func (c Config) Infer(s timeline.Snapshot, at time.Time, targets []Target, obs [
 	for i, o := range obs {
 		chain, err := x509.ParseCertificates(bytes.Join(o.Chain, nil))
 		if err != nil || len(chain) == 0 {
-			continue // crypto/tls parsed it once, and runstate checksums checkpoints
+			continue // crypto/tls parsed it once
 		}
 		snap.Certs = append(snap.Certs, corpus.CertRecord{IP: Key(i), Chain: certmodel.FromX509(chain, c.Trust)})
 		if len(o.Headers) > 0 {
@@ -302,10 +286,11 @@ func (c Config) Infer(s timeline.Snapshot, at time.Time, targets []Target, obs [
 	return inf.Result
 }
 
-// RunWave runs one supervised wave: probe, infer, commit. A context
-// cancellation from the caller (daemon shutdown) returns ctx.Err() with
-// the checkpoint retained; the wave deadline expiring merely degrades
-// the verdict.
+// RunWave runs one supervised wave: one sweep of every target under
+// the wave deadline, inference, commit. A sweep the deadline cut short
+// concludes nothing and returns ErrWaveFailed; a cancellation from the
+// caller (daemon shutdown) returns ctx.Err(). Neither commits, and the
+// next wave probes the same slot again.
 func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 	if !r.next.Valid() {
 		return nil, ErrGridExhausted
@@ -321,58 +306,19 @@ func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	r.cfg.Metrics.Counter("waves.started").Inc()
 
+	addrs := make([]string, len(r.targets))
+	for i, t := range r.targets {
+		addrs[i] = t.Addr
+	}
 	wctx, cancel := context.WithTimeout(ctx, r.cfg.WaveTimeout)
-	defer cancel()
-
-	seen, batches := r.loadCheckpoint()
-	resumed := len(seen)
-	r.cfg.Metrics.Counter("waves.resumed_targets").Add(int64(resumed))
-
-	// Probe in deterministic batches, checkpointing after each, so a
-	// kill loses at most one batch of work.
-	var pending []string
-	for _, t := range r.targets {
-		if _, done := seen[t.Addr]; !done {
-			pending = append(pending, t.Addr)
-		}
-	}
-	for len(pending) > 0 && wctx.Err() == nil {
-		n := min(r.cfg.BatchSize, len(pending))
-		batch := Sweep(wctx, r.scanner, pending[:n])
-		pending = pending[n:]
-		if batch == nil {
-			// The deadline or a shutdown landed mid-batch; its results
-			// are partial and untrustworthy. Drop them.
-			break
-		}
-		for _, o := range batch {
-			seen[o.Addr] = o
-		}
-		if err := r.saveCheckpoint(batches, batch); err != nil {
-			return nil, err
-		}
-		batches++
-	}
-
+	obs := Sweep(wctx, r.scanner, addrs) // nil if the deadline cut it short
+	cancel()
 	if err := ctx.Err(); err != nil {
-		// Daemon shutdown, not a wave timeout: leave the checkpoint for
-		// the next incarnation and surface the cancellation.
 		return nil, err
 	}
 
-	res := &Result{
-		Snapshot: r.next,
-		Targets:  len(r.targets),
-		Resumed:  resumed,
-		TimedOut: wctx.Err() != nil,
-	}
-	obs := make([]Observation, len(r.targets))
-	for i, t := range r.targets {
-		o, ok := seen[t.Addr]
-		if !ok {
-			continue // never reached before the deadline
-		}
-		obs[i] = o
+	res := &Result{Snapshot: r.next, Targets: len(r.targets)}
+	for _, o := range obs {
 		if len(o.Chain) > 0 {
 			res.Concluded++
 		} else {
@@ -384,15 +330,13 @@ func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 
 	if res.Concluded == 0 {
 		// Nothing trustworthy at all — do not commit an empty wave.
-		r.clearCheckpoint(batches)
 		r.cfg.Metrics.Counter("waves.failed").Inc()
 		return nil, ErrWaveFailed
 	}
 
-	// Validate at the moment of inference, after every probe: a resumed
-	// wave also holds chains minted after the wave first started.
+	// Validate at the moment of inference, after every probe.
 	footprints := make(map[hg.ID][]astopo.ASN)
-	for id, hr := range r.cfg.Infer(r.next, clock(), r.targets, obs).PerHG {
+	for id, hr := range r.cfg.Infer(r.next, time.Now(), r.targets, obs).PerHG {
 		if len(hr.ConfirmedASes) > 0 {
 			footprints[id] = hr.SortedConfirmedASes()
 			res.Confirmed += hr.ConfirmedIPs
@@ -402,7 +346,7 @@ func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 
 	coverage := float64(res.Concluded) / float64(res.Targets)
 	res.Verdict = VerdictFull
-	if res.TimedOut || coverage < r.cfg.MinCoverage {
+	if coverage < r.cfg.MinCoverage {
 		res.Verdict = VerdictReduced
 	}
 
@@ -421,7 +365,6 @@ func (r *Runner) RunWave(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("waves: committing wave %s: %w", r.next.Label(), err)
 	}
 	res.Generation = gen
-	r.clearCheckpoint(batches)
 	r.next++
 
 	res.Elapsed = time.Since(start)

@@ -1,18 +1,10 @@
 package waves
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +14,6 @@ import (
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/obs"
 	"offnetscope/internal/probe"
-	"offnetscope/internal/runstate"
 	"offnetscope/internal/servefarm"
 	"offnetscope/internal/timeline"
 )
@@ -275,7 +266,6 @@ func TestWaveFailsWhenNothingConcludes(t *testing.T) {
 	}
 	cfg := testConfig(farm)
 	cfg.Probe.Timeout = 300 * time.Millisecond
-	cfg.CheckpointDir = t.TempDir()
 
 	r, err := NewRunner(log, targets, cfg)
 	if err != nil {
@@ -288,108 +278,72 @@ func TestWaveFailsWhenNothingConcludes(t *testing.T) {
 	if log.Len() != 0 {
 		t.Fatal("failed wave committed a generation")
 	}
-	// The checkpoint was cleared so a retry re-probes from scratch.
-	if raw := runstate.LoadBlob(cfg.CheckpointDir, r.ckName(0)); raw != nil {
-		t.Fatalf("failed wave left checkpoint %q", raw)
-	}
 }
 
-func TestWaveResumesMidWaveFromCheckpoint(t *testing.T) {
+// TestWaveDeadlineCutsSweepShort: one target accepts TCP and never
+// answers the handshake, so the sweep is still running when the wave
+// deadline lands. The farm's servers answered, but a partial sweep
+// concludes nothing: the wave fails long before the probe timeout and
+// commits nothing.
+func TestWaveDeadlineCutsSweepShort(t *testing.T) {
 	farm, targets := testFarm(t)
+	targets = append(targets, Target{Addr: silentAddr(t), AS: 64600})
 	log, _, err := footstore.OpenGenLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry("waves-deadline")
 	cfg := testConfig(farm)
-	cfg.CheckpointDir = t.TempDir()
+	cfg.Metrics = reg
+	cfg.WaveTimeout = 300 * time.Millisecond
+	cfg.Probe.Timeout = 10 * time.Second
+
 	r, err := NewRunner(log, targets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	// Plant the checkpoint a killed predecessor would have left, with
-	// a Google off-net's chain and headers under the background target.
-	// If the wave runs the engine over the checkpoint instead of
-	// re-probing, the background AS shows up in the Google footprint.
-	bg := targets[asBackground-64512]
-	scanner := probe.New(probe.Config{})
-	defer scanner.Close()
-	planted := Sweep(context.Background(), scanner, []string{targets[0].Addr})[0]
-	planted.Addr = bg.Addr
-	ck := ckFile{Snapshot: 0, TargetsHash: r.targetsHash, Observations: []Observation{planted}}
-	raw, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	if _, err := r.RunWave(context.Background()); !errors.Is(err, ErrWaveFailed) {
+		t.Fatalf("RunWave = %v, want ErrWaveFailed", err)
 	}
-	if err := runstate.SaveBlob(cfg.CheckpointDir, r.ckName(0), raw); err != nil {
-		t.Fatal(err)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("RunWave took %s: the wave deadline did not cut the sweep short", took)
 	}
-
-	res, err := r.RunWave(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if log.Len() != 0 {
+		t.Fatal("a wave cut short committed a generation")
 	}
-	if res.Resumed != 1 {
-		t.Fatalf("resumed = %d, want 1", res.Resumed)
-	}
-	st, err := log.Load(res.Generation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := st.Footprint(hg.Google, 0)
-	found := false
-	for _, as := range g {
-		if as == bg.AS {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("checkpointed outcome ignored; Google footprint = %v", g)
-	}
-	// Commit cleared the wave's checkpoint: the planted blob and the
-	// one batch probed after it.
-	for n := range 2 {
-		if raw := runstate.LoadBlob(cfg.CheckpointDir, fmt.Sprintf("wave-%s-%d", res.Snapshot.Label(), n)); raw != nil {
-			t.Fatalf("checkpoint blob %d survived the commit", n)
-		}
-	}
-
-	// A checkpoint pinned to different targets must be ignored.
-	ck.TargetsHash++
-	ck.Snapshot = int(r.NextSnapshot())
-	raw, _ = json.Marshal(ck)
-	if err := runstate.SaveBlob(cfg.CheckpointDir, r.ckName(0), raw); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := r.RunWave(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Resumed != 0 {
-		t.Fatalf("mismatched checkpoint resumed %d outcomes", res2.Resumed)
+	if got := reg.Counter("waves.targets_probed").Value(); got != 0 {
+		t.Fatalf("waves.targets_probed = %d, want 0: a partial sweep concludes nothing", got)
 	}
 }
 
-func TestWaveShutdownKeepsCheckpoint(t *testing.T) {
+// silentAddr returns an address that accepts TCP connections and never
+// answers on them: the kernel completes each connection into the
+// listener's backlog, and nothing ever calls Accept.
+func silentAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String()
+}
+
+// TestWaveShutdownCommitsNothing: a wave the daemon's shutdown cancels
+// returns the cancellation and commits nothing.
+func TestWaveShutdownCommitsNothing(t *testing.T) {
 	farm, targets := testFarm(t)
 	log, _, err := footstore.OpenGenLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(farm)
-	cfg.CheckpointDir = t.TempDir()
-	r, err := NewRunner(log, targets, cfg)
+	r, err := NewRunner(log, targets, testConfig(farm))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	ck := ckFile{Snapshot: 0, TargetsHash: r.targetsHash, Observations: []Observation{{Addr: targets[0].Addr}}}
-	raw, _ := json.Marshal(ck)
-	if err := runstate.SaveBlob(cfg.CheckpointDir, r.ckName(0), raw); err != nil {
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // daemon shutdown before the wave starts
@@ -398,9 +352,6 @@ func TestWaveShutdownKeepsCheckpoint(t *testing.T) {
 	}
 	if log.Len() != 0 {
 		t.Fatal("cancelled wave committed")
-	}
-	if raw := runstate.LoadBlob(cfg.CheckpointDir, r.ckName(0)); raw == nil {
-		t.Fatal("shutdown discarded the mid-wave checkpoint")
 	}
 }
 
@@ -432,159 +383,5 @@ func TestWaveGridExhausted(t *testing.T) {
 	defer r.Close()
 	if _, err := r.RunWave(context.Background()); !errors.Is(err, ErrGridExhausted) {
 		t.Fatalf("RunWave on a full grid = %v", err)
-	}
-}
-
-// relay is a stable loopback address in front of a swappable backend,
-// so a target list outlives the farm process behind it, as a real
-// target list outlives a restarted daemon.
-type relay struct {
-	ln      net.Listener
-	backend atomic.Value // string
-}
-
-// newRelay starts a relay to backend; onAccept runs on every accepted
-// connection.
-func newRelay(t *testing.T, backend string, onAccept func()) *relay {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	r := &relay{ln: ln}
-	r.backend.Store(backend)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			onAccept()
-			go func() {
-				defer c.Close()
-				up, err := net.Dial("tcp", r.backend.Load().(string))
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				done := make(chan struct{}, 2)
-				go func() { io.Copy(up, c); done <- struct{}{} }() //nolint:errcheck
-				go func() { io.Copy(c, up); done <- struct{}{} }() //nolint:errcheck
-				<-done
-			}()
-		}
-	}()
-	return r
-}
-
-// TestWaveResumesAcrossFarmProcesses kills a wave after its first
-// checkpointed batch, replaces the farm with a fresh process (new
-// leaves, a CA re-derived from the same seed), and resumes. The first
-// process runs two hours earlier on the wave clock, longer than the
-// leaves are backdated, so the resumed wave only confirms the second
-// farm's leaves if it validates at its own moment of inference, not at
-// anything the first process recorded. It re-validates the first farm's
-// checkpointed chains under the second farm's trust store, and must
-// commit the same generation bytes as a wave never interrupted.
-func TestWaveResumesAcrossFarmProcesses(t *testing.T) {
-	clock = func() time.Time { return time.Now().Add(-2 * time.Hour) }
-	defer func() { clock = time.Now }()
-	farmA, err := servefarm.StartDemo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shut the daemon down as the second batch starts probing: the
-	// first batch is checkpointed, the second is dropped.
-	const batch = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	demoTargets, _ := FarmTargets(farmA)
-	relays := make([]*relay, len(demoTargets))
-	targets := make([]Target, len(demoTargets))
-	for i, tg := range demoTargets {
-		onAccept := func() {}
-		if i == batch {
-			onAccept = func() { once.Do(cancel) }
-		}
-		relays[i] = newRelay(t, tg.Addr, onAccept)
-		targets[i] = Target{Addr: relays[i].ln.Addr().String(), AS: tg.AS}
-	}
-
-	dir, ckDir := t.TempDir(), t.TempDir()
-	cfg := testConfig(farmA)
-	cfg.CheckpointDir, cfg.BatchSize = ckDir, batch
-	glog, _, err := footstore.OpenGenLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(glog, targets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunWave(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted wave = %v, want context.Canceled", err)
-	}
-	r.Close()
-	farmA.Close()
-	if raw := runstate.LoadBlob(ckDir, r.ckName(1)); raw != nil {
-		t.Fatal("the dropped second batch was checkpointed")
-	}
-
-	clock = time.Now
-	farmB, err := servefarm.StartDemo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer farmB.Close()
-	for i, s := range farmB.Servers {
-		relays[i].backend.Store(s.TLSAddr)
-	}
-	cfg = testConfig(farmB)
-	cfg.CheckpointDir, cfg.BatchSize = ckDir, batch
-	if glog, _, err = footstore.OpenGenLog(dir); err != nil {
-		t.Fatal(err)
-	}
-	r, err = NewRunner(glog, targets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	res, err := r.RunWave(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resumed != batch || res.Confirmed != 4 {
-		t.Fatalf("resumed wave: resumed %d confirmed %d, want %d and 4", res.Resumed, res.Confirmed, batch)
-	}
-
-	// The baseline: the same targets, never interrupted.
-	cleanDir := t.TempDir()
-	clean, _, err := footstore.OpenGenLog(cleanDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointDir = ""
-	rc, err := NewRunner(clean, targets, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if _, err := rc.RunWave(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"gen-00000001.seg", "MANIFEST.glm"} {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join(cleanDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs between the resumed and the uninterrupted wave", name)
-		}
 	}
 }
