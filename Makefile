@@ -83,11 +83,16 @@ bench:
 # run -short (one iteration is a whole workload replay there). The
 # allocation gate pins the streamed A.3 certificate pass to its
 # post-streaming budget so an alloc regression fails CI, not just a
-# benchmark trend diff.
+# benchmark trend diff. The end-to-end benchmark is its own module
+# (bench/go.mod), which the root ./... leaves out: the last two lines
+# vet it and run its tests, the schema and statistics tests and a
+# smoke run of every workload on three snapshots.
 bench-smoke:
 	go test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/core
 	go test -bench=. -benchtime=1x -benchmem -short -run='^$$' ./internal/loadgen
 	go test -count=1 -run 'TestA3CertAllocBudget' .
+	go -C bench vet ./...
+	go -C bench test -count=1 ./...
 
 # The serving benchmarks behind BENCH_offnetd.json: 1M-lookup zipfian
 # workloads through the in-process offnetd engine — cache-on vs

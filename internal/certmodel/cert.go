@@ -63,8 +63,7 @@ type Certificate struct {
 }
 
 // Fingerprint is a stable content hash of a certificate, used to group IP
-// addresses serving the same certificate (Fig. 11) and to deduplicate
-// corpus records.
+// addresses serving the same certificate (Fig. 11).
 type Fingerprint uint64
 
 // Fingerprint returns the certificate's content hash, computing and
@@ -75,8 +74,8 @@ func (c *Certificate) Fingerprint() Fingerprint {
 	}
 	// The hashed bytes are serial|org|cn|issuer-org|issuer-cn|dNSNames
 	// joined by ","|notBefore|notAfter|isCA|key|signedBy|forged, built
-	// with strconv rather than fmt: a corpus read hashes every
-	// intermediate and root certificate it decodes.
+	// with strconv rather than fmt: inference hashes the leaf of every
+	// record it matches to a hypergiant.
 	var buf [256]byte
 	b := strconv.AppendUint(buf[:0], c.SerialNumber, 10)
 	for _, s := range [...]string{c.Subject.Organization, c.Subject.CommonName, c.Issuer.Organization, c.Issuer.CommonName} {

@@ -31,7 +31,8 @@ func benchSnapshot(b *testing.B) *corpus.Snapshot {
 // BenchmarkCorpusDecode measures the disk read every offnetmap study
 // starts with: the shared snapshot, written once with corpus.Write, read
 // back through corpus.OpenStream with all three files drained —
-// gunzip, NDJSON decode, string and intermediate interning.
+// gunzip, NDJSON decode and string interning, with each repeated
+// intermediate and root recognized by its raw bytes instead of decoded.
 func BenchmarkCorpusDecode(b *testing.B) {
 	snap := benchSnapshot(b)
 	root := b.TempDir()

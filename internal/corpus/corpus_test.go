@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -80,8 +81,23 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadInternsIntermediates pins that a read decodes each issuer
+// once: across the read, issuer certificates equal in value are one
+// pointer, and one pointer is one value. The read meets two
+// authorities' five issuers (the sample's root and two intermediates,
+// the other's root and one) over and over.
 func TestReadInternsIntermediates(t *testing.T) {
 	snap := sampleSnapshot(t)
+	from := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+	to := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	other := certmodel.NewAuthority("OtherCA", 1, from, to, rng.New(2))
+	for i := 0; i < 20; i++ {
+		ch := other.IssueLeaf(certmodel.LeafSpec{
+			Organization: "Example Org", CommonName: "www.example.org",
+			DNSNames: []string{"www.example.org"}, NotBefore: from, NotAfter: to,
+		})
+		snap.Certs = append(snap.Certs, CertRecord{IP: netmodel.IP(0x02000000 + uint32(i)), Chain: ch})
+	}
 	root := t.TempDir()
 	if err := Write(root, snap); err != nil {
 		t.Fatal(err)
@@ -90,25 +106,28 @@ func TestReadInternsIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two records signed by the same intermediate must share the pointer
-	// after interning.
-	var first *certmodel.Certificate
-	shared := false
+	byValue := make(map[string]*certmodel.Certificate)
+	byPointer := make(map[*certmodel.Certificate]string)
+	issuers := 0
 	for _, r := range back.Certs {
-		if len(r.Chain) < 3 {
-			continue
-		}
-		if first == nil {
-			first = r.Chain[2] // root
-			continue
-		}
-		if r.Chain[2] == first {
-			shared = true
-			break
+		for _, c := range r.Chain[min(1, len(r.Chain)):] {
+			issuers++
+			b, err := json.Marshal(toWireCert(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := string(b)
+			if first, ok := byValue[v]; ok && first != c {
+				t.Fatalf("issuer %s decoded into two certificates", v)
+			}
+			if first, ok := byPointer[c]; ok && first != v {
+				t.Fatalf("one certificate holds two issuers: %s and %s", first, v)
+			}
+			byValue[v], byPointer[c] = c, v
 		}
 	}
-	if !shared {
-		t.Error("root certificates not interned on read")
+	if len(byValue) != 5 || issuers != 2*50+2*20 {
+		t.Fatalf("read %d issuers, %d distinct; want 140, 5", issuers, len(byValue))
 	}
 }
 

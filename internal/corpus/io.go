@@ -76,22 +76,18 @@ func toWireCert(c *certmodel.Certificate) wireCert {
 // fromWireCert converts a decoded chain element, whose strings the
 // decoder has already interned.
 func fromWireCert(w *wireCert) *certmodel.Certificate {
-	c := new(certmodel.Certificate)
-	setFromWire(c, w)
-	return c
-}
-
-func setFromWire(c *certmodel.Certificate, w *wireCert) {
-	c.SerialNumber = w.Serial
-	c.Subject = certmodel.Name{Organization: w.SubjectOrg, CommonName: w.SubjectCN}
-	c.Issuer = certmodel.Name{Organization: w.IssuerOrg, CommonName: w.IssuerCN}
-	c.DNSNames = w.DNSNames
-	c.NotBefore = unixTime(w.NotBefore)
-	c.NotAfter = unixTime(w.NotAfter)
-	c.IsCA = w.IsCA
-	c.Key = certmodel.KeyID(w.Key)
-	c.SignedBy = certmodel.KeyID(w.SignedBy)
-	c.Forged = w.Forged
+	return &certmodel.Certificate{
+		SerialNumber: w.Serial,
+		Subject:      certmodel.Name{Organization: w.SubjectOrg, CommonName: w.SubjectCN},
+		Issuer:       certmodel.Name{Organization: w.IssuerOrg, CommonName: w.IssuerCN},
+		DNSNames:     w.DNSNames,
+		NotBefore:    unixTime(w.NotBefore),
+		NotAfter:     unixTime(w.NotAfter),
+		IsCA:         w.IsCA,
+		Key:          certmodel.KeyID(w.Key),
+		SignedBy:     certmodel.KeyID(w.SignedBy),
+		Forged:       w.Forged,
+	}
 }
 
 // strTable interns the short strings that repeat across the records of
@@ -372,9 +368,10 @@ func errorAt(lineNo int, line []byte, err error) string {
 }
 
 // Read loads a snapshot previously persisted with Write, strictly: the
-// first malformed record fails the read. Shared intermediate
-// certificates are deduplicated by fingerprint so the in-memory size
-// matches freshly scanned snapshots.
+// first malformed record fails the read. Intermediate and root
+// certificates are decoded once per read and shared, byte-identical
+// chain elements after the leaf giving one *certmodel.Certificate, so
+// the in-memory size matches freshly scanned snapshots.
 func Read(root string, vendor Vendor, s timeline.Snapshot) (*Snapshot, error) {
 	snap, _, err := ReadWithStats(root, vendor, s, ReadOptions{})
 	return snap, err
@@ -411,42 +408,6 @@ func appendTo[T any](dst *[]T) func([]T) error {
 	return func(batch []T) error {
 		*dst = append(*dst, batch...)
 		return nil
-	}
-}
-
-// newCertDecoder returns the certs.ndjson.gz line decoder for one file
-// read. Repeated intermediates/roots intern by fingerprint and repeated
-// strings via a strTable, both spanning that one read.
-func newCertDecoder() func([]byte) (CertRecord, error) {
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-	d := &wireDecoder{strs: make(strTable)}
-	return func(line []byte) (CertRecord, error) {
-		w, err := d.decodeCert(line)
-		if err != nil {
-			return CertRecord{}, err
-		}
-		ip, err := netmodel.ParseIP(w.IP)
-		if err != nil {
-			return CertRecord{}, badRecord("ip", err)
-		}
-		rec := CertRecord{IP: ip, Chain: make(certmodel.Chain, 0, len(w.Chain))}
-		for i := range w.Chain {
-			if i == 0 {
-				rec.Chain = append(rec.Chain, fromWireCert(&w.Chain[i]))
-				continue
-			}
-			// Intermediates and roots repeat heavily: look them up
-			// before allocating.
-			var probe certmodel.Certificate
-			setFromWire(&probe, &w.Chain[i])
-			c, ok := interned[probe.Fingerprint()]
-			if !ok {
-				c = fromWireCert(&w.Chain[i])
-				interned[probe.Fingerprint()] = c
-			}
-			rec.Chain = append(rec.Chain, c)
-		}
-		return rec, nil
 	}
 }
 

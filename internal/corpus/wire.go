@@ -58,26 +58,37 @@ func (d *wireDecoder) decodeHeader(line []byte) (wireHeaderRecord, error) {
 // decodeRecord decodes a line holding a record object, or null: its IP
 // and the list under listKey, decoded into l.
 func decodeRecord[T any](d *wireDecoder, line []byte, listKey string, l *list[T], elem func(*T) error) (string, []T, error) {
-	var ip string
 	l.reset()
+	ip, err := d.record(line, listKey, func() error { return decodeList(d, l, elem) })
+	if err != nil {
+		return "", nil, err
+	}
+	return ip, l.value(), nil
+}
+
+// record decodes a line holding a record object, or null: it returns the
+// record's IP, and list decodes the value of each listKey key, with the
+// decoder at it.
+func (d *wireDecoder) record(line []byte, listKey string, list func() error) (string, error) {
+	var ip string
 	d.data, d.off, d.depth = line, 0, 0
 	err := d.object(func(key []byte) error {
 		switch field(key, "ip", listKey) {
 		case "ip":
 			return d.ipValue(&ip)
 		case listKey:
-			return decodeList(d, l, elem)
+			return list()
 		}
 		return d.skip()
 	})
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	d.next()
 	if d.off < len(d.data) {
-		return "", nil, d.syntaxError("after top-level value")
+		return "", d.syntaxError("after top-level value")
 	}
-	return ip, l.value(), nil
+	return ip, nil
 }
 
 // certFields are wireCert's JSON field names.

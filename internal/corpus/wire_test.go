@@ -17,10 +17,11 @@ import (
 )
 
 // The encoding/json decoders the corpus read path used before
-// wireDecoder, kept as the reference it must match line for line.
+// wireDecoder, kept as the reference it must match line for line. The
+// reference decodes every certificate afresh: which certificates a read
+// shares is TestReadInternsIntermediates' concern, not a value.
 
 func referenceCertDecoder() func([]byte) (CertRecord, error) {
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
 	return func(line []byte) (CertRecord, error) {
 		var w wireCertRecord
 		if err := json.Unmarshal(line, &w); err != nil {
@@ -32,15 +33,7 @@ func referenceCertDecoder() func([]byte) (CertRecord, error) {
 		}
 		rec := CertRecord{IP: ip, Chain: make(certmodel.Chain, 0, len(w.Chain))}
 		for i := range w.Chain {
-			c := fromWireCert(&w.Chain[i])
-			if i > 0 {
-				if known, ok := interned[c.Fingerprint()]; ok {
-					c = known
-				} else {
-					interned[c.Fingerprint()] = c
-				}
-			}
-			rec.Chain = append(rec.Chain, c)
+			rec.Chain = append(rec.Chain, fromWireCert(&w.Chain[i]))
 		}
 		return rec, nil
 	}
@@ -66,6 +59,15 @@ func verdict(err error) string {
 		return "ok"
 	}
 	return reasonOf(err)
+}
+
+// errText is a line decoder's outcome as a strict read reports it: "ok",
+// or where in the line it failed and why.
+func errText(line []byte, err error) string {
+	if err == nil {
+		return "ok"
+	}
+	return errorAt(1, line, err) + ": " + err.Error()
 }
 
 // certWire flattens decoded records for comparison: every field the
@@ -101,14 +103,16 @@ func newWireCheck() *wireCheck {
 // line decodes line with wireDecoder and with encoding/json, as both
 // record types, and fails t on any difference: the decoded wire structs,
 // the accept/reject verdict, and the corpus records the two line
-// decoders build, skip reason included.
+// decoders build, skip reason included. The certificate line decoder,
+// whose issuer memo skips elements the memo-less wireDecoder walks, must
+// also fail a line exactly where and as wireDecoder does.
 func (c *wireCheck) line(t *testing.T, line []byte) {
 	t.Helper()
 	var wantC wireCertRecord
 	jerr := json.Unmarshal(line, &wantC)
-	gotC, derr := c.d.decodeCert(line)
-	if (jerr == nil) != (derr == nil) {
-		t.Fatalf("cert record %q: encoding/json err %v, wireDecoder err %v", line, jerr, derr)
+	gotC, cerr := c.d.decodeCert(line)
+	if (jerr == nil) != (cerr == nil) {
+		t.Fatalf("cert record %q: encoding/json err %v, wireDecoder err %v", line, jerr, cerr)
 	}
 	if jerr == nil && !reflect.DeepEqual(wantC, gotC) {
 		t.Fatalf("cert record %q:\nencoding/json %#v\nwireDecoder   %#v", line, wantC, gotC)
@@ -131,6 +135,9 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	if werr == nil && !reflect.DeepEqual(certWire(wantCR), certWire(gotCR)) {
 		t.Fatalf("cert line %q:\nreference %#v\ndecoder   %#v", line, certWire(wantCR), certWire(gotCR))
 	}
+	if verdict(gerr) == "json" && errText(line, gerr) != errText(line, cerr) {
+		t.Fatalf("cert line %q: decoder %s, wireDecoder %s", line, errText(line, gerr), errText(line, cerr))
+	}
 	wantHR, werr := c.refHeader(line)
 	gotHR, gerr := c.header(line)
 	if verdict(werr) != verdict(gerr) {
@@ -141,10 +148,44 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	}
 }
 
+// Issuer elements seeds share, so that one set of decoders meets them
+// again in its issuer memo. testIssuer2 has testIssuer's probe key and
+// differs after it; testRoot is only 26 bytes long.
+const (
+	testIssuer  = `{"serial":501,"subject_org":"Test CA","subject_cn":"Test CA Intermediate","is_ca":true,"key":12,"signed_by":11}`
+	testIssuer2 = `{"serial":501,"subject_org":"Test CA","subject_cn":"Test CA Intermediate 2","is_ca":true,"key":13,"signed_by":11}`
+	testRoot    = `{"key":11,"signed_by":11}`
+)
+
 // wireSeeds are the decoder's edge cases: key matching, value handling
 // and structure, each paired with the verdict encoding/json gives it as
 // a certificate record.
 var wireSeeds = []struct{ line, verdict string }{
+	// Shared issuers: a plain chain, the same issuers twice in one chain,
+	// issuers followed by junk inside the array, the same values under
+	// other key orders and white space, a repeated chain key after them
+	// (decoded in place into their values), an issuer sharing a probe key
+	// with one already seen, and lines that end inside or just after one.
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,` + testRoot + `]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testRoot + `,` + testIssuer + `,` + testRoot + `,` + testIssuer + `]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + ` x]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,` + testRoot + `,]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testRoot + `{"key":1}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,{"serial":"x"}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},{"signed_by":11,"key":11},{"subject_org":"Test CA","serial":501,"subject_cn":"Test CA Intermediate","is_ca":true,"key":12,"signed_by":11}]}`, "ok"},
+	{"{\"ip\":\"1.2.3.4\",\"chain\":[ {\"serial\":1} ,\n\t" + testIssuer + " ,\r\n " + testRoot + " ,{\"key\": 11,\"signed_by\":11} ]}", "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,` + testRoot + `],"chain":[{"serial":3},{},{"key":99}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `],"CHAIN":[{"serial":3},{"serial":4},` + testIssuer + `]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testRoot + `],"chain":null}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `],"chain":[{},` + testIssuer + ` x]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":2},` + testIssuer2 + `,` + testRoot + `]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":2},{"serial":501,"subject_org":"Test CA"}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer[:len(testIssuer)-1], "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testRoot[:len(testRoot)-3], "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testRoot + `]`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,` + testRoot + `]} x`, "json"},
+	{`{"ip":"1.2.3.4.5","chain":[{"serial":1},` + testIssuer + `]}`, "ip"},
 	// Keys: exact, case-folded as encoding/json folds them (ſ is s and
 	// the Kelvin sign K is k, the dotless ı is not i), and escaped.
 	{`{"ip":"1.2.3.4","chain":[{"serial":1,"key":2,"signed_by":3}]}`, "ok"},
@@ -354,6 +395,12 @@ func FuzzWireDecode(f *testing.F) {
 	// reused storage must not leak the earlier records' values.
 	f.Add([]byte(`{"ip":"1.2.3.4","chain":[{"serial":1,"dns_names":["a","b"]},{"serial":2},{"serial":3}],"headers":[{"Name":"a"},{"Name":"b"}]}` + "\n" +
 		`{"ip":"1.2.3.5","chain":[null,{},null,null],"headers":[null,null,null]}`))
+	// Lines sharing issuers, which later lines meet in the issuer memo.
+	f.Add([]byte(`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,` + testRoot + `]}` + "\n" +
+		`{"ip":"1.2.3.5","chain":[{"serial":2},` + testIssuer2 + `,` + testRoot + `]}` + "\n" +
+		`{"ip":"1.2.3.6","chain":[{"serial":3}, ` + testIssuer + ` ,` + testRoot + `,null,` + testRoot + `]}` + "\n" +
+		`{"ip":"1.2.3.7","chain":[{"serial":4},` + testIssuer + `],"chain":[{},{}]}` + "\n" +
+		`{"ip":"1.2.3.8","chain":[{"serial":5},` + testIssuer2[:40]))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		c := newWireCheck()
 		for _, line := range bytes.Split(input, []byte("\n")) {

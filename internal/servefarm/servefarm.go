@@ -10,6 +10,8 @@ package servefarm
 import (
 	"crypto/tls"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"net/http"
 	"sync"
@@ -98,7 +100,11 @@ func startServer(ca *certgen.CA, spec Spec) (*Server, error) {
 		Spec:    spec,
 		TLSAddr: ln.Addr().String(),
 		ln:      ln,
-		srv:     &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second},
+		// A probe that gives up mid-handshake is the farm working as
+		// meant, not an error: without its own ErrorLog the server would
+		// print it through the standard logger, on the hosting process's
+		// stderr under that process's prefix.
+		srv: &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second, ErrorLog: log.New(io.Discard, "", 0)},
 	}
 	go s.srv.Serve(tls.NewListener(ln, tlsCfg)) //nolint:errcheck — closed on shutdown
 	return s, nil

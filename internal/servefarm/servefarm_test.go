@@ -1,9 +1,13 @@
 package servefarm
 
 import (
+	"bytes"
 	"crypto/tls"
 	"io"
+	"log"
+	"net"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,4 +81,50 @@ func TestStartFailureCleansUp(t *testing.T) {
 	farm := startTestFarm(t)
 	farm.Close()
 	farm.Close()
+}
+
+// lockedBuffer is a bytes.Buffer safe to write from a server goroutine
+// while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestAbandonedHandshakeLogsNothing pins that a farm server keeps a
+// failed handshake off the standard logger, which prints on the hosting
+// process's stderr. The server logs such a failure before it hangs up,
+// so once the client reads EOF anything logged is in the buffer.
+func TestAbandonedHandshakeLogsNothing(t *testing.T) {
+	farm := startTestFarm(t)
+	var logged lockedBuffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+
+	conn, err := net.Dial("tcp", farm.Servers[0].TLSAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("not a TLS record\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("waiting for the server to hang up: %v", err)
+	}
+	if s := logged.String(); s != "" {
+		t.Errorf("farm server wrote to the standard logger: %q", s)
+	}
 }
