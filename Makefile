@@ -51,16 +51,17 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzMetricsSnapshot -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=^$$ -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenarios
 
-# The crash suites that -short skips, under the race detector: offnetmap
-# killed at checkpoint counts (also under chaos, and at any -jobs), the
-# generation log and the real offnetwatchd killed at generation counts.
+# The crash and damaged-corpus suites that -short skips, under the race
+# detector: offnetmap killed at checkpoint counts (also under chaos, and
+# at any -jobs) and dropping damaged months at -jobs 2, the generation
+# log and the real offnetwatchd killed at generation counts.
 # Every other fault-injection test (the durable write primitive, torn
 # stores, corrupted corpora, reload under load, the serving engine's
 # races, cut-short sweeps, the crash-only offnetd e2e and the chaos
 # layer itself) is not short-skipped, so `make race` already runs it
 # under -race.
 chaos-race:
-	go test -race -run 'TestChaosDegradedGrowthRun|TestCrashResume|TestGrowthJobsByteIdentical' ./cmd/offnetmap
+	go test -race -run 'TestChaosDegradedGrowthRun|TestCrashResume|TestGrowthJobsByteIdentical|TestGrowthDamagedMonths' ./cmd/offnetmap
 	go test -race -run 'TestGenLogCrashEquivalence' ./internal/footstore
 	go test -race -run 'TestKillAnytime' ./cmd/offnetwatchd
 

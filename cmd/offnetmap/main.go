@@ -15,16 +15,21 @@
 // skipped and accounted per file within the -max-bad budget, and in
 // -growth mode a vendor-month that is corrupt beyond salvage is
 // dropped — the run completes on the remaining months and marks the
-// reduced coverage in the report. -tolerant=false restores strict
-// fail-on-first-error reads. The corpus's dataset files (worldgen
-// -datasets: as-org.txt and each month's RouteViews and RIPE RIS RIBs)
-// are used when present; one that exists but cannot be read, or a
-// month with only one collector's RIB, fails its month the same way.
+// reduced coverage in the report. Each month is read once: its files do
+// not change, so a second read would fail the same way. -tolerant=false
+// restores strict fail-on-first-error reads; a strict -growth run names
+// the earliest damaged month's first damaged file (certificates, then
+// HTTPS headers, then HTTP headers) at any -jobs. The corpus's dataset
+// files (worldgen -datasets: as-org.txt and each month's RouteViews and
+// RIPE RIS RIBs) are used when present; one that exists but cannot be
+// read, or a month with only one collector's RIB, fails its month the
+// same way.
 //
 // Long -growth runs are themselves crash-safe with -checkpoint: every
-// completed snapshot is persisted atomically, SIGINT/SIGTERM flushes a
-// final checkpoint, and -resume picks up where the run stopped —
-// producing byte-identical output to an uninterrupted run.
+// completed snapshot is persisted atomically, SIGINT/SIGTERM abandons
+// the month in flight at its next record batch and flushes a final
+// checkpoint, and -resume picks up where the run stopped — producing
+// byte-identical output to an uninterrupted run.
 //
 // Every read streams its vendor-month through the inference in
 // fixed-size record batches, so a month's raw corpus never sits in
@@ -54,7 +59,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/bgpsim"
@@ -63,7 +67,6 @@ import (
 	"offnetscope/internal/footstore"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/obs"
-	"offnetscope/internal/resilience"
 	"offnetscope/internal/runstate"
 	"offnetscope/internal/timeline"
 	"offnetscope/internal/worldsim"
@@ -133,8 +136,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "with -growth: persist each completed snapshot to this directory (crash-safe)")
 	resume := fs.Bool("resume", false, "with -checkpoint: reload intact checkpoints instead of recomputing (manifest must match)")
 	jobs := fs.Int("jobs", 1, "with -growth: parallel per-snapshot inference workers (output is identical at any setting)")
-	snapTimeout := fs.Duration("snapshot-timeout", 30*time.Minute, "with -growth: per-snapshot watchdog deadline; an overrunning snapshot is abandoned at its next record batch, retried, then dropped (0 disables)")
-	metricsPath := fs.String("metrics", "", "write the run's metrics (pipeline funnel, corpus, retry, checkpoint accounting) to this JSON file")
+	metricsPath := fs.String("metrics", "", "write the run's metrics (pipeline funnel, corpus, checkpoint accounting) to this JSON file")
 	verbose := fs.Bool("v", false, "print a human-readable pipeline-funnel summary after the run")
 	fs.Usage = func() {
 		out := fs.Output()
@@ -172,10 +174,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// zero tolerance.
 		return usageError(fmt.Errorf("-max-bad must be a fraction in [0, 1], got %v", *maxBad))
 	}
-	if *snapTimeout < 0 {
-		// The watchdog is armed only for a positive deadline.
-		return usageError(fmt.Errorf("-snapshot-timeout must not be negative (0 disables), got %v", *snapTimeout))
-	}
 	// The registry is always live: every counter is a lock-free atomic,
 	// so instrumenting unconditionally costs nothing measurable and the
 	// -metrics / -v decision reduces to "where to render the snapshot".
@@ -199,7 +197,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			checkpoint: *checkpoint,
 			resume:     *resume,
 			jobs:       *jobs,
-			timeout:    *snapTimeout,
 			metrics:    reg,
 		}
 		sr, droppedMonths, err := runGrowth(ctx, stdout, pipeline, maps, *dir, corpus.Vendor(*vendor), opts, gopt)
@@ -435,9 +432,7 @@ func pipelineFromManifest(dir string, certsOnly bool) (*core.Pipeline, *mappers,
 	return p, maps, nil
 }
 
-// errDataset marks a dataset file that exists but cannot be used. It
-// fails the month the same way on every attempt, so -growth never
-// retries it.
+// errDataset marks a dataset file that exists but cannot be used.
 var errDataset = errors.New("damaged dataset")
 
 // mappers resolves each month's IP-to-AS mapper: merged from the
@@ -578,19 +573,18 @@ type growthOptions struct {
 	checkpoint string
 	resume     bool
 	jobs       int
-	timeout    time.Duration
 	metrics    *obs.Registry
 }
 
 // runGrowth replays the whole on-disk corpus through the study runner:
 // per-snapshot inference on a -jobs worker pool, a sequential envelope
 // fold, and (with -checkpoint) an atomically persisted checkpoint after
-// every completed snapshot. In tolerant mode a vendor-month corrupt
-// beyond the error budget — or a snapshot that stays stuck past the
-// watchdog through its retries — is dropped from the series and the
-// reduced coverage reported; in strict mode the first read error aborts
-// the run. A month whose dataset files are damaged counts as corrupt.
-// Returns the study plus the number of dropped snapshots.
+// every completed snapshot. Each month is read once. In tolerant mode a
+// vendor-month that fails its read is dropped from the series and the
+// reduced coverage reported; in strict mode the run fails with the
+// earliest failed month's error. A month whose dataset files are damaged
+// counts as corrupt. Returns the study plus the number of dropped
+// snapshots.
 func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, maps *mappers, dir string, vendor corpus.Vendor, opts corpus.ReadOptions, gopt growthOptions) (*core.StudyResult, int, error) {
 	var ckDir *runstate.Dir
 	if gopt.checkpoint != "" {
@@ -615,58 +609,31 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 	// deterministic at any -jobs setting.
 	var mu sync.Mutex
 	statsBy := make(map[timeline.Snapshot]*corpus.ReadStats)
-	var strictErr error
-	// classify maps a read failure onto the retry policy: strict mode
-	// records the first error and aborts, a blown error budget or a
-	// damaged dataset file is deterministic corruption (retrying re-reads
-	// the same bytes) and fails the snapshot immediately, anything else
-	// stays retryable.
-	classify := func(s timeline.Snapshot, err error) error {
-		if !opts.Tolerant {
-			mu.Lock()
-			if strictErr == nil {
-				strictErr = fmt.Errorf("reading corpus %s/%s: %w", vendor, s.Label(), err)
-			}
-			mu.Unlock()
-			return resilience.Permanent(err)
-		}
-		if errors.Is(err, corpus.ErrBudgetExceeded) || errors.Is(err, errDataset) {
-			return resilience.Permanent(err)
-		}
-		return err
-	}
 	// A month's stats are recorded only once all three record streams
 	// have completed cleanly, so only months read in full report skips.
-	// Each record batch first checks the attempt's context, so the
-	// watchdog or a shutdown abandons the month at its next batch; that
-	// error is no corpus damage and skips classify.
+	// Each record batch first checks ctx, so a shutdown abandons the
+	// month in flight at its next batch.
 	source := func(ctx context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 		st, err := corpus.OpenStream(dir, vendor, s, opts)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				return nil, nil // months the corpus doesn't cover
 			}
-			return nil, classify(s, err)
+			return nil, err
 		}
 		// Only months with corpus data need a mapper.
 		if _, err := maps.load(s); err != nil {
-			return nil, classify(s, err)
+			return nil, err
 		}
 		var pending atomic.Int32
 		pending.Store(3)
 		finish := func(err error) error {
-			if err != nil && ctx.Err() != nil {
-				return err
-			}
-			if err != nil {
-				return classify(s, err)
-			}
-			if pending.Add(-1) == 0 {
+			if err == nil && pending.Add(-1) == 0 {
 				mu.Lock()
 				statsBy[s] = st.Stats
 				mu.Unlock()
 			}
-			return nil
+			return err
 		}
 		certs, https, http := st.Certs, st.HTTPS, st.HTTP
 		st.Certs = func(yield func([]corpus.CertRecord) error) error { return finish(certs(checked(ctx, yield))) }
@@ -675,22 +642,19 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 		return st, nil
 	}
 
+	// The fold reports failed months in snapshot order, each with the
+	// engine's certs → https → http precedence, so strict mode fails with
+	// the earliest damaged file whatever -jobs is.
 	var dropped []string
+	var strictErr error
 	cfg := core.StudyConfig{
-		Jobs:            gopt.jobs,
-		SnapshotTimeout: gopt.timeout,
-		Retry:           resilience.Policy{Metrics: gopt.metrics},
+		Jobs: gopt.jobs,
 		OnDrop: func(s timeline.Snapshot, err error) {
-			mu.Lock()
-			aborting := strictErr != nil
-			mu.Unlock()
-			if aborting {
-				return
-			}
-			if resilience.IsPermanent(err) {
-				if inner := errors.Unwrap(err); inner != nil {
-					err = inner
+			if !opts.Tolerant {
+				if strictErr == nil {
+					strictErr = fmt.Errorf("reading corpus %s/%s: %w", vendor, s.Label(), err)
 				}
+				return
 			}
 			fmt.Fprintf(stdout, "warning: dropping corpus %s/%s: %v\n", vendor, s.Label(), err)
 			dropped = append(dropped, s.Label())

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"offnetscope/internal/corpus"
 	"offnetscope/internal/footstore"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/obs"
@@ -307,32 +308,78 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 	}
 }
 
-// TestOffnetmapSnapshotTimeout: the watchdog abandons an overrunning
-// attempt at its next record batch instead of letting it finish and
-// discarding the result, so a deadline nothing can meet infers no
-// snapshot and every month is dropped as reduced coverage. The
-// abandonment is no corpus damage, so strict mode drops them too.
-func TestOffnetmapSnapshotTimeout(t *testing.T) {
+// TestGrowthDamagedMonths damages files in two months of a corpus: the
+// first month's certificate and HTTP files and the last month's HTTPS
+// file, each cut short inside its gzip stream. A damaged month is read
+// once — the fixed bytes would fail a second read the same way — and
+// every run names the same file for it: the engine's certs → https →
+// http precedence, never whichever file consumer failed first. A strict
+// run fails with the earliest damaged month's error at any -jobs.
+func TestGrowthDamagedMonths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a corpus on disk")
 	}
-	for _, mode := range []string{"-tolerant=true", "-tolerant=false"} {
-		path := filepath.Join(t.TempDir(), "metrics.json")
-		var out strings.Builder
-		err := run(context.Background(), []string{"-corpus", cleanCorpus.corpus(t), "-growth", mode, "-snapshot-timeout", "1ns", "-metrics", path}, &out)
-		if code := exitStatus(err); code != exitReducedCoverage {
-			t.Fatalf("%s: exit %d (%v), want %d\n%s", mode, code, err, exitReducedCoverage, out.String())
-		}
-		raw, err := os.ReadFile(path)
+	dir := copyCorpus(t, cleanCorpus)
+	all := timeline.All()
+	first, last := all[len(all)-3], all[len(all)-1]
+	damaged := func(s timeline.Snapshot, name string) string {
+		return filepath.Join(corpus.Dir(dir, corpus.Rapid7, s), name)
+	}
+	firstCerts, firstHTTP := damaged(first, "certs.ndjson.gz"), damaged(first, "http_headers.ndjson.gz")
+	lastHTTPS := damaged(last, "https_headers.ndjson.gz")
+	for _, path := range []string{firstCerts, firstHTTP, lastHTTPS} {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := obs.ParseSnapshot(raw)
-		if err != nil {
+		if err := os.WriteFile(path, data[:len(data)*2/3], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if n := snap.Counter("funnel.snapshots_inferred"); n != 0 {
-			t.Errorf("%s: funnel.snapshots_inferred = %d, want 0: an abandoned attempt still ran its inference", mode, n)
+	}
+
+	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
+	var out strings.Builder
+	err := run(context.Background(), []string{"-corpus", dir, "-growth", "-metrics", metricsPath}, &out)
+	if code := exitStatus(err); code != exitReducedCoverage {
+		t.Fatalf("tolerant run: exit %d (%v), want %d\n%s", code, err, exitReducedCoverage, out.String())
+	}
+	raw, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := obs.ParseSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.Counter("corpus.read_errors"); n != 2 {
+		t.Errorf("corpus.read_errors = %d, want 2: each damaged month read once", n)
+	}
+	var warnings []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "warning: dropping corpus") {
+			warnings = append(warnings, line)
+		}
+	}
+	if len(warnings) != 2 || !strings.Contains(warnings[0], firstCerts) || !strings.Contains(warnings[1], lastHTTPS) {
+		t.Errorf("tolerant run's warnings name %q, want %s then %s", warnings, firstCerts, lastHTTPS)
+	}
+
+	var strictMsg string
+	for _, jobs := range []string{"1", "2"} {
+		for i := 0; i < 3; i++ {
+			var out strings.Builder
+			err := run(context.Background(), []string{"-corpus", dir, "-growth", "-tolerant=false", "-jobs", jobs}, &out)
+			if code := exitStatus(err); code != exitFailure {
+				t.Fatalf("strict run at -jobs %s: exit %d (%v), want %d\n%s", jobs, code, err, exitFailure, out.String())
+			}
+			if strictMsg == "" {
+				strictMsg = err.Error()
+				if !strings.Contains(strictMsg, firstCerts) {
+					t.Errorf("strict run names %q, want %s", strictMsg, firstCerts)
+				}
+			} else if err.Error() != strictMsg {
+				t.Errorf("strict run %d at -jobs %s: %q, want the first run's %q", i, jobs, err.Error(), strictMsg)
+			}
 		}
 	}
 }
@@ -351,10 +398,9 @@ func TestOffnetmapUsageErrors(t *testing.T) {
 		{"max-bad NaN", []string{"-max-bad", "NaN"}},
 		{"max-bad Inf", []string{"-max-bad", "Inf"}},
 		{"max-bad above one", []string{"-max-bad", "1.5"}},
-		// Values the engine would replace: a negative budget runs with
-		// zero tolerance and a negative deadline arms no watchdog.
+		// A value the engine would replace: a negative budget runs with
+		// zero tolerance.
 		{"max-bad negative", []string{"-max-bad", "-0.5"}},
-		{"snapshot-timeout negative", []string{"-snapshot-timeout", "-1m"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder

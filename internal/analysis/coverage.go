@@ -122,19 +122,31 @@ func Fig8(e *Env) *Fig8Result {
 		Direct: coverageMap(e, hg.Google, LastSnapshot(), false),
 		Cones:  coverageMap(e, hg.Google, LastSnapshot(), true),
 	}
+	var gains []CountryGain
 	for code, cone := range out.Cones.ByCountry {
 		direct := out.Direct.ByCountry[code]
 		if cone > direct {
-			out.TopGainers = append(out.TopGainers, CountryGain{Code: code, Direct: direct, Cone: cone})
+			gains = append(gains, CountryGain{Code: code, Direct: direct, Cone: cone})
 		}
 	}
-	sort.Slice(out.TopGainers, func(i, j int) bool {
-		return out.TopGainers[i].Cone-out.TopGainers[i].Direct > out.TopGainers[j].Cone-out.TopGainers[j].Direct
-	})
-	if len(out.TopGainers) > 10 {
-		out.TopGainers = out.TopGainers[:10]
-	}
+	out.TopGainers = topGainers(gains)
 	return out
+}
+
+// topGainers keeps the ten largest increases, ties broken by country
+// code so the cut and its order never depend on map iteration.
+func topGainers(gains []CountryGain) []CountryGain {
+	sort.Slice(gains, func(i, j int) bool {
+		gi, gj := gains[i].Cone-gains[i].Direct, gains[j].Cone-gains[j].Direct
+		if gi != gj {
+			return gi > gj
+		}
+		return gains[i].Code < gains[j].Code
+	})
+	if len(gains) > 10 {
+		gains = gains[:10]
+	}
+	return gains
 }
 
 // Render implements Renderer.

@@ -97,7 +97,13 @@ func (v *ValCrossResult) Render() string {
 	for id := range v.ValidatorShare {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return v.ValidatorShare[ids[i]] > v.ValidatorShare[ids[j]] })
+	sort.Slice(ids, func(i, j int) bool {
+		si, sj := v.ValidatorShare[ids[i]], v.ValidatorShare[ids[j]]
+		if si != sj {
+			return si > sj
+		}
+		return ids[i] < ids[j]
+	})
 	for _, id := range ids {
 		fmt.Fprintf(&b, "  %-12s %5.1f%%\n", id, v.ValidatorShare[id])
 	}

@@ -2,10 +2,7 @@ package chaos
 
 import (
 	"bytes"
-	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -33,7 +30,7 @@ func TestZeroConfigPassesThrough(t *testing.T) {
 // corruption; different pair, different corruption.
 func TestDeterminism(t *testing.T) {
 	data := payload(32 << 10)
-	cfg := Config{Seed: 7, BitFlipRate: 0.01, TruncateProb: 0.5, TruncateWindow: 16 << 10}
+	cfg := Config{Seed: 7, BitFlipRate: 0.01}
 	a := Corrupt(data, cfg, "x")
 	b := Corrupt(data, cfg, "x")
 	if !bytes.Equal(a, b) {
@@ -69,76 +66,5 @@ func TestBitFlips(t *testing.T) {
 	// ~655 expected at 1%; allow a wide deterministic band.
 	if flipped < 300 || flipped > 1200 {
 		t.Fatalf("flipped %d/%d bytes at rate 0.01", flipped, len(data))
-	}
-}
-
-func TestTruncation(t *testing.T) {
-	data := payload(1 << 20)
-	cfg := Config{Seed: 11, TruncateProb: 1, TruncateWindow: 4096}
-	got := Corrupt(data, cfg, "f")
-	if len(got) >= 4096 {
-		t.Fatalf("stream not truncated inside window: got %d bytes", len(got))
-	}
-	if !bytes.Equal(got, data[:len(got)]) {
-		t.Fatal("truncation altered the surviving prefix")
-	}
-}
-
-// Transient errors must not consume input: a retrying reader recovers
-// the full stream.
-func TestTransientErrorsAreRetryable(t *testing.T) {
-	data := payload(64 << 10)
-	r := NewReader(bytes.NewReader(data), Config{Seed: 5, ErrProb: 0.3}, "f")
-	var out []byte
-	buf := make([]byte, 1024)
-	transients := 0
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if !IsTransient(err) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			var te *TransientError
-			if !errors.As(err, &te) || !te.Temporary() {
-				t.Fatalf("transient error not Temporary(): %v", err)
-			}
-			transients++
-			continue
-		}
-	}
-	if transients == 0 {
-		t.Fatal("ErrProb 0.3 injected no transient errors")
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("retried stream does not match the original")
-	}
-}
-
-func TestOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blob")
-	data := payload(8 << 10)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := Open(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("Open pass-through altered file contents")
-	}
-	if _, err := Open(path+".missing", Config{}); err == nil {
-		t.Fatal("opening a missing file should fail")
 	}
 }

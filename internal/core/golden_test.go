@@ -32,8 +32,8 @@ const goldenPath = "testdata/golden/study_rapid7.json"
 // goldenStudy is the full frozen output of one seeded Rapid7 study.
 type goldenStudy struct {
 	// Counters is the run's complete deterministic metric set: every
-	// funnel.* and resilience.* counter (timing histograms are excluded
-	// by construction — counters only).
+	// funnel.* counter (timing histograms are excluded by construction —
+	// counters only).
 	Counters map[string]int64 `json:"counters"`
 	// Series are the Fig-3 growth lines, one value per covered snapshot.
 	Series map[string][]int `json:"series"`

@@ -7,16 +7,15 @@ import (
 	"time"
 
 	"offnetscope/internal/corpus"
-	"offnetscope/internal/resilience"
 	"offnetscope/internal/timeline"
 )
 
 // StreamSource supplies one study month as a chunked record stream.
 // Returning (nil, nil) means the vendor has no data for that month
-// (e.g. Censys before 2019-10); an error marks the month damaged — it is
-// retried per the study's policy and then dropped. Sources may be
-// called from several worker goroutines at once when StudyConfig.Jobs >
-// 1, and must return a fresh Stream per call: retries consume a new one.
+// (e.g. Censys before 2019-10); an error marks the month damaged, and it
+// is dropped. Each month is requested once: its inputs are fixed files,
+// so a second read would fail the same way. Sources may be called from
+// several worker goroutines at once when StudyConfig.Jobs > 1.
 type StreamSource func(ctx context.Context, s timeline.Snapshot) (*corpus.Stream, error)
 
 // StudyConfig tunes the longitudinal runner. The zero value is a plain
@@ -28,18 +27,6 @@ type StudyConfig struct {
 	// sensitive, and it always runs sequentially in snapshot order.
 	Jobs int
 
-	// SnapshotTimeout is the per-attempt watchdog deadline covering one
-	// snapshot's read plus inference; zero disables it. An attempt that
-	// overruns counts as failed and is retried, then dropped.
-	SnapshotTimeout time.Duration
-
-	// Retry is the per-snapshot retry policy (zero value: resilience
-	// defaults). Unless Classify is set, an attempt is retried whenever
-	// its error is not marked resilience.Permanent and the run itself
-	// has not been cancelled — so a watchdog overrun is retryable but a
-	// SIGINT is not.
-	Retry resilience.Policy
-
 	// Restore, when non-nil, is consulted once per snapshot before any
 	// work is scheduled; a non-nil CheckpointData skips both inference
 	// and fold for that snapshot, replaying the stored envelope instead.
@@ -50,8 +37,9 @@ type StudyConfig struct {
 	// error aborts the run.
 	Persist func(timeline.Snapshot, *CheckpointData) error
 
-	// OnDrop is told about each snapshot dropped after its retry budget
-	// (reduced coverage). Called from the fold goroutine, in order.
+	// OnDrop is told about each snapshot whose source or inference
+	// failed (reduced coverage), with that error. Called from the fold
+	// goroutine, in snapshot order.
 	OnDrop func(timeline.Snapshot, error)
 }
 
@@ -115,7 +103,7 @@ func (p *Pipeline) RunStudyStream(ctx context.Context, source StreamSource, cfg 
 			go func() {
 				defer wg.Done()
 				for s := range work {
-					inf, err := p.inferOnce(wctx, source, s, cfg)
+					inf, err := p.inferOnce(wctx, source, s)
 					// Each slot is buffered and receives at most one send (the
 					// dispatcher hands every snapshot out exactly once), so
 					// this never blocks; the wctx arm is defensive, keeping a
@@ -169,7 +157,7 @@ fold:
 		if o.err != nil {
 			// A worker error after the run was cancelled is the
 			// cancellation propagating, not reduced coverage — the
-			// snapshot will simply be retried on resume.
+			// snapshot will simply be recomputed on resume.
 			if ctx.Err() != nil {
 				runErr = ctx.Err()
 				break fold
@@ -206,50 +194,23 @@ func (sr *StudyResult) setEnvelope(s timeline.Snapshot, v EnvelopeValues) {
 	sr.NetflixNonTLS[s] = v.NonTLS
 }
 
-// inferOnce runs one snapshot's read + inference under the watchdog
-// deadline and the retry policy; the returned error means the snapshot
-// is dropped, and (nil, nil) that the source has no data for it.
-func (p *Pipeline) inferOnce(ctx context.Context, source StreamSource, s timeline.Snapshot, cfg StudyConfig) (*SnapshotInference, error) {
-	pol := cfg.Retry
-	if pol.Classify == nil {
-		// The per-attempt watchdog surfaces as context.DeadlineExceeded,
-		// which the default classifier would treat as the caller's own
-		// context ending; here only the run context ending is permanent.
-		pol.Classify = func(err error) bool {
-			return ctx.Err() == nil && !resilience.IsPermanent(err)
-		}
-	}
+// inferOnce runs one snapshot's read + inference; the returned error
+// means the snapshot is dropped, and (nil, nil) that the source has no
+// data for it.
+func (p *Pipeline) inferOnce(ctx context.Context, source StreamSource, s timeline.Snapshot) (*SnapshotInference, error) {
 	start := time.Now()
-	var inf *SnapshotInference
-	err := resilience.Retry(ctx, pol, func(rctx context.Context) error {
-		actx := rctx
-		if cfg.SnapshotTimeout > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(rctx, cfg.SnapshotTimeout)
-			defer cancel()
-		}
-		st, err := source(actx, s)
-		if err != nil || st == nil {
-			return err
-		}
-		res, err := p.InferSnapshotStream(st)
-		if err != nil {
-			return err
-		}
-		// Watchdog: an attempt that overran its deadline failed even if
-		// it limped to a result — a stuck snapshot must not wedge the run.
-		if aerr := actx.Err(); aerr != nil {
-			return aerr
-		}
-		inf = res
-		return nil
-	})
+	st, err := source(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot wall time covers the read plus the inference, over all
-	// retry attempts — the per-unit-of-work latency a -jobs setting
-	// amortizes.
+	var inf *SnapshotInference
+	if st != nil {
+		if inf, err = p.InferSnapshotStream(st); err != nil {
+			return nil, err
+		}
+	}
+	// Snapshot wall time covers the read plus the inference — the
+	// per-unit-of-work latency a -jobs setting amortizes.
 	p.Metrics.Histogram("funnel.snapshot_ns").Since(start)
 	return inf, nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"offnetscope/internal/corpus"
-	"offnetscope/internal/resilience"
 	"offnetscope/internal/scanners"
 	"offnetscope/internal/timeline"
 )
@@ -149,22 +148,33 @@ func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
 		}
 	}
 
+	diskGone := errors.New("disk gone")
 	var dropped []timeline.Snapshot
+	calls := 0
 	sr, err := p.RunStudyStream(context.Background(),
 		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
 			if s == bad {
-				return nil, resilience.Permanent(errors.New("disk gone"))
+				calls++
+				return nil, diskGone
 			}
 			return corpus.StreamOf(snaps[s], 0), nil
 		},
 		StudyConfig{
-			OnDrop: func(s timeline.Snapshot, err error) { dropped = append(dropped, s) },
+			OnDrop: func(s timeline.Snapshot, err error) {
+				if err != diskGone {
+					t.Errorf("OnDrop(%v) got %v, want the source's error as returned", s, err)
+				}
+				dropped = append(dropped, s)
+			},
 		})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if len(dropped) != 1 || dropped[0] != bad {
 		t.Fatalf("dropped %v, want just %v", dropped, bad)
+	}
+	if calls != 1 {
+		t.Fatalf("source asked for the damaged month %d times, want once", calls)
 	}
 	if sr.Results[bad] != nil {
 		t.Fatalf("dropped snapshot still has a result")
@@ -173,64 +183,6 @@ func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
 		if s != bad && sr.Results[s] == nil {
 			t.Errorf("healthy snapshot %v lost", s)
 		}
-	}
-}
-
-func TestRunStudyConfigRetriesTransient(t *testing.T) {
-	snaps := studyTail(t, 2)
-	p := testPipeline(DefaultOptions())
-	fails := make(map[timeline.Snapshot]int)
-
-	sr, err := p.RunStudyStream(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
-			if fails[s] == 0 {
-				fails[s]++
-				return nil, errors.New("transient read glitch")
-			}
-			return corpus.StreamOf(snaps[s], 0), nil
-		},
-		StudyConfig{
-			Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-			OnDrop: func(s timeline.Snapshot, err error) {
-				t.Errorf("snapshot %v dropped despite retry budget: %v", s, err)
-			},
-		})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for s := range snaps {
-		if sr.Results[s] == nil {
-			t.Errorf("snapshot %v missing after transient failure + retry", s)
-		}
-	}
-}
-
-func TestRunStudyConfigWatchdogDropsStuckSnapshot(t *testing.T) {
-	p := testPipeline(DefaultOptions())
-	stuck := lastSnap
-
-	var dropped []timeline.Snapshot
-	sr, err := p.RunStudyStream(context.Background(),
-		func(ctx context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
-			if s == stuck {
-				<-ctx.Done() // simulate a wedged read; the watchdog fires
-				return nil, ctx.Err()
-			}
-			return nil, nil
-		},
-		StudyConfig{
-			SnapshotTimeout: 20 * time.Millisecond,
-			Retry:           resilience.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-			OnDrop:          func(s timeline.Snapshot, err error) { dropped = append(dropped, s) },
-		})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(dropped) != 1 || dropped[0] != stuck {
-		t.Fatalf("dropped %v, want just %v", dropped, stuck)
-	}
-	if sr.Results[stuck] != nil {
-		t.Fatalf("stuck snapshot produced a result")
 	}
 }
 

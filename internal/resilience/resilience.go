@@ -1,12 +1,12 @@
-// Package resilience is the shared retry policy for every component
-// that talks to something flaky — live probes over real sockets, corpus
-// reads off networked filesystems, store reloads. It implements
-// capped exponential backoff with full jitter (the AWS-architecture
-// recipe: sleep a uniform duration in (0, min(cap, base·2^attempt)],
-// which decorrelates synchronized retry storms better than equal or
-// decorrelated jitter), is context-aware throughout, and separates
-// retryable from permanent failures so callers never burn attempts on
-// errors that cannot clear.
+// Package resilience holds the retry policy for the one component whose
+// faults clear on their own — the live prober's dials and handshakes over
+// real sockets — and the circuit breaker offnetd's serving path trips
+// (breaker.go). Retry implements capped exponential backoff with full
+// jitter (the AWS-architecture recipe: sleep a uniform duration in
+// (0, min(cap, base·2^attempt)], which decorrelates synchronized retry
+// storms better than equal or decorrelated jitter) and is context-aware
+// throughout. Reads of fixed local files are not retried anywhere: a
+// second read of the same bytes fails the same way.
 package resilience
 
 import (
@@ -16,12 +16,11 @@ import (
 	"sync"
 	"time"
 
-	"offnetscope/internal/obs"
 	"offnetscope/internal/rng"
 )
 
 // Policy tunes Retry. The zero value is usable: 3 attempts, 50ms base
-// delay, 2s cap, default classification.
+// delay, 2s cap.
 type Policy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// Zero or negative means 3.
@@ -30,18 +29,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps a single backoff sleep. Zero means 2s.
 	MaxDelay time.Duration
-	// Classify reports whether an error is worth retrying. Nil means
-	// DefaultClassify.
-	Classify func(error) bool
-	// Seed, when nonzero, makes the jitter stream deterministic — the
-	// same property every simulator in this repo has. Zero draws from
-	// the process-wide stream, which is still reproducible run-to-run
-	// but shared across callers.
-	Seed uint64
-	// Metrics, when set, receives retry accounting (resilience.* in
-	// DESIGN.md §7): attempts, successes, retries, aborted (permanent
-	// or cancelled), exhausted budgets, and a backoff-sleep histogram.
-	Metrics *obs.Registry
 	// sleep is swapped by tests to observe the schedule.
 	sleep func(context.Context, time.Duration) error
 }
@@ -56,47 +43,20 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
 	}
-	if p.Classify == nil {
-		p.Classify = DefaultClassify
-	}
 	if p.sleep == nil {
 		p.sleep = sleepCtx
 	}
 	return p
 }
 
-// permanentError marks an error no retry can clear.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return "permanent: " + e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Retry (under DefaultClassify) stops
-// immediately and returns it. A nil err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
-// DefaultClassify treats an error as retryable unless it is marked
-// Permanent or stems from the caller's own context ending — a cancelled
-// or timed-out context never heals inside the retry loop. Everything
-// else (dial refusals, resets, transient chaos faults, timeouts of the
-// individual attempt) is presumed transient: for scan traffic the cost
-// of a wasted retry is far below the cost of under-counting hosts (§5).
+// DefaultClassify treats an error as retryable unless it stems from the
+// caller's own context ending — a cancelled or timed-out context never
+// heals inside the retry loop. Everything else (dial refusals, resets,
+// timeouts of the individual attempt) is presumed transient: for scan
+// traffic the cost of a wasted retry is far below the cost of
+// under-counting hosts (§5).
 func DefaultClassify(err error) bool {
 	if err == nil {
-		return false
-	}
-	if IsPermanent(err) {
 		return false
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -105,64 +65,47 @@ func DefaultClassify(err error) bool {
 	return true
 }
 
-// globalJitter is the process-wide jitter stream used when Policy.Seed
-// is zero; guarded because Retry runs from many goroutines.
+// jitter is the jitter stream every Retry draws from; guarded because
+// Retry runs from many goroutines.
 var (
-	jitterMu     sync.Mutex
-	globalJitter = rng.New(0x7e5).Fork("resilience")
+	jitterMu sync.Mutex
+	jitter   = rng.New(0x7e5).Fork("resilience")
 )
 
-func jitterFloat(g *rng.RNG) float64 {
-	if g != nil {
-		return g.Float64()
-	}
+func jitterFloat() float64 {
 	jitterMu.Lock()
 	defer jitterMu.Unlock()
-	return globalJitter.Float64()
+	return jitter.Float64()
 }
 
-// Retry runs op until it succeeds, exhausts the attempt budget, hits a
-// non-retryable error, or ctx ends. It returns nil on success and
-// otherwise the last error observed (the attempt count is attached via
-// %w wrapping only in the exhausted case, so callers can still match
-// the underlying error with errors.Is/As).
+// Retry runs op until it succeeds, exhausts the attempt budget, hits an
+// error DefaultClassify does not retry, or ctx ends. It returns nil on
+// success and otherwise the last error observed (the attempt count is
+// attached via %w wrapping only in the exhausted case, so callers can
+// still match the underlying error with errors.Is/As).
 func Retry(ctx context.Context, p Policy, op func(context.Context) error) error {
 	p = p.withDefaults()
-	var g *rng.RNG
-	if p.Seed != 0 {
-		g = rng.New(p.Seed).Fork("resilience")
-	}
-	m := p.Metrics
 	var err error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
-			m.Counter("resilience.aborted").Inc()
 			if err == nil {
 				return cerr
 			}
 			return err
 		}
-		m.Counter("resilience.attempts").Inc()
 		if err = op(ctx); err == nil {
-			m.Counter("resilience.successes").Inc()
 			return nil
 		}
-		if !p.Classify(err) {
-			m.Counter("resilience.aborted").Inc()
+		if !DefaultClassify(err) {
 			return err
 		}
 		if attempt == p.MaxAttempts-1 {
 			break
 		}
-		d := Backoff(p, attempt, jitterFloat(g))
-		m.Counter("resilience.retries").Inc()
-		m.Histogram("resilience.backoff_ns").Observe(int64(d))
-		if serr := p.sleep(ctx, d); serr != nil {
-			m.Counter("resilience.aborted").Inc()
+		if serr := p.sleep(ctx, Backoff(p, attempt, jitterFloat())); serr != nil {
 			return err
 		}
 	}
-	m.Counter("resilience.exhausted").Inc()
 	return fmt.Errorf("resilience: %d attempts exhausted: %w", p.MaxAttempts, err)
 }
 

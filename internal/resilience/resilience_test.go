@@ -1,14 +1,10 @@
 package resilience
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"io"
 	"testing"
 	"time"
-
-	"offnetscope/internal/chaos"
 )
 
 var errFlaky = errors.New("flaky")
@@ -25,7 +21,7 @@ func recordingPolicy(p Policy, slept *[]time.Duration) Policy {
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	var slept []time.Duration
 	calls := 0
-	err := Retry(context.Background(), recordingPolicy(Policy{MaxAttempts: 5, Seed: 1}, &slept),
+	err := Retry(context.Background(), recordingPolicy(Policy{MaxAttempts: 5}, &slept),
 		func(context.Context) error {
 			calls++
 			if calls < 3 {
@@ -44,29 +40,13 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 func TestRetryExhaustsAttempts(t *testing.T) {
 	var slept []time.Duration
 	calls := 0
-	err := Retry(context.Background(), recordingPolicy(Policy{MaxAttempts: 4, Seed: 1}, &slept),
+	err := Retry(context.Background(), recordingPolicy(Policy{MaxAttempts: 4}, &slept),
 		func(context.Context) error { calls++; return errFlaky })
 	if calls != 4 {
 		t.Fatalf("calls = %d, want 4", calls)
 	}
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("exhausted error does not wrap the cause: %v", err)
-	}
-}
-
-func TestRetryStopsOnPermanent(t *testing.T) {
-	calls := 0
-	cause := errors.New("bad request")
-	err := Retry(context.Background(), Policy{MaxAttempts: 5},
-		func(context.Context) error { calls++; return Permanent(cause) })
-	if calls != 1 {
-		t.Fatalf("permanent error retried: %d calls", calls)
-	}
-	if !errors.Is(err, cause) || !IsPermanent(err) {
-		t.Fatalf("error lost its identity: %v", err)
-	}
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil) != nil")
 	}
 }
 
@@ -101,10 +81,8 @@ func TestDefaultClassify(t *testing.T) {
 	}{
 		{nil, false},
 		{errFlaky, true},
-		{Permanent(errFlaky), false},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},
-		{&chaos.TransientError{Offset: 9}, true},
 	}
 	for _, c := range cases {
 		if got := DefaultClassify(c.err); got != c.want {
@@ -114,8 +92,7 @@ func TestDefaultClassify(t *testing.T) {
 }
 
 // The schedule is capped exponential with full jitter: every sleep is
-// bounded by min(MaxDelay, Base·2^attempt) and the stream is
-// deterministic under a fixed seed.
+// bounded by min(MaxDelay, Base·2^attempt).
 func TestBackoffSchedule(t *testing.T) {
 	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	for attempt, wantCeil := range []time.Duration{
@@ -128,53 +105,5 @@ func TestBackoffSchedule(t *testing.T) {
 				t.Fatalf("Backoff(attempt=%d, u=%v) = %v, ceiling %v", attempt, u, d, wantCeil)
 			}
 		}
-	}
-
-	var a, b []time.Duration
-	fail := func(context.Context) error { return errFlaky }
-	Retry(context.Background(), recordingPolicy(Policy{MaxAttempts: 6, Seed: 42}, &a), fail) //nolint:errcheck
-	Retry(context.Background(), recordingPolicy(Policy{MaxAttempts: 6, Seed: 42}, &b), fail) //nolint:errcheck
-	if len(a) != 5 {
-		t.Fatalf("recorded %d sleeps, want 5", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded jitter not deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-// Retrying a chaos-faulted stream drains it completely: the two
-// packages compose into the read-everything-despite-faults guarantee
-// the degraded-mode pipeline relies on.
-func TestRetryOverChaosReader(t *testing.T) {
-	data := make([]byte, 32<<10)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	r := chaos.NewReader(bytes.NewReader(data), chaos.Config{Seed: 13, ErrProb: 0.4}, "stream")
-	var out []byte
-	buf := make([]byte, 512)
-	for {
-		var n int
-		err := Retry(context.Background(), Policy{MaxAttempts: 20, BaseDelay: time.Microsecond, Seed: 13},
-			func(context.Context) error {
-				var rerr error
-				n, rerr = r.Read(buf)
-				if rerr != nil && !chaos.IsTransient(rerr) {
-					return Permanent(rerr)
-				}
-				return rerr
-			})
-		out = append(out, buf[:n]...)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			t.Fatalf("read failed despite retries: %v", err)
-		}
-	}
-	if len(out) != len(data) {
-		t.Fatalf("drained %d/%d bytes", len(out), len(data))
 	}
 }

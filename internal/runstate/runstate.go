@@ -220,8 +220,8 @@ func CorpusFingerprint(dir string) (string, error) {
 }
 
 // OptionsHash digests the pipeline options that affect inference
-// output. Worker count, timeouts, and retry policy are deliberately
-// excluded: they change how the run executes, never what it computes.
+// output. The worker count is deliberately excluded: it changes how the
+// run executes, never what it computes.
 // The fixed "nginx=false expiry=[]" keeps the digest of checkpoints
 // written when Options had two more fields, which no command could
 // set, so those checkpoints still resume.

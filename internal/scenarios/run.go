@@ -10,7 +10,6 @@ import (
 	"offnetscope/internal/analysis"
 	"offnetscope/internal/core"
 	"offnetscope/internal/corpus"
-	"offnetscope/internal/resilience"
 	"offnetscope/internal/scanners"
 	"offnetscope/internal/timeline"
 	"offnetscope/internal/worldsim"
@@ -78,7 +77,7 @@ func snapshotSet(ss []timeline.Snapshot) map[timeline.Snapshot]bool {
 // RunCell executes one scenario end to end: build the cell's world,
 // run the full longitudinal inference over the simulated Rapid7
 // corpus (honoring the cell's outage and damage schedule through the
-// runner's no-data and retry/drop paths), score against ground truth,
+// runner's no-data and drop paths), score against ground truth,
 // and apply the thresholds. The study runs sequentially: Run spreads
 // the cells, not a cell's snapshots, over the CPUs.
 func RunCell(ctx context.Context, c Cell) (CellResult, error) {
@@ -103,7 +102,7 @@ func RunCell(ctx context.Context, c Cell) (CellResult, error) {
 			return nil, nil // vendor has no data this month
 		}
 		if damaged[s] {
-			return nil, resilience.Permanent(fmt.Errorf("scenarios: %s: simulated unreadable vendor month", s.Label()))
+			return nil, fmt.Errorf("scenarios: %s: simulated unreadable vendor month", s.Label())
 		}
 		return corpus.StreamOf(scanners.Scan(w, profile, s), 0), nil
 	}

@@ -49,9 +49,9 @@ type Cell struct {
 	// Outages lists study months the simulated vendor has no data for;
 	// they flow through the runner's no-data path and reduce coverage.
 	Outages []timeline.Snapshot `json:"outages,omitempty"`
-	// Damaged lists study months whose reads fail permanently; the
-	// runner's retry/drop isolation drops them (reduced coverage), the
-	// same way offnetmap's tolerant reads drop a corrupt vendor-month.
+	// Damaged lists study months whose reads fail; the runner drops
+	// them (reduced coverage), the same way offnetmap's tolerant reads
+	// drop a corrupt vendor-month.
 	Damaged []timeline.Snapshot `json:"damaged,omitempty"`
 	// ScoreSnapshots are extra snapshots to score besides the last
 	// covered one — flash cells score at the flash peak.
