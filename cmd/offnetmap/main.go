@@ -19,7 +19,8 @@
 // not change, so a second read would fail the same way. -tolerant=false
 // restores strict fail-on-first-error reads; a strict -growth run names
 // the earliest damaged month's first damaged file (certificates, then
-// HTTPS headers, then HTTP headers) at any -jobs. The corpus's dataset
+// HTTPS headers, then HTTP headers) at any -jobs, and stops there: no
+// later month is folded or checkpointed. The corpus's dataset
 // files (worldgen -datasets: as-org.txt and each month's RouteViews and
 // RIPE RIS RIBs) are used when present; one that exists but cannot be
 // read, or a month with only one collector's RIB, fails its month the
@@ -34,7 +35,8 @@
 // Every read streams its vendor-month through the inference in
 // fixed-size record batches, so a month's raw corpus never sits in
 // memory at once; what stays resident is the month's validated
-// certificate records plus its HTTP(S) header index. Output is
+// certificate records that carry a hypergiant keyword plus its HTTP(S)
+// header index. Output is
 // byte-identical at any -jobs setting.
 //
 // Exit codes: 0 success; 1 failure; 2 usage error; 3 the -growth run
@@ -644,20 +646,18 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 
 	// The fold reports failed months in snapshot order, each with the
 	// engine's certs → https → http precedence, so strict mode fails with
-	// the earliest damaged file whatever -jobs is.
+	// the earliest damaged file whatever -jobs is, and stops there:
+	// no later month is folded or checkpointed.
 	var dropped []string
-	var strictErr error
 	cfg := core.StudyConfig{
 		Jobs: gopt.jobs,
-		OnDrop: func(s timeline.Snapshot, err error) {
+		OnDrop: func(s timeline.Snapshot, err error) error {
 			if !opts.Tolerant {
-				if strictErr == nil {
-					strictErr = fmt.Errorf("reading corpus %s/%s: %w", vendor, s.Label(), err)
-				}
-				return
+				return fmt.Errorf("reading corpus %s/%s: %w", vendor, s.Label(), err)
 			}
 			fmt.Fprintf(stdout, "warning: dropping corpus %s/%s: %v\n", vendor, s.Label(), err)
 			dropped = append(dropped, s.Label())
+			return nil
 		},
 	}
 	restoredN := 0
@@ -675,9 +675,6 @@ func runGrowth(ctx context.Context, stdout io.Writer, pipeline *core.Pipeline, m
 	sr, runErr := pipeline.RunStudyStream(ctx, source, cfg)
 	if restoredN > 0 {
 		fmt.Fprintf(stdout, "resume: reused %d checkpointed snapshot(s) from %s\n", restoredN, gopt.checkpoint)
-	}
-	if strictErr != nil {
-		return nil, 0, strictErr
 	}
 	for _, s := range timeline.All() {
 		reportSkips(stdout, string(vendor), s, statsBy[s])

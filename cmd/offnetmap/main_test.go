@@ -314,7 +314,8 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 // once — the fixed bytes would fail a second read the same way — and
 // every run names the same file for it: the engine's certs → https →
 // http precedence, never whichever file consumer failed first. A strict
-// run fails with the earliest damaged month's error at any -jobs.
+// run fails with the earliest damaged month's error at any -jobs, and
+// stops there: it checkpoints no later month.
 func TestGrowthDamagedMonths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a corpus on disk")
@@ -368,9 +369,14 @@ func TestGrowthDamagedMonths(t *testing.T) {
 	for _, jobs := range []string{"1", "2"} {
 		for i := 0; i < 3; i++ {
 			var out strings.Builder
-			err := run(context.Background(), []string{"-corpus", dir, "-growth", "-tolerant=false", "-jobs", jobs}, &out)
+			ck := t.TempDir()
+			err := run(context.Background(), []string{"-corpus", dir, "-growth", "-tolerant=false", "-jobs", jobs, "-checkpoint", ck}, &out)
 			if code := exitStatus(err); code != exitFailure {
 				t.Fatalf("strict run at -jobs %s: exit %d (%v), want %d\n%s", jobs, code, err, exitFailure, out.String())
+			}
+			// The first month is damaged, so every entry would follow it.
+			if entries, _ := filepath.Glob(filepath.Join(ck, "*.ckpt")); len(entries) != 0 {
+				t.Errorf("strict run at -jobs %s checkpointed %v after its first damaged month", jobs, entries)
 			}
 			if strictMsg == "" {
 				strictMsg = err.Error()

@@ -79,8 +79,7 @@ func BenchmarkStageValidate(b *testing.B) {
 // validateAll runs step 1 over a whole snapshot as one batch.
 func validateAll(p *Pipeline, snap *corpus.Snapshot) []record {
 	res := newResult(snap)
-	records := make([]record, 0, len(snap.Certs))
-	return p.validateBatch(res, make(map[astopo.ASN]struct{}), make(orgMatcher), records, snap.Certs, snap.ScanTime(), p.Mapper(snap.Snapshot))
+	return p.validateBatch(res, make(map[astopo.ASN]struct{}), make(orgMatcher), nil, snap.Certs, snap.ScanTime(), p.Mapper(snap.Snapshot))
 }
 
 // matchAll runs steps 2–5 for every hypergiant over validated records.

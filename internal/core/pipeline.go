@@ -161,7 +161,8 @@ type Result struct {
 	PerHG map[hg.ID]*HGResult
 }
 
-// record is a validated certificate observation ready for matching.
+// record is a validated certificate observation whose leaf carries at
+// least one hypergiant keyword, ready for matching.
 type record struct {
 	ip   netmodel.IP
 	asns []astopo.ASN
@@ -271,7 +272,7 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 	// (the lowest set bit).
 	for i := range records {
 		r := &records[i]
-		if r.hgs == 0 || r.expired {
+		if r.expired {
 			continue
 		}
 		if anyIn(r.asns, byID[bits.TrailingZeros32(r.hgs)].onNet) {
@@ -295,7 +296,7 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 	// Pass 2, steps 3–5, which need the complete fingerprints.
 	for i := range records {
 		r := &records[i]
-		if r.hgs == 0 || len(r.asns) == 0 {
+		if len(r.asns) == 0 {
 			continue
 		}
 		for set := r.hgs; set != 0; set &= set - 1 {
@@ -334,10 +335,11 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 // verify every chain and annotate records with their origin AS and
 // keyword set. Invalid chains are dropped (counted by reason in res)
 // except expired-only leaves, which are kept flagged for the Fig 3
-// envelope. Validated records append to records and tallies add to res
-// and asSet, so batches validated in record order keep corpus order and
-// every tally byte-identical at any chunk size. It is the only §4.1
-// pass.
+// envelope. Tallies add to res and asSet for every record; a validated
+// record appends to records only when its organization carries a
+// hypergiant keyword, since §4.2–4.5 read no other. Batches validated
+// in record order therefore keep corpus order, and every tally is
+// byte-identical at any chunk size. It is the only §4.1 pass.
 func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, orgs orgMatcher, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
 	for _, cr := range batch {
 		asns := mapper.Lookup(cr.IP)
@@ -358,11 +360,15 @@ func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, org
 			res.ValidCertIPs++
 		}
 		leaf := cr.Chain.Leaf()
+		hgs := orgs.match(leaf.Subject.Organization)
+		if hgs == 0 {
+			continue
+		}
 		records = append(records, record{
 			ip:      cr.IP,
 			asns:    asns,
 			leaf:    leaf,
-			hgs:     orgs.match(leaf.Subject.Organization),
+			hgs:     hgs,
 			expired: expired,
 		})
 	}

@@ -39,8 +39,10 @@ type StudyConfig struct {
 
 	// OnDrop is told about each snapshot whose source or inference
 	// failed (reduced coverage), with that error. Called from the fold
-	// goroutine, in snapshot order.
-	OnDrop func(timeline.Snapshot, error)
+	// goroutine, in snapshot order. A non-nil return ends the run there,
+	// as a Persist error does: no later snapshot is folded or persisted,
+	// and RunStudyStream returns that error.
+	OnDrop func(timeline.Snapshot, error) error
 }
 
 // outcome is one worker's verdict on a snapshot: inf and err nil means
@@ -164,7 +166,9 @@ fold:
 			}
 			p.Metrics.Counter("funnel.snapshots_dropped").Inc()
 			if cfg.OnDrop != nil {
-				cfg.OnDrop(s, o.err)
+				if runErr = cfg.OnDrop(s, o.err); runErr != nil {
+					break fold
+				}
 			}
 			continue
 		}

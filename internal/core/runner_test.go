@@ -151,20 +151,21 @@ func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
 	diskGone := errors.New("disk gone")
 	var dropped []timeline.Snapshot
 	calls := 0
-	sr, err := p.RunStudyStream(context.Background(),
-		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
-			if s == bad {
-				calls++
-				return nil, diskGone
-			}
-			return corpus.StreamOf(snaps[s], 0), nil
-		},
+	source := func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+		if s == bad {
+			calls++
+			return nil, diskGone
+		}
+		return corpus.StreamOf(snaps[s], 0), nil
+	}
+	sr, err := p.RunStudyStream(context.Background(), source,
 		StudyConfig{
-			OnDrop: func(s timeline.Snapshot, err error) {
+			OnDrop: func(s timeline.Snapshot, err error) error {
 				if err != diskGone {
 					t.Errorf("OnDrop(%v) got %v, want the source's error as returned", s, err)
 				}
 				dropped = append(dropped, s)
+				return nil
 			},
 		})
 	if err != nil {
@@ -182,6 +183,28 @@ func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
 	for s := range snaps {
 		if s != bad && sr.Results[s] == nil {
 			t.Errorf("healthy snapshot %v lost", s)
+		}
+	}
+
+	// A non-nil OnDrop return ends the run there, as a Persist error
+	// does. The damaged month is the earliest with data, so nothing
+	// after it is folded or persisted.
+	stop := errors.New("stop")
+	persisted := 0
+	sr, err = p.RunStudyStream(context.Background(), source, StudyConfig{
+		Jobs:    2,
+		OnDrop:  func(timeline.Snapshot, error) error { return stop },
+		Persist: func(timeline.Snapshot, *CheckpointData) error { persisted++; return nil },
+	})
+	if err != stop {
+		t.Fatalf("run whose OnDrop fails: err %v, want OnDrop's error", err)
+	}
+	if persisted != 0 {
+		t.Fatalf("%d snapshot(s) persisted after OnDrop stopped the run", persisted)
+	}
+	for s := range snaps {
+		if sr.Results[s] != nil {
+			t.Errorf("snapshot %v folded after OnDrop stopped the run", s)
 		}
 	}
 }

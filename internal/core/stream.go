@@ -16,11 +16,12 @@ import (
 // streams vendor-months straight off disk. Chains, header slices, and a
 // month's raw record slices never materialize at once. What does stay
 // resident per snapshot is one compact record per validated certificate
-// observation (§4.2–4.5 match every hypergiant in two passes over them,
-// each record carrying a bitmask of the hypergiants whose keyword its
-// organization contains), the set of certificate IPs, and the HTTP(S)
-// header indexes, which hold every header record of the month: memory
-// is O(chunk + validated records + the month's header records).
+// observation whose organization carries a hypergiant keyword (§4.2–4.5
+// match every hypergiant in two passes over them, each record carrying
+// a bitmask of those hypergiants), the set of certificate IPs, and the
+// HTTP(S) header indexes, which hold every header record of the month:
+// memory is O(chunk + validated keyword records + the month's header
+// records).
 //
 // Determinism contract: batches arrive in record order and validate in
 // arrival order, so the fold order is chunk order, which is record
@@ -53,10 +54,11 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	at := st.ScanTime()
 
 	// The producer's record counts, when it knows them, pre-size the
-	// per-month containers instead of growing them by doubling.
+	// per-month containers instead of growing them by doubling. Only the
+	// few keyword records are kept, so records grows from empty.
 	hint := st.SizeHint
 	var (
-		records  = make([]record, 0, hint[0])
+		records  []record
 		asSet    = make(map[astopo.ASN]struct{})
 		orgs     = make(orgMatcher)
 		certIPs  = make(map[netmodel.IP]struct{}, hint[0])

@@ -195,11 +195,6 @@ type ReadOptions struct {
 	// skipped by reason, and a read-latency histogram. Counter totals
 	// are deterministic for a fixed corpus; only corpus.read_ns varies.
 	Metrics *obs.Registry
-
-	// ChunkSize bounds the record batches OpenStream yields; zero means
-	// DefaultChunkSize. It is an execution knob like -jobs, not part of
-	// the determinism contract: output is byte-identical at any setting.
-	ChunkSize int
 }
 
 // NoBudget is the MaxBadFraction sentinel for zero tolerance: any
@@ -269,12 +264,7 @@ func (fs *FileStats) String() string {
 		for r := range fs.Reasons {
 			reasons = append(reasons, r)
 		}
-		// Deterministic order without importing sort for two keys.
-		for i := 1; i < len(reasons); i++ {
-			for j := i; j > 0 && reasons[j] < reasons[j-1]; j-- {
-				reasons[j], reasons[j-1] = reasons[j-1], reasons[j]
-			}
-		}
+		slices.Sort(reasons)
 		b.WriteString(" (")
 		for i, r := range reasons {
 			if i > 0 {

@@ -10,10 +10,10 @@ import (
 	"offnetscope/internal/timeline"
 )
 
-// DefaultChunkSize is the record-batch size the streaming read path
-// yields when ReadOptions.ChunkSize is unset. Large enough that the
-// per-batch yield amortizes, small enough that a batch of fully decoded
-// records stays in cache-friendly territory.
+// DefaultChunkSize is the record-batch size OpenStream yields, and
+// StreamOf's when its chunk is unset. Large enough that the per-batch
+// yield amortizes, small enough that a batch of fully decoded records
+// stays in cache-friendly territory.
 const DefaultChunkSize = 4096
 
 // Stream is the chunked read path over one vendor-month: instead of
@@ -103,17 +103,23 @@ func yieldChunks[T any](recs []T, chunk int, yield func([]T) error) error {
 	return nil
 }
 
-// OpenStream opens a persisted vendor-month for chunked reading under
-// the given ReadOptions: tolerant mode, the per-file error budget, and
-// metrics. All three files are stat'd up front so a month the vendor
-// doesn't cover fails here with fs.ErrNotExist rather than
-// mid-consumption.
+// OpenStream opens a persisted vendor-month for reading in batches of
+// DefaultChunkSize records under the given ReadOptions: tolerant mode,
+// the per-file error budget, and metrics. All three files are stat'd up
+// front so a month the vendor doesn't cover fails here with
+// fs.ErrNotExist rather than mid-consumption.
 //
 // The read's corpus.* metrics are recorded once, after all three
 // consume functions have completed; a consumer that abandons a stream
 // forfeits that read's accounting. Error precedence across files
 // follows the fixed file order (certs, https, http).
 func OpenStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions) (*Stream, error) {
+	return openStream(root, vendor, s, opts, DefaultChunkSize)
+}
+
+// openStream is OpenStream yielding batches of chunk records, so tests
+// can split a file at any record.
+func openStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions, chunk int) (*Stream, error) {
 	start := time.Now()
 	dir := Dir(root, vendor, s)
 	stats := &ReadStats{}
@@ -126,10 +132,6 @@ func OpenStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOption
 			recordReadMetrics(opts.Metrics, start, stats, err)
 			return nil, err
 		}
-	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = DefaultChunkSize
 	}
 	fin := &streamFinalizer{start: start, stats: stats, opts: opts, left: 3}
 	st := &Stream{Vendor: vendor, Snapshot: s, Stats: stats}

@@ -56,9 +56,9 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		return true
 	}
 
-	for _, chunk := range []int{1, 7, 0, 1 << 20} {
+	for _, chunk := range []int{1, 7, DefaultChunkSize, 1 << 20} {
 		reg := obs.NewRegistry("got")
-		st, err := OpenStream(root, Rapid7, snap.Snapshot, ReadOptions{Metrics: reg, ChunkSize: chunk})
+		st, err := openStream(root, Rapid7, snap.Snapshot, ReadOptions{Metrics: reg}, chunk)
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
@@ -88,7 +88,7 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 			t.Fatalf("chunk=%d: read accounting %v", chunk, got.Counters)
 		}
 
-		back, stats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{ChunkSize: chunk})
+		back, stats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{})
 		if err != nil {
 			t.Fatalf("chunk=%d: ReadWithStats: %v", chunk, err)
 		}
@@ -190,7 +190,7 @@ func TestOpenStreamConsumerAbort(t *testing.T) {
 	if err := Write(root, snap); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStream(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true, MaxBadFraction: NoBudget, ChunkSize: 10})
+	st, err := openStream(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true, MaxBadFraction: NoBudget}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

