@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci build vet test test-short race fuzz-smoke chaos-race golden bench bench-smoke bench-serve loadtest soak watch-smoke scenarios-smoke scenarios experiments corpus serve watch clean
+.PHONY: all ci build vet test test-short race fuzz-smoke chaos-race golden bench bench-smoke bench-serve loadtest soak watch-smoke scenarios-smoke scenarios experiments results-check corpus serve watch clean
 
 all: build vet test
 
@@ -9,8 +9,9 @@ all: build vet test
 # smokes included), every test -short keeps under the race detector
 # (the fault-injection suites and the crash-only offnetd e2e included),
 # the crash suites -short skips under the race detector too, a short
-# fuzz pass over every decoder, and one-iteration benchmark smoke.
-ci: build vet test race fuzz-smoke chaos-race bench-smoke
+# fuzz pass over every decoder, one-iteration benchmark smoke, and a
+# byte-for-byte regeneration of the committed results.
+ci: build vet test race fuzz-smoke chaos-race bench-smoke results-check
 
 build:
 	go build ./...
@@ -144,6 +145,18 @@ scenarios:
 # refresh the committed results (plus CSV exports for plotting).
 experiments:
 	go run ./cmd/experiments -exp all -scale 0.1 -csv results/csv | tee results/experiments_seed1_scale0.1.txt
+
+# Every committed result regenerates byte for byte: the experiments
+# text and CSVs (`make experiments`) and the full scenario matrix
+# (`make scenarios`) are regenerated into a temp dir and diffed against
+# results/, and diff names each file that differs. About 2 min on 2
+# vCPUs. table3_seed1_scale1.0.txt is a 13-minute full-scale run and
+# stays a manual regeneration (EXPERIMENTS.md).
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/experiments -exp all -scale 0.1 -csv "$$tmp/csv" >"$$tmp/experiments_seed1_scale0.1.txt" && \
+	go run ./cmd/scenarios -grid full -workers 2 -q -out "$$tmp/SCENARIOS.json" -md "$$tmp/SCENARIOS.md" && \
+	diff -r -x table3_seed1_scale1.0.txt results "$$tmp"
 
 # Produce an on-disk corpus with the public-dataset stand-ins.
 corpus:

@@ -6,6 +6,8 @@
 //	experiments -exp table3          # one experiment
 //	experiments -exp all             # every registered experiment
 //	experiments -list                # what is available
+//
+// Progress and wall times go to stderr: stdout is the same on every run.
 package main
 
 import (
@@ -48,8 +50,8 @@ func main() {
 	run := func(e analysis.Experiment) {
 		t0 := time.Now()
 		result := e.Run(env)
-		fmt.Printf("\n================ %s — %s (%v) ================\n%s",
-			e.ID, e.Title, time.Since(t0).Round(time.Millisecond), result.Render())
+		log.Printf("%s done in %v", e.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("\n================ %s — %s ================\n%s", e.ID, e.Title, result.Render())
 		if *csvDir != "" {
 			files, err := analysis.WriteCSV(*csvDir, result)
 			if err != nil {

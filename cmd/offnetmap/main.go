@@ -33,11 +33,11 @@
 // byte-identical output to an uninterrupted run.
 //
 // Every read streams its vendor-month through the inference in
-// fixed-size record batches, so a month's raw corpus never sits in
-// memory at once; what stays resident is the month's validated
-// certificate records that carry a hypergiant keyword plus its HTTP(S)
-// header index. Output is
-// byte-identical at any -jobs setting.
+// fixed-size record batches, certificates and then headers on one
+// goroutine, so a month's raw corpus never sits in memory at once; what
+// stays resident is the month's validated keyword certificate records,
+// its certificate and HTTP-only IPs, and its keyword IPs' headers.
+// Output is byte-identical at any -jobs setting.
 //
 // Exit codes: 0 success; 1 failure; 2 usage error; 3 the -growth run
 // completed but with reduced coverage (dropped vendor-months or

@@ -98,11 +98,11 @@ func newResult(snap *corpus.Snapshot) *Result {
 	}
 }
 
-// headerIndex indexes one snapshot's header records by IP, as inference
-// does.
-func headerIndex(records []corpus.HeaderRecord) map[netmodel.IP][]hg.Header {
-	idx := make(map[netmodel.IP][]hg.Header, len(records))
-	indexHeaders(idx, records)
+// headerIndex indexes one snapshot's header records by IP, keeping only
+// the validated keyword records' IPs, as inference does.
+func headerIndex(records []record, headers []corpus.HeaderRecord) map[netmodel.IP][]hg.Header {
+	idx := make(map[netmodel.IP][]hg.Header)
+	indexHeaders(idx, keywordIPs(records), headers)
 	return idx
 }
 
@@ -130,8 +130,8 @@ func BenchmarkStageHeaderConfirm(b *testing.B) {
 	p := testPipeline(DefaultOptions())
 	snap := benchSnapshot(b)
 	records := validateAll(p, snap)
-	httpsIdx := headerIndex(snap.HTTPS)
-	httpIdx := headerIndex(snap.HTTP)
+	httpsIdx := headerIndex(records, snap.HTTPS)
+	httpIdx := headerIndex(records, snap.HTTP)
 	h := hg.Get(hg.Google)
 	hr := matchAll(p, snap, records, httpsIdx, httpIdx).PerHG[h.ID]
 	if len(hr.CandidateIPList) == 0 {

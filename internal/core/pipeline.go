@@ -190,8 +190,8 @@ var hgKeywords = func() (kws [hg.Count + 1]string) {
 // hypergiants whose keyword it contains case-insensitively, as a
 // record's hgs bitmask. The decoder interns organizations, so a month
 // has few distinct ones and each is lowercased and searched once.
-// InferSnapshotStream makes one per snapshot for its certificate
-// consumer goroutine alone; nothing outlives the snapshot.
+// InferSnapshotStream makes one per snapshot for its certificate read;
+// nothing outlives the snapshot.
 type orgMatcher map[string]uint32
 
 func (m orgMatcher) match(org string) uint32 {

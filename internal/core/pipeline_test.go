@@ -6,6 +6,7 @@ import (
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/corpus"
 	"offnetscope/internal/hg"
+	"offnetscope/internal/netmodel"
 	"offnetscope/internal/scanners"
 	"offnetscope/internal/timeline"
 	"offnetscope/internal/worldsim"
@@ -259,7 +260,11 @@ func TestHeaderModesOrdering(t *testing.T) {
 func TestMiningRecoversTable4(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	mapper := testWorld.IP2AS(lastSnap)
-	httpsIdx := headerIndex(snap.HTTPS)
+	// §4.4 mines every on-net response, not only keyword IPs' headers.
+	httpsIdx := make(map[netmodel.IP][]hg.Header, len(snap.HTTPS))
+	for _, r := range snap.HTTPS {
+		httpsIdx[r.IP] = r.Headers
+	}
 
 	for _, id := range []hg.ID{hg.Google, hg.Facebook, hg.Akamai, hg.Cloudflare} {
 		h := hg.Get(id)

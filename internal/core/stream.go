@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"cmp"
 	"time"
 
 	"offnetscope/internal/astopo"
@@ -18,10 +18,10 @@ import (
 // resident per snapshot is one compact record per validated certificate
 // observation whose organization carries a hypergiant keyword (§4.2–4.5
 // match every hypergiant in two passes over them, each record carrying
-// a bitmask of those hypergiants), the set of certificate IPs, and the
-// HTTP(S) header indexes, which hold every header record of the month:
-// memory is O(chunk + validated keyword records + the month's header
-// records).
+// a bitmask of those hypergiants), the certificate and HTTP-only IP
+// sets, and the headers of keyword-record IPs: memory is O(chunk +
+// validated keyword records + the month's certificate and HTTP-only IPs
+// + the keyword IPs' header lists + the per-read intern table).
 //
 // Determinism contract: batches arrive in record order and validate in
 // arrival order, so the fold order is chunk order, which is record
@@ -30,14 +30,14 @@ import (
 // chunk combination (pinned by the golden suite).
 
 // InferSnapshotStream runs the full §4 inference over one snapshot's
-// record stream and captures the envelope inputs. It drives all three
-// record streams to completion on their own goroutines — so a stream's
-// read accounting always finalizes — validating certificate batches as
-// they arrive, then runs the match/confirm half on the validated
-// records. The error is the stream's, with the fixed certs-https-http
-// precedence: record-level damage accounting happened inside the stream
-// per its ReadOptions, and a surfaced error means the month must be
-// dropped.
+// record stream and captures the envelope inputs. On the calling
+// goroutine it reads the certificates, validating batches as they
+// arrive, then the HTTPS and HTTP headers of keyword-record IPs, each
+// read to completion even after an earlier one failed, so a stream's
+// read accounting always finalizes. The error is the first in certs →
+// https → http order: record-level damage accounting happened inside
+// the stream per its ReadOptions, and a surfaced error means the month
+// must be dropped.
 //
 // It is a pure function of the stream and the pipeline's immutable
 // datasets, so any number of snapshots can be inferred concurrently.
@@ -53,76 +53,68 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	mapper := p.Mapper(st.Snapshot)
 	at := st.ScanTime()
 
-	// The producer's record counts, when it knows them, pre-size the
-	// per-month containers instead of growing them by doubling. Only the
-	// few keyword records are kept, so records grows from empty.
-	hint := st.SizeHint
 	var (
 		records  []record
 		asSet    = make(map[astopo.ASN]struct{})
 		orgs     = make(orgMatcher)
-		certIPs  = make(map[netmodel.IP]struct{}, hint[0])
-		httpsIdx = make(map[netmodel.IP][]hg.Header, hint[1])
-		httpIdx  = make(map[netmodel.IP][]hg.Header, hint[2])
-		errs     [3]error
+		certIPs  = make(map[netmodel.IP]struct{})
+		httpsIdx = make(map[netmodel.IP][]hg.Header)
+		httpIdx  = make(map[netmodel.IP][]hg.Header)
+		httpOnly = make(map[netmodel.IP]struct{})
 	)
 	valStart := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		// The consumer is a single goroutine, so batches validate
-		// strictly in arrival order.
-		errs[0] = st.Certs(func(batch []corpus.CertRecord) error {
-			for i := range batch {
-				certIPs[batch[i].IP] = struct{}{}
-			}
-			records = p.validateBatch(res, asSet, orgs, records, batch, at, mapper)
-			return nil
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		errs[1] = st.HTTPS(func(batch []corpus.HeaderRecord) error {
-			indexHeaders(httpsIdx, batch)
-			return nil
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		errs[2] = st.HTTP(func(batch []corpus.HeaderRecord) error {
-			indexHeaders(httpIdx, batch)
-			return nil
-		})
-	}()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	errCerts := st.Certs(func(batch []corpus.CertRecord) error {
+		for i := range batch {
+			certIPs[batch[i].IP] = struct{}{}
 		}
+		records = p.validateBatch(res, asSet, orgs, records, batch, at, mapper)
+		return nil
+	})
+	keyword := keywordIPs(records)
+	errHTTPS := st.HTTPS(func(batch []corpus.HeaderRecord) error {
+		indexHeaders(httpsIdx, keyword, batch)
+		return nil
+	})
+	errHTTP := st.HTTP(func(batch []corpus.HeaderRecord) error {
+		// §6.2: answered on port 80 but presented no certificate.
+		for i := range batch {
+			if _, onTLS := certIPs[batch[i].IP]; !onTLS {
+				httpOnly[batch[i].IP] = struct{}{}
+			}
+		}
+		indexHeaders(httpIdx, keyword, batch)
+		return nil
+	})
+	if err := cmp.Or(errCerts, errHTTPS, errHTTP); err != nil {
+		return nil, err
 	}
 	res.TotalCertASes = len(asSet)
 	m.Histogram("funnel.validate_ns").Since(valStart)
 
 	p.matchAndCount(res, records, httpsIdx, httpIdx)
 
-	// Envelope inputs (§6.2): the HTTP-only set falls out of the index
-	// keys, which are deduplicated by IP.
-	httpOnly := make(map[netmodel.IP]struct{})
-	for ip := range httpIdx {
-		if _, onTLS := certIPs[ip]; !onTLS {
-			httpOnly[ip] = struct{}{}
-		}
-	}
 	lookups := p.netflixLookups(res, mapper)
 	m.Histogram("funnel.run_ns").Since(runStart)
 	return &SnapshotInference{Result: res, HTTPOnlyIPs: httpOnly, NetflixLookups: lookups}, nil
 }
 
-// indexHeaders folds one batch of header records into a per-IP index;
-// a later record for the same IP replaces an earlier one.
-func indexHeaders(idx map[netmodel.IP][]hg.Header, batch []corpus.HeaderRecord) {
+// keywordIPs is the set of IPs of the validated keyword records: §4.5
+// reads the headers of §4.3 candidates only, and each is one of them.
+func keywordIPs(records []record) map[netmodel.IP]struct{} {
+	ips := make(map[netmodel.IP]struct{}, len(records))
+	for i := range records {
+		ips[records[i].ip] = struct{}{}
+	}
+	return ips
+}
+
+// indexHeaders folds one batch of header records into a per-IP index,
+// keeping only the IPs in keep; a later record for the same IP replaces
+// an earlier one.
+func indexHeaders(idx map[netmodel.IP][]hg.Header, keep map[netmodel.IP]struct{}, batch []corpus.HeaderRecord) {
 	for _, r := range batch {
-		idx[r.IP] = r.Headers
+		if _, ok := keep[r.IP]; ok {
+			idx[r.IP] = r.Headers
+		}
 	}
 }

@@ -46,12 +46,6 @@ type Stream struct {
 	// returned. Nil for producers that decode nothing.
 	Stats *ReadStats
 
-	// SizeHint is the record count of each file (certs, https, http)
-	// when the producer knows it up front, zero otherwise. Consumers may
-	// pre-size their containers from it; it never changes what a stream
-	// yields.
-	SizeHint [3]int
-
 	// ScannedAt, when set, is the instant ScanTime validates against (a
 	// live scan's own moment). Zero means mid-month.
 	ScannedAt time.Time
@@ -86,7 +80,6 @@ func StreamOf(snap *Snapshot, chunk int) *Stream {
 	return &Stream{
 		Vendor:   snap.Vendor,
 		Snapshot: snap.Snapshot,
-		SizeHint: [3]int{len(snap.Certs), len(snap.HTTPS), len(snap.HTTP)},
 		Certs:    func(yield func([]CertRecord) error) error { return yieldChunks(snap.Certs, chunk, yield) },
 		HTTPS:    func(yield func([]HeaderRecord) error) error { return yieldChunks(snap.HTTPS, chunk, yield) },
 		HTTP:     func(yield func([]HeaderRecord) error) error { return yieldChunks(snap.HTTP, chunk, yield) },

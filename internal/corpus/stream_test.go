@@ -62,9 +62,6 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		if st.SizeHint != [3]int{} {
-			t.Fatalf("chunk=%d: OpenStream claims record counts %v before reading", chunk, st.SizeHint)
-		}
 		certs, https, http, errs := drainStream(st)
 		for i, e := range errs {
 			if e != nil {
@@ -356,18 +353,14 @@ func TestTruncatedGzipTrailer(t *testing.T) {
 }
 
 // StreamOf reproduces the snapshot it wraps, in order, at any chunk
-// size, and carries its record counts as the size hint — it is the
-// zero-copy bridge that lets scanner output drive the streaming
-// pipeline. A nil snapshot is a nil stream.
+// size — it is the zero-copy bridge that lets scanner output drive the
+// streaming pipeline. A nil snapshot is a nil stream.
 func TestStreamOfRoundTrip(t *testing.T) {
 	snap := sampleSnapshot(t)
 	for _, chunk := range []int{1, 7, 0, 1 << 20} {
 		st := StreamOf(snap, chunk)
 		if st.ScanTime() != snap.ScanTime() {
 			t.Fatalf("chunk=%d: ScanTime diverged", chunk)
-		}
-		if want := [3]int{len(snap.Certs), len(snap.HTTPS), len(snap.HTTP)}; st.SizeHint != want {
-			t.Fatalf("chunk=%d: SizeHint %v, want %v", chunk, st.SizeHint, want)
 		}
 		certs, https, http, errs := drainStream(st)
 		for i, e := range errs {

@@ -113,8 +113,9 @@ func (d *Dataset) TrueShare(as astopo.ASN) float64 { return d.share[as] }
 // the country's Internet users inside ASes from the hosting set — one
 // Fig 7 map.
 func (d *Dataset) CoverageByCountry(hosting map[astopo.ASN]struct{}, s timeline.Snapshot) map[string]float64 {
+	// Float addition is not associative: sum in ASN order, not map order.
 	out := make(map[string]float64)
-	for as := range hosting {
+	for _, as := range sortedASNs(hosting) {
 		if share := d.Share(as, s); share > 0 {
 			out[d.graph.Country(as)] += share * 100
 		}
@@ -123,7 +124,6 @@ func (d *Dataset) CoverageByCountry(hosting map[astopo.ASN]struct{}, s timeline.
 		if v > 100 {
 			out[code] = 100
 		}
-		_ = code
 	}
 	return out
 }
@@ -146,12 +146,17 @@ func (d *Dataset) WorldCoverage(hosting map[astopo.ASN]struct{}, s timeline.Snap
 // ExpandByCones grows a hosting set to include every AS in the customer
 // cones of its members — the Fig 8 "serve the cone too" scenario.
 func ExpandByCones(g *astopo.Graph, hosting map[astopo.ASN]struct{}, s timeline.Snapshot) map[astopo.ASN]struct{} {
-	seeds := make([]astopo.ASN, 0, len(hosting))
-	for as := range hosting {
-		seeds = append(seeds, as)
+	return g.Descendants(sortedASNs(hosting), s)
+}
+
+// sortedASNs returns the members of set in ascending order.
+func sortedASNs(set map[astopo.ASN]struct{}) []astopo.ASN {
+	out := make([]astopo.ASN, 0, len(set))
+	for as := range set {
+		out = append(out, as)
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	return g.Descendants(seeds, s)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // ConeCoverageByCountry is CoverageByCountry over the cone-expanded set.

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"math"
 	"testing"
 
 	"offnetscope/internal/astopo"
@@ -108,6 +109,30 @@ func TestCoverageByCountry(t *testing.T) {
 	wc := d.WorldCoverage(all, s)
 	if wc < 30 || wc > 100 {
 		t.Errorf("world coverage with all ASes = %v", wc)
+	}
+}
+
+// Repeated calls over one hosting set agree to the last bit: float
+// addition is not associative, and Fig 8 ranks countries by these
+// values, breaking ties by country code.
+func TestCoverageByCountryIsDeterministic(t *testing.T) {
+	g, d := buildTestData(t)
+	s := lastS()
+	all := make(map[astopo.ASN]struct{})
+	for _, as := range g.ActiveASes(s) {
+		all[as] = struct{}{}
+	}
+	want := d.CoverageByCountry(all, s)
+	for i := 0; i < 50; i++ {
+		got := d.CoverageByCountry(all, s)
+		if len(got) != len(want) {
+			t.Fatalf("call %d: %d countries, first call gave %d", i, len(got), len(want))
+		}
+		for code, v := range got {
+			if math.Float64bits(v) != math.Float64bits(want[code]) {
+				t.Fatalf("call %d: %s = %v, first call gave %v", i, code, v, want[code])
+			}
+		}
 	}
 }
 
