@@ -36,7 +36,9 @@
 // fixed-size record batches, certificates and then headers on one
 // goroutine, so a month's raw corpus never sits in memory at once; what
 // stays resident is the month's validated keyword certificate records,
-// its certificate and HTTP-only IPs, and its keyword IPs' headers.
+// its certificate and HTTP-only IPs, and its keyword IPs' headers, the
+// only header lists the read builds: every other header record is
+// checked and counted, its list walked but not kept.
 // Output is byte-identical at any -jobs setting.
 //
 // Exit codes: 0 success; 1 failure; 2 usage error; 3 the -growth run

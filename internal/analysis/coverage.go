@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"offnetscope/internal/astopo"
@@ -133,11 +134,13 @@ func Fig8(e *Env) *Fig8Result {
 	return out
 }
 
-// topGainers keeps the ten largest increases, ties broken by country
-// code so the cut and its order never depend on map iteration.
+// topGainers keeps the ten largest increases as Render prints them,
+// ties broken by country code: two gains that print alike tie, so the
+// cut and its order never depend on float noise or map iteration.
 func topGainers(gains []CountryGain) []CountryGain {
 	sort.Slice(gains, func(i, j int) bool {
-		gi, gj := gains[i].Cone-gains[i].Direct, gains[j].Cone-gains[j].Direct
+		gi := tenths(gains[i].Cone) - tenths(gains[i].Direct)
+		gj := tenths(gains[j].Cone) - tenths(gains[j].Direct)
 		if gi != gj {
 			return gi > gj
 		}
@@ -147,6 +150,14 @@ func topGainers(gains []CountryGain) []CountryGain {
 		gains = gains[:10]
 	}
 	return gains
+}
+
+// tenths is a share as Render prints it, to one decimal, in tenths of a
+// percent: 99.99999999999999 and 100 are both 1000. The parse fails
+// only for NaN and ±Inf, which no share is.
+func tenths(v float64) int64 {
+	n, _ := strconv.ParseInt(strings.Replace(strconv.FormatFloat(v, 'f', 1, 64), ".", "", 1), 10, 64)
+	return n
 }
 
 // Render implements Renderer.

@@ -9,34 +9,55 @@ import (
 )
 
 // TestTopGainersBreakTiesByCode: Fig 8 ranks countries by coverage gain
-// and cuts the list at ten. Eleven countries tie below the largest gain
-// (seven tie at 0.0→100.0 at scale 0.1); in whatever order they arrive,
-// the same ten are kept, in country-code order.
+// as it prints them and cuts the list at ten. Countries whose gains
+// print alike tie: in whatever order they arrive, the same ten are
+// kept, in country-code order.
 func TestTopGainersBreakTiesByCode(t *testing.T) {
-	var gains []CountryGain
+	var eleven []CountryGain
 	for _, code := range []string{"ZA", "US", "NG", "MX", "KE", "JP", "IN", "FR", "DE", "CL", "BR"} {
-		gains = append(gains, CountryGain{Code: code, Direct: 20, Cone: 70})
+		eleven = append(eleven, CountryGain{Code: code, Direct: 20, Cone: 70})
 	}
-	gains = append(gains,
-		CountryGain{Code: "ZW", Direct: 0, Cone: 100}, // the largest gain leads whatever its code
-		CountryGain{Code: "AR", Direct: 40, Cone: 45}, // the smallest is cut
-	)
-	want := []string{"ZW", "BR", "CL", "DE", "FR", "IN", "JP", "KE", "MX", "NG"}
-
-	for rot := 0; rot < len(gains); rot++ {
-		for _, reverse := range []bool{false, true} {
-			in := append(append([]CountryGain(nil), gains[rot:]...), gains[:rot]...)
-			if reverse {
-				for i, j := 0, len(in)-1; i < j; i, j = i+1, j-1 {
-					in[i], in[j] = in[j], in[i]
+	for _, tc := range []struct {
+		name  string
+		gains []CountryGain
+		want  []string
+	}{
+		{
+			// Eleven countries tie below the largest gain.
+			name: "cut",
+			gains: append(eleven,
+				CountryGain{Code: "ZW", Direct: 0, Cone: 100}, // the largest gain leads whatever its code
+				CountryGain{Code: "AR", Direct: 40, Cone: 45}, // the smallest is cut
+			),
+			want: []string{"ZW", "BR", "CL", "DE", "FR", "IN", "JP", "KE", "MX", "NG"},
+		},
+		{
+			// Both print as 0.0→100.0, seven of them did at scale 0.1,
+			// though their unrounded gains differ in the last bit.
+			name: "printed alike",
+			gains: []CountryGain{
+				{Code: "FJ", Direct: 0, Cone: 100},
+				{Code: "CI", Direct: 0, Cone: 99.99999999999999},
+			},
+			want: []string{"CI", "FJ"},
+		},
+	} {
+		gains := tc.gains
+		for rot := 0; rot < len(gains); rot++ {
+			for _, reverse := range []bool{false, true} {
+				in := append(append([]CountryGain(nil), gains[rot:]...), gains[:rot]...)
+				if reverse {
+					for i, j := 0, len(in)-1; i < j; i, j = i+1, j-1 {
+						in[i], in[j] = in[j], in[i]
+					}
 				}
-			}
-			var got []string
-			for _, g := range topGainers(in) {
-				got = append(got, g.Code)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("rotation %d (reversed %v): top gainers %v, want %v", rot, reverse, got, want)
+				var got []string
+				for _, g := range topGainers(in) {
+					got = append(got, g.Code)
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("%s, rotation %d (reversed %v): top gainers %v, want %v", tc.name, rot, reverse, got, tc.want)
+				}
 			}
 		}
 	}

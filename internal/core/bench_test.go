@@ -32,13 +32,16 @@ func benchSnapshot(b *testing.B) *corpus.Snapshot {
 // starts with: the shared snapshot, written once with corpus.Write, read
 // back through corpus.OpenStream with all three files drained —
 // gunzip, NDJSON decode and string interning, with each repeated
-// intermediate and root recognized by its raw bytes instead of decoded.
+// intermediate and root recognized by its raw bytes instead of decoded,
+// and header lists built for the snapshot's keyword IPs alone, as
+// InferSnapshotStream asks.
 func BenchmarkCorpusDecode(b *testing.B) {
 	snap := benchSnapshot(b)
 	root := b.TempDir()
 	if err := corpus.Write(root, snap); err != nil {
 		b.Fatal(err)
 	}
+	keyword := keywordIPs(validateAll(testPipeline(DefaultOptions()), snap))
 	want := len(snap.Certs) + len(snap.HTTPS) + len(snap.HTTP)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,6 +49,7 @@ func BenchmarkCorpusDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		st.HeaderIPs = keyword
 		n := 0
 		for _, err := range []error{
 			st.Certs(func(recs []corpus.CertRecord) error { n += len(recs); return nil }),

@@ -1,54 +1,57 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"offnetscope/internal/corpus"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/scanners"
+	"offnetscope/internal/timeline"
 )
 
 // TestPipelineOverPersistedCorpus is the integration check behind
-// cmd/worldgen + cmd/offnetmap: writing a scan to disk and reading it
-// back must produce byte-identical inference results.
+// cmd/worldgen + cmd/offnetmap: a scan written to disk and inferred
+// from the read offnetmap makes — corpus.OpenStream, whose header reads
+// build the keyword IPs' lists alone — must give the whole
+// SnapshotInference the in-memory stream gives. It checks 2021-04 and
+// 2018-04, when Netflix off-nets answered over plain HTTP (§6.2), so
+// the HTTP-only set and the Netflix lookups are not empty.
 func TestPipelineOverPersistedCorpus(t *testing.T) {
-	snap := rapid7At(t, lastSnap)
-	root := t.TempDir()
-	if err := corpus.Write(root, snap); err != nil {
-		t.Fatal(err)
-	}
-	back, err := corpus.Read(root, corpus.Rapid7, lastSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	p := testPipeline(DefaultOptions())
-	direct := p.Run(snap)
-	fromDisk := p.Run(back)
-
-	if direct.TotalCertIPs != fromDisk.TotalCertIPs ||
-		direct.ValidCertIPs != fromDisk.ValidCertIPs ||
-		direct.TotalCertASes != fromDisk.TotalCertASes {
-		t.Fatalf("corpus-wide stats differ: %+v vs %+v", direct, fromDisk)
-	}
-	for reason, n := range direct.InvalidByReason {
-		if fromDisk.InvalidByReason[reason] != n {
-			t.Errorf("invalid[%s]: %d vs %d", reason, n, fromDisk.InvalidByReason[reason])
+	for _, label := range []string{"2018-04", lastSnap.Label()} {
+		s, _ := timeline.FromLabel(label)
+		snap := rapid7At(t, s)
+		root := t.TempDir()
+		if err := corpus.Write(root, snap); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, h := range hg.All() {
-		a, b := direct.PerHG[h.ID], fromDisk.PerHG[h.ID]
-		if len(a.CandidateASes) != len(b.CandidateASes) || len(a.ConfirmedASes) != len(b.ConfirmedASes) {
-			t.Errorf("%v: candidates %d/%d confirmed %d/%d",
-				h.ID, len(a.CandidateASes), len(b.CandidateASes), len(a.ConfirmedASes), len(b.ConfirmedASes))
+		st, err := corpus.OpenStream(root, corpus.Rapid7, s, corpus.ReadOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for as := range a.ConfirmedASes {
-			if _, ok := b.ConfirmedASes[as]; !ok {
-				t.Errorf("%v: AS %d confirmed directly but not from disk", h.ID, as)
-			}
+		fromDisk, err := p.InferSnapshotStream(st)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(a.DNSNames) != len(b.DNSNames) {
-			t.Errorf("%v: fingerprint sizes differ %d vs %d", h.ID, len(a.DNSNames), len(b.DNSNames))
+		direct, err := p.InferSnapshotStream(corpus.StreamOf(snap, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HeaderIPs == nil {
+			t.Fatalf("%s: the disk read built every header list", label)
+		}
+		if got, want := resultDigest(t, fromDisk.Result), resultDigest(t, direct.Result); got != want {
+			t.Errorf("%s: Result digest %s from disk, %s in memory", label, got, want)
+		}
+		if len(direct.HTTPOnlyIPs) == 0 || len(direct.NetflixLookups) == 0 {
+			t.Fatalf("%s: %d HTTP-only IPs, %d Netflix lookups; want some of each", label, len(direct.HTTPOnlyIPs), len(direct.NetflixLookups))
+		}
+		if !reflect.DeepEqual(fromDisk.HTTPOnlyIPs, direct.HTTPOnlyIPs) {
+			t.Errorf("%s: %d HTTP-only IPs from disk, %d in memory", label, len(fromDisk.HTTPOnlyIPs), len(direct.HTTPOnlyIPs))
+		}
+		if !reflect.DeepEqual(fromDisk.NetflixLookups, direct.NetflixLookups) {
+			t.Errorf("%s: Netflix lookups differ:\nfrom disk %v\nin memory %v", label, fromDisk.NetflixLookups, direct.NetflixLookups)
 		}
 	}
 }

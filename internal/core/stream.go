@@ -19,7 +19,8 @@ import (
 // observation whose organization carries a hypergiant keyword (§4.2–4.5
 // match every hypergiant in two passes over them, each record carrying
 // a bitmask of those hypergiants), the certificate and HTTP-only IP
-// sets, and the headers of keyword-record IPs: memory is O(chunk +
+// sets, and the headers of keyword-record IPs, the only header lists a
+// disk read builds (corpus.Stream.HeaderIPs): memory is O(chunk +
 // validated keyword records + the month's certificate and HTTP-only IPs
 // + the keyword IPs' header lists + the per-read intern table).
 //
@@ -32,12 +33,13 @@ import (
 // InferSnapshotStream runs the full §4 inference over one snapshot's
 // record stream and captures the envelope inputs. On the calling
 // goroutine it reads the certificates, validating batches as they
-// arrive, then the HTTPS and HTTP headers of keyword-record IPs, each
-// read to completion even after an earlier one failed, so a stream's
-// read accounting always finalizes. The error is the first in certs →
-// https → http order: record-level damage accounting happened inside
-// the stream per its ReadOptions, and a surfaced error means the month
-// must be dropped.
+// arrive, then the HTTPS and HTTP headers of keyword-record IPs, which
+// it sets as the stream's HeaderIPs so that a disk read builds no other
+// header list. Each read runs to completion even after an earlier one
+// failed, so a stream's read accounting always finalizes. The error is
+// the first in certs → https → http order: record-level damage
+// accounting happened inside the stream per its ReadOptions, and a
+// surfaced error means the month must be dropped.
 //
 // It is a pure function of the stream and the pipeline's immutable
 // datasets, so any number of snapshots can be inferred concurrently.
@@ -71,6 +73,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 		return nil
 	})
 	keyword := keywordIPs(records)
+	st.HeaderIPs = keyword
 	errHTTPS := st.HTTPS(func(batch []corpus.HeaderRecord) error {
 		indexHeaders(httpsIdx, keyword, batch)
 		return nil

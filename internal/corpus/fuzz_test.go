@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"strings"
 	"testing"
+
+	"offnetscope/internal/netmodel"
 )
 
 // gzipped compresses raw NDJSON for seeding the fuzzer.
@@ -25,6 +27,12 @@ func gzipped(t testing.TB, raw string) []byte {
 // chunk driver every corpus read uses and materializes the yielded
 // batches.
 func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *FileStats, error) {
+	return readChunked(input, opts, chunk, newCertDecoder())
+}
+
+// readChunked runs an in-memory NDJSON+gzip stream through readChunks
+// with the line decoder decode and materializes the yielded batches.
+func readChunked[T any](input []byte, opts ReadOptions, chunk int, decode func([]byte) (T, error)) ([]T, *FileStats, error) {
 	gz, err := gzip.NewReader(bytes.NewReader(input))
 	if err != nil {
 		return nil, nil, err
@@ -33,10 +41,18 @@ func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *Fi
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	var out []CertRecord
+	var out []T
 	fs := &FileStats{Name: "fuzz"}
-	err = readChunks(gz, "fuzz", opts, fs, chunk, newCertDecoder(), appendTo(&out))
+	err = readChunks(gz, "fuzz", opts, fs, chunk, decode, appendTo(&out))
 	return out, fs, err
+}
+
+// errString is an error's text, or "" for none.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // sameCertRecords compares decoded cert records by IP and per-link
@@ -78,7 +94,11 @@ func sameFileStats(a, b *FileStats) bool {
 // Every input additionally runs at chunk sizes 1, 7, and the default,
 // which must reproduce the single-batch records, stats, and error
 // exactly — the determinism contract that makes the chunk size an
-// execution knob rather than a semantic one.
+// execution knob rather than a semantic one. Each input is also read as
+// a header file at those chunk sizes, with every list built and with an
+// empty want set, which walks the lists of every record whose IP comes
+// first: both must give the single-batch full read's stats, error and
+// record IPs.
 func FuzzCorpusRead(f *testing.F) {
 	valid := gzipped(f,
 		`{"ip":"1.2.3.4","chain":[{"serial":1,"subject_org":"Google LLC","key":1,"signed_by":2}]}`+"\n"+
@@ -99,6 +119,13 @@ func FuzzCorpusRead(f *testing.F) {
 	}
 	boundary = append(boundary, "corrupt at batch close", "{corrupt at batch open", `{"ip":"5.6.7.8","chain":[]}`)
 	f.Add(gzipped(f, strings.Join(boundary, "\n")+"\n"))
+	// Header files: a type error inside a list, the IP after the list.
+	f.Add(gzipped(f, `{"ip":"1.2.3.4","headers":[{"Name":"Server","Value":"gws"}]}`+"\n"+
+		`{"ip":"1.2.3.5","headers":[{"Name":"Server","Value":5}]}`+"\n"+
+		`{"ip":"1.2.3.6","headers":[null,{"Name":"Via"},1]}`+"\n"))
+	f.Add(gzipped(f, `{"headers":[{"Name":"Server","Value":"gws"}],"ip":"1.2.3.4"}`+"\n"+
+		`{"ip":"1.2.3.5","headers":[{"Name":"a"}],"ip":"1.2.3.6"}`+"\n"+
+		`{"ip":"1.2.3.7","headers":[{"Name":"a"}],"ip":5}`+"\n"))
 
 	f.Fuzz(func(t *testing.T, input []byte) {
 		for _, opts := range []ReadOptions{
@@ -136,6 +163,30 @@ func FuzzCorpusRead(f *testing.F) {
 				}
 				if err == nil && !sameCertRecords(want, recs) {
 					t.Fatalf("chunk=%d decoded %d records, single batch %d", chunk, len(recs), len(want))
+				}
+			}
+
+			wantH, hfs, herr := readChunked(input, opts, 1<<30, newHeaderDecoder(nil))
+			for _, chunk := range []int{1, 7, 0} {
+				for _, set := range []map[netmodel.IP]struct{}{nil, {}} {
+					recs, cfs, cerr := readChunked(input, opts, chunk, newHeaderDecoder(set))
+					if errString(cerr) != errString(herr) {
+						t.Fatalf("headers, chunk=%d, empty set %v: error %v, single full batch %v", chunk, set != nil, cerr, herr)
+					}
+					if !sameFileStats(hfs, cfs) {
+						t.Fatalf("headers, chunk=%d, empty set %v: stats %s, single full batch %s", chunk, set != nil, cfs, hfs)
+					}
+					if herr != nil {
+						continue
+					}
+					if len(recs) != len(wantH) {
+						t.Fatalf("headers, chunk=%d, empty set %v: %d records, single full batch %d", chunk, set != nil, len(recs), len(wantH))
+					}
+					for i := range recs {
+						if recs[i].IP != wantH[i].IP || set != nil && recs[i].Headers != nil {
+							t.Fatalf("headers, chunk=%d, empty set %v: record %d is %v, single full batch %v", chunk, set != nil, i, recs[i], wantH[i])
+						}
+					}
 				}
 			}
 		}

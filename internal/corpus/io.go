@@ -74,7 +74,7 @@ func toWireCert(c *certmodel.Certificate) wireCert {
 }
 
 // fromWireCert converts a decoded chain element, whose strings the
-// decoder has already interned.
+// decoder has already interned or copied.
 func fromWireCert(w *wireCert) *certmodel.Certificate {
 	return &certmodel.Certificate{
 		SerialNumber: w.Serial,
@@ -91,12 +91,14 @@ func fromWireCert(w *wireCert) *certmodel.Certificate {
 }
 
 // strTable interns the short strings that repeat across the records of
-// one read — dNSNames, organization and common-name fields, header
-// names and values — so a vendor-month whose millions of records share
-// a few thousand distinct names retains one copy per distinct string
-// instead of one per record. A table lives for exactly one file read:
-// vocabularies repeat within a month, but a longer-lived table would
-// pin a study's worth of dead strings. A nil table disables interning.
+// one read — organizations, issuer CNs, the header names and values of
+// the lists a read builds — so a vendor-month whose millions of records
+// share a few thousand distinct names retains one copy per distinct
+// string instead of one per record. Subject CNs and dNSNames are not
+// interned: few repeat within a month (DESIGN.md §12). A table lives
+// for exactly one file read: vocabularies repeat within a month, but a
+// longer-lived table would pin a study's worth of dead strings. A nil
+// table disables interning.
 type strTable map[string]string
 
 // intern returns b as a string, copying it only the first time the
@@ -401,21 +403,66 @@ func appendTo[T any](dst *[]T) func([]T) error {
 	}
 }
 
+// headerDecoder decodes the header-file lines of one file read into
+// HeaderRecords, interning repeated header names and values. With a
+// want set, it builds the Headers of the records whose IP is in it
+// alone; every other record keeps its IP and gets nil Headers. A line
+// whose ip key precedes its first headers key and parses to an IP
+// outside the set has its lists walked, checked as they would be
+// decoded but not stored. Any other line decodes in full, so a line's
+// verdict, skip reason, error text and byte offset do not depend on the
+// set.
+type headerDecoder struct {
+	d    wireDecoder
+	want map[netmodel.IP]struct{} // nil: build every record's Headers
+}
+
 // newHeaderDecoder returns the header-file line decoder for one file
-// read, interning repeated header names and values.
-func newHeaderDecoder() func([]byte) (HeaderRecord, error) {
-	d := &wireDecoder{strs: make(strTable)}
-	return func(line []byte) (HeaderRecord, error) {
-		w, err := d.decodeHeader(line)
-		if err != nil {
-			return HeaderRecord{}, err
-		}
-		ip, err := netmodel.ParseIP(w.IP)
-		if err != nil {
-			return HeaderRecord{}, badRecord("ip", err)
-		}
-		return HeaderRecord{IP: ip, Headers: slices.Clone(w.Headers)}, nil
+// read, building the Headers of the IPs in want alone, or of every
+// record when want is nil.
+func newHeaderDecoder(want map[netmodel.IP]struct{}) func([]byte) (HeaderRecord, error) {
+	hd := &headerDecoder{d: wireDecoder{strs: make(strTable)}, want: want}
+	return hd.decode
+}
+
+func (hd *headerDecoder) decode(line []byte) (HeaderRecord, error) {
+	var walk func(string) bool
+	if hd.want != nil {
+		walk = hd.unwanted
 	}
+	w, err := hd.d.decodeHeader(line, walk)
+	if err == errIPAfterWalk {
+		w, err = hd.d.decodeHeader(line, nil)
+	}
+	if err != nil {
+		return HeaderRecord{}, err
+	}
+	ip, err := netmodel.ParseIP(w.IP)
+	if err != nil {
+		return HeaderRecord{}, badRecord("ip", err)
+	}
+	rec := HeaderRecord{IP: ip}
+	if hd.wanted(ip) {
+		rec.Headers = slices.Clone(w.Headers)
+	}
+	return rec, nil
+}
+
+// unwanted reports whether a record's ip value parses to an IP whose
+// Headers are not built. An ip that does not parse is not unwanted: its
+// line decodes in full, so json damage later in it still wins over the
+// ip reason.
+func (hd *headerDecoder) unwanted(ip string) bool {
+	addr, err := netmodel.ParseIP(ip)
+	return err == nil && !hd.wanted(addr)
+}
+
+func (hd *headerDecoder) wanted(ip netmodel.IP) bool {
+	if hd.want == nil {
+		return true
+	}
+	_, ok := hd.want[ip]
+	return ok
 }
 
 // readNDJSONFile opens one NDJSON+gzip corpus file and drives it

@@ -54,7 +54,7 @@ func (cd *certDecoder) decode(line []byte) (CertRecord, error) {
 func (cd *certDecoder) record(line []byte) (string, error) {
 	cd.chain = cd.chain[:0]
 	chains := 0
-	return cd.d.record(line, "chain", func() error {
+	return cd.d.record(line, "chain", nil, func(bool) error {
 		if chains++; chains > 1 {
 			return errRepeatedChain
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"offnetscope/internal/netmodel"
 	"offnetscope/internal/timeline"
 )
 
@@ -20,7 +21,8 @@ const DefaultChunkSize = 4096
 // materializing a Snapshot's record slices, each file is exposed as a
 // consume function that decodes the NDJSON stream in place and yields
 // fixed-size record batches. Memory stays bounded by the chunk size
-// (plus the per-read intern tables), however large the month is.
+// (plus the per-read intern tables), however large the month is, and
+// with HeaderIPs set a header read builds no list outside it.
 //
 // Contract, shared by every producer (OpenStream, StreamOf,
 // scanners.ScanStream):
@@ -49,6 +51,15 @@ type Stream struct {
 	// ScannedAt, when set, is the instant ScanTime validates against (a
 	// live scan's own moment). Zero means mid-month.
 	ScannedAt time.Time
+
+	// HeaderIPs, when set before HTTPS or HTTP is called, asks those
+	// reads for the Headers of these IPs' records alone: OpenStream then
+	// still checks, counts and yields every record in order, but one
+	// whose IP is outside the set comes with nil Headers, its lists never
+	// built. Nil asks for every record's Headers. StreamOf and
+	// scanners.ScanStream ignore it; their batches are already built, so
+	// a consumer that keeps only some IPs filters them itself.
+	HeaderIPs map[netmodel.IP]struct{}
 
 	Certs func(yield func([]CertRecord) error) error
 	HTTPS func(yield func([]HeaderRecord) error) error
@@ -132,10 +143,10 @@ func openStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOption
 		return fin.done(0, readNDJSONFile(filepath.Join(dir, certFS.Name), opts, certFS, chunk, newCertDecoder(), yield))
 	}
 	st.HTTPS = func(yield func([]HeaderRecord) error) error {
-		return fin.done(1, readNDJSONFile(filepath.Join(dir, httpsFS.Name), opts, httpsFS, chunk, newHeaderDecoder(), yield))
+		return fin.done(1, readNDJSONFile(filepath.Join(dir, httpsFS.Name), opts, httpsFS, chunk, newHeaderDecoder(st.HeaderIPs), yield))
 	}
 	st.HTTP = func(yield func([]HeaderRecord) error) error {
-		return fin.done(2, readNDJSONFile(filepath.Join(dir, httpFS.Name), opts, httpFS, chunk, newHeaderDecoder(), yield))
+		return fin.done(2, readNDJSONFile(filepath.Join(dir, httpFS.Name), opts, httpFS, chunk, newHeaderDecoder(st.HeaderIPs), yield))
 	}
 	return st, nil
 }

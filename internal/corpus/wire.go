@@ -25,9 +25,10 @@ const maxDepth = 10000
 // value in place. TestWireDecoderMatchesEncodingJSON and FuzzWireDecode
 // pin it against encoding/json, which the corpus writer still uses.
 //
-// Syntax is checked as the line is parsed. Every string a record keeps
-// except the IP is looked up by its bytes in strs and copied only the
-// first time the file's read sees it.
+// Syntax is checked as the line is parsed. A string that repeats within
+// a file read is looked up by its bytes in strs and copied only the
+// first time the read sees it; the IP, a certificate's subject CN and
+// its dNSNames, which seldom repeat, are copied outright.
 type wireDecoder struct {
 	data  []byte // the line being decoded
 	off   int    // read position in data
@@ -44,40 +45,64 @@ type wireDecoder struct {
 // decodeCert decodes one certs.ndjson.gz line. The record's Chain is a
 // view of the decoder's storage, valid until the next decode.
 func (d *wireDecoder) decodeCert(line []byte) (wireCertRecord, error) {
-	ip, chain, err := decodeRecord(d, line, "chain", &d.chain, d.cert)
+	ip, chain, err := decodeRecord(d, line, "chain", &d.chain, d.cert, nil)
 	return wireCertRecord{IP: ip, Chain: chain}, err
 }
 
 // decodeHeader decodes one header-file line. The record's Headers is a
-// view of the decoder's storage, valid until the next decode.
-func (d *wireDecoder) decodeHeader(line []byte) (wireHeaderRecord, error) {
-	ip, headers, err := decodeRecord(d, line, "headers", &d.headers, d.header)
+// view of the decoder's storage, valid until the next decode. With walk
+// set, the lists of a line walk selects are checked but not stored, as
+// record has it.
+func (d *wireDecoder) decodeHeader(line []byte, walk func(ip string) bool) (wireHeaderRecord, error) {
+	ip, headers, err := decodeRecord(d, line, "headers", &d.headers, d.header, walk)
 	return wireHeaderRecord{IP: ip, Headers: headers}, err
 }
 
 // decodeRecord decodes a line holding a record object, or null: its IP
-// and the list under listKey, decoded into l.
-func decodeRecord[T any](d *wireDecoder, line []byte, listKey string, l *list[T], elem func(*T) error) (string, []T, error) {
+// and the list under listKey, decoded into l unless walk selects the
+// line, which leaves the list nil.
+func decodeRecord[T any](d *wireDecoder, line []byte, listKey string, l *list[T], elem func(*T) error, walk func(ip string) bool) (string, []T, error) {
 	l.reset()
-	ip, err := d.record(line, listKey, func() error { return decodeList(d, l, elem) })
+	ip, err := d.record(line, listKey, walk, func(walking bool) error {
+		if walking {
+			return decodeList(d, nil, elem)
+		}
+		return decodeList(d, l, elem)
+	})
 	if err != nil {
 		return "", nil, err
 	}
 	return ip, l.value(), nil
 }
 
+// errIPAfterWalk stops a decode at an ip key after a walked list: the
+// key may name an IP whose lists must be built, so the line is decoded
+// again without walking. It never leaves headerDecoder.
+var errIPAfterWalk = errors.New("ip key after a walked list")
+
 // record decodes a line holding a record object, or null: it returns the
 // record's IP, and list decodes the value of each listKey key, with the
-// decoder at it.
-func (d *wireDecoder) record(line []byte, listKey string, list func() error) (string, error) {
+// decoder at it. walk, when set, is asked at the first listKey key about
+// the IP decoded so far ("" before any ip key). If it answers true,
+// list is told to walk that value and every later one, checking each
+// exactly as a decode would but storing nothing, and an ip key after
+// them stops the decode with errIPAfterWalk.
+func (d *wireDecoder) record(line []byte, listKey string, walk func(ip string) bool, list func(walking bool) error) (string, error) {
 	var ip string
+	lists, walking := 0, false
 	d.data, d.off, d.depth = line, 0, 0
 	err := d.object(func(key []byte) error {
 		switch field(key, "ip", listKey) {
 		case "ip":
-			return d.ipValue(&ip)
+			if walking {
+				return errIPAfterWalk
+			}
+			return d.copyValue(&ip)
 		case listKey:
-			return list()
+			if lists++; lists == 1 && walk != nil {
+				walking = walk(ip)
+			}
+			return list(walking)
 		}
 		return d.skip()
 	})
@@ -105,13 +130,13 @@ func (d *wireDecoder) cert(c *wireCert) error {
 		case "subject_org":
 			return d.stringValue(&c.SubjectOrg)
 		case "subject_cn":
-			return d.stringValue(&c.SubjectCN)
+			return d.copyValue(&c.SubjectCN)
 		case "issuer_org":
 			return d.stringValue(&c.IssuerOrg)
 		case "issuer_cn":
 			return d.stringValue(&c.IssuerCN)
 		case "dns_names":
-			return decodeSlice(d, &c.DNSNames, d.stringValue)
+			return decodeSlice(d, &c.DNSNames, d.copyValue)
 		case "not_before":
 			return d.int64Value(&c.NotBefore)
 		case "not_after":
@@ -129,13 +154,19 @@ func (d *wireDecoder) cert(c *wireCert) error {
 	})
 }
 
+// header decodes a header object, or null, into h; a nil h checks the
+// value and stores nothing.
 func (d *wireDecoder) header(h *hg.Header) error {
+	var name, value *string
+	if h != nil {
+		name, value = &h.Name, &h.Value
+	}
 	return d.object(func(key []byte) error {
 		switch field(key, "Name", "Value") {
 		case "Name":
-			return d.stringValue(&h.Name)
+			return d.stringValue(name)
 		case "Value":
-			return d.stringValue(&h.Value)
+			return d.stringValue(value)
 		}
 		return d.skip()
 	})
@@ -303,24 +334,31 @@ func (l *list[T]) value() []T {
 	return l.elems[:l.n]
 }
 
-// decodeList is decodeSlice for a list.
+// decodeList is decodeSlice for a list. A nil l walks the value: it is
+// checked as it would be decoded, with elem given nil for each element,
+// and nothing is stored.
 func decodeList[T any](d *wireDecoder, l *list[T], elem func(*T) error) error {
 	switch d.next() {
 	case 'n':
-		l.reset()
+		if l != nil {
+			l.reset()
+		}
 		return d.literal("null")
 	case '[':
 	default:
 		return d.mismatch("array")
 	}
 	n, err := d.array(func(i int) error {
+		if l == nil {
+			return elem(nil)
+		}
 		if i == len(l.elems) {
 			var zero T
 			l.elems = append(l.elems, zero)
 		}
 		return elem(&l.elems[i])
 	})
-	if err != nil {
+	if err != nil || l == nil {
 		return err
 	}
 	if n == 0 {
@@ -372,15 +410,17 @@ func (d *wireDecoder) close() {
 	d.depth--
 }
 
-// ipValue decodes the record's IP, which is not interned: every record
-// has its own.
-func (d *wireDecoder) ipValue(dst *string) error { return d.decodeString(dst, nil) }
+// copyValue decodes a string field that seldom repeats within a read —
+// the record's IP, a certificate's subject CN, a dNSName — into a copy
+// of its own: interning it would cost a table probe and entry for
+// nearly every one.
+func (d *wireDecoder) copyValue(dst *string) error { return d.decodeString(dst, nil) }
 
 // stringValue decodes a string field, interned in the read's table.
 func (d *wireDecoder) stringValue(dst *string) error { return d.decodeString(dst, d.strs) }
 
 // decodeString decodes a string into *dst through strs; null leaves *dst
-// untouched.
+// untouched, and a nil dst checks the value and stores nothing.
 func (d *wireDecoder) decodeString(dst *string, strs strTable) error {
 	switch d.next() {
 	case 'n':
@@ -393,7 +433,9 @@ func (d *wireDecoder) decodeString(dst *string, strs strTable) error {
 	if err != nil {
 		return err
 	}
-	*dst = strs.intern(b)
+	if dst != nil {
+		*dst = strs.intern(b)
+	}
 	return nil
 }
 

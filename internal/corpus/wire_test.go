@@ -88,15 +88,24 @@ type wireCheck struct {
 	d                 *wireDecoder
 	cert, refCert     func([]byte) (CertRecord, error)
 	header, refHeader func([]byte) (HeaderRecord, error)
+
+	// The header decoder with a want set: one whose set is empty, and
+	// one whose set line refills with the IP the full decode returns.
+	headerNone, headerOwn func([]byte) (HeaderRecord, error)
+	own                   map[netmodel.IP]struct{}
 }
 
 func newWireCheck() *wireCheck {
+	own := make(map[netmodel.IP]struct{})
 	return &wireCheck{
-		d:         &wireDecoder{strs: make(strTable)},
-		cert:      newCertDecoder(),
-		refCert:   referenceCertDecoder(),
-		header:    newHeaderDecoder(),
-		refHeader: referenceHeaderDecoder(),
+		d:          &wireDecoder{strs: make(strTable)},
+		cert:       newCertDecoder(),
+		refCert:    referenceCertDecoder(),
+		header:     newHeaderDecoder(nil),
+		refHeader:  referenceHeaderDecoder(),
+		headerNone: newHeaderDecoder(map[netmodel.IP]struct{}{}),
+		headerOwn:  newHeaderDecoder(own),
+		own:        own,
 	}
 }
 
@@ -105,7 +114,11 @@ func newWireCheck() *wireCheck {
 // the accept/reject verdict, and the corpus records the two line
 // decoders build, skip reason included. The certificate line decoder,
 // whose issuer memo skips elements the memo-less wireDecoder walks, must
-// also fail a line exactly where and as wireDecoder does.
+// also fail a line exactly where and as wireDecoder does. The header
+// decoder with a want set, which walks the lists of unwanted IPs, must
+// give the full decode's verdict, reason, error text and offset, and
+// its IP, with nil Headers when the set is empty and the full decode's
+// Headers when the set holds that IP.
 func (c *wireCheck) line(t *testing.T, line []byte) {
 	t.Helper()
 	var wantC wireCertRecord
@@ -119,7 +132,7 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	}
 	var wantH wireHeaderRecord
 	jerr = json.Unmarshal(line, &wantH)
-	gotH, derr := c.d.decodeHeader(line)
+	gotH, derr := c.d.decodeHeader(line, nil)
 	if (jerr == nil) != (derr == nil) {
 		t.Fatalf("header record %q: encoding/json err %v, wireDecoder err %v", line, jerr, derr)
 	}
@@ -145,6 +158,26 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	}
 	if werr == nil && !reflect.DeepEqual(wantHR, gotHR) {
 		t.Fatalf("header line %q:\nreference %#v\ndecoder   %#v", line, wantHR, gotHR)
+	}
+	clear(c.own)
+	if gerr == nil {
+		c.own[gotHR.IP] = struct{}{}
+	}
+	for _, f := range []struct {
+		set    string
+		decode func([]byte) (HeaderRecord, error)
+		want   HeaderRecord
+	}{
+		{"empty", c.headerNone, HeaderRecord{IP: gotHR.IP}},
+		{"holding its IP", c.headerOwn, gotHR},
+	} {
+		rec, ferr := f.decode(line)
+		if errText(line, ferr) != errText(line, gerr) {
+			t.Fatalf("header line %q, %s set: %s, full decode %s", line, f.set, errText(line, ferr), errText(line, gerr))
+		}
+		if gerr == nil && !reflect.DeepEqual(rec, f.want) {
+			t.Fatalf("header line %q, %s set:\ngot  %#v\nwant %#v", line, f.set, rec, f.want)
+		}
 	}
 }
 
@@ -203,6 +236,21 @@ var wireSeeds = []struct{ line, verdict string }{
 	{`{"ip":"1.2.3.4","chain":[{"serial":1},{"serial":2}],"chain":[],"chain":[null,null]}`, "ok"},
 	{`{"ip":"1.2.3.4","chain":[{"serial":1}],"chain":null,"chain":[null]}`, "ok"},
 	{`{"ip":"1.2.3.4","ip":"5.6.7.8","ip":null,"headers":[{"Name":"a","Value":"b"}],"headers":[{"Value":"c"}]}`, "ok"},
+	// Header lines a want set walks or decodes in full: the IP after the
+	// list, repeated before or after it (the last one is the record's),
+	// null or of the wrong type after it; the list repeated; keys
+	// case-folded; an IP that does not parse, with json damage later in
+	// the line.
+	{`{"headers":[{"Name":"Server","Value":"gws"}],"ip":"1.2.3.4"}`, "ok"},
+	{`{"ip":"1.2.3.4","ip":"5.6.7.8","headers":[{"Name":"Server","Value":"gws"}]}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"Server","Value":"gws"}],"ip":"5.6.7.8"}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a","Value":"b"}],"ip":null}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a","Value":"b"},{"Name":"c"}],"headers":[{"Value":"d"}]}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a"}],"headers":null,"headers":[]}`, "ok"},
+	{`{"IP":"1.2.3.4","HEADERS":[{"NAME":"Server","vAlUe":"gws"}],"Headers":[{}]}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a"}],"ip":5}`, "json"},
+	{`{"ip":"1.2.3","headers":[{"Name":"a","Value":"b"}],"x":[1 2]}`, "json"},
+	{`{"ip":"1.2.3","headers":[{"Name":"a","Value":"b"}]}`, "ip"},
 	// Unknown fields of any shape are skipped.
 	{`{"x":{"y":[1,-2.5e+10,{"z":null}],"w":"s\u00e9\n"},"ip":"1.2.3.4","v":[],"u":{},"t":true,"f":false,"n":null}`, "ok"},
 	// null leaves scalars and strings untouched and makes slices nil;
@@ -253,6 +301,10 @@ var wireSeeds = []struct{ line, verdict string }{
 	{`{"ip":"1.2.3.4","chain":[{"dns_names":"a"}]}`, "json"},
 	{`{"ip":"1.2.3.4","chain":[{"dns_names":[1]}]}`, "json"},
 	{`{"ip":"1.2.3.4","headers":[{"Name":5}]}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a","Value":"b"},null,{"Value":true}]}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a"},1]}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":{}}`, "ok"},
+	{`{"ip":"1.2.3.4","headers":[{"Name":"a"}],"headers":[{"Value":[]}]}`, "ok"},
 	// Structure: white space, top-level values, trailing data, syntax.
 	{" \t{ \"ip\" :\r\n \"1.2.3.4\" , \"chain\" : [ ] } \n", "ok"},
 	{`null`, "ip"},
