@@ -99,9 +99,10 @@ bench-smoke:
 # The serving benchmarks behind BENCH_offnetd.json: 1M-lookup zipfian
 # workloads through the in-process offnetd engine — cache-on vs
 # cache-off, and batched vs single-request framing. -benchtime=1x
-# because one iteration IS the full workload.
+# because one iteration IS the full workload; -count=5 so each row is
+# the median of five runs, with ns/op's min and max beside it.
 bench-serve:
-	go test -bench=BenchmarkServe -benchtime=1x -benchmem -run='^$$' ./internal/loadgen | go run ./cmd/benchjson -out BENCH_offnetd.json
+	go test -bench=BenchmarkServe -benchtime=1x -count=5 -benchmem -run='^$$' ./internal/loadgen | go run ./cmd/benchjson -out BENCH_offnetd.json
 
 # Serving-stack load smoke: a short seeded loadgen run against the
 # in-process offnetd engine must finish healthy (nonzero QPS, zero 5xx)

@@ -11,7 +11,10 @@
 //
 // Besides the standard ns/op, B/op, and allocs/op columns, any custom
 // metrics a benchmark reports via b.ReportMetric (qps, p99_ns, ...)
-// are captured under "extras".
+// are captured under "extras". A name seen several times (`go test
+// -count N`, or the same suite in two inputs) becomes one row holding
+// the median of each column, the number of runs, and ns/op's min and
+// max.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,10 +35,15 @@ import (
 // identification for comparing results across hosts).
 var contextKeys = []string{"goos", "goarch", "pkg", "cpu"}
 
+// result is one row: a single run as parsed, or after finish the
+// medians over every run of its name.
 type result struct {
 	Name        string             `json:"name"`
+	Runs        int                `json:"runs"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	NsPerOpMin  float64            `json:"ns_per_op_min"`
+	NsPerOpMax  float64            `json:"ns_per_op_max"`
 	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	Extras      map[string]float64 `json:"extras,omitempty"`
@@ -44,7 +53,7 @@ type document struct {
 	Context    map[string]string `json:"context,omitempty"`
 	Benchmarks []result          `json:"benchmarks"`
 
-	byName map[string]result // accumulator across inputs; frozen by finish()
+	byName map[string][]result // every run, across inputs; folded by finish()
 }
 
 func main() {
@@ -53,7 +62,7 @@ func main() {
 	out := flag.String("out", "BENCH_pipeline.json", "file to write the parsed results to")
 	flag.Parse()
 
-	doc := &document{Context: map[string]string{}, byName: map[string]result{}}
+	doc := newDocument()
 	if args := flag.Args(); len(args) > 0 {
 		for _, path := range args {
 			f, err := os.Open(path)
@@ -83,10 +92,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(doc.Benchmarks), *out)
 }
 
+func newDocument() *document {
+	return &document{Context: map[string]string{}, byName: map[string][]result{}}
+}
+
 // parse collects one input into a fresh document — the single-input
-// form the tests and the stdin path use.
+// form the tests use.
 func parse(r io.Reader, w io.Writer) (*document, error) {
-	doc := &document{Context: map[string]string{}, byName: map[string]result{}}
+	doc := newDocument()
 	if err := doc.consume(r, w); err != nil {
 		return nil, err
 	}
@@ -95,8 +108,7 @@ func parse(r io.Reader, w io.Writer) (*document, error) {
 }
 
 // consume tees r to w while collecting benchmark lines into the
-// document. Duplicate names (e.g. -count>1, or the same suite rendered
-// from two files) keep the last observation.
+// document. Every observation of a name is kept for finish.
 func (doc *document) consume(r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -104,7 +116,7 @@ func (doc *document) consume(r io.Reader, w io.Writer) error {
 		line := sc.Text()
 		fmt.Fprintln(w, line)
 		if res, ok := parseBenchLine(line); ok {
-			doc.byName[res.Name] = res
+			doc.byName[res.Name] = append(doc.byName[res.Name], res)
 			continue
 		}
 		for _, key := range contextKeys {
@@ -116,16 +128,60 @@ func (doc *document) consume(r io.Reader, w io.Writer) error {
 	return sc.Err()
 }
 
-// finish freezes the accumulated results into sorted order.
+// finish folds each name's runs into one row and sorts the rows.
 func (doc *document) finish() {
 	if len(doc.Context) == 0 {
 		doc.Context = nil
 	}
 	doc.Benchmarks = doc.Benchmarks[:0]
-	for _, res := range doc.byName {
-		doc.Benchmarks = append(doc.Benchmarks, res)
+	for _, runs := range doc.byName {
+		doc.Benchmarks = append(doc.Benchmarks, fold(runs))
 	}
 	sort.Slice(doc.Benchmarks, func(i, j int) bool { return doc.Benchmarks[i].Name < doc.Benchmarks[j].Name })
+}
+
+// fold summarizes the runs of one name: the median of each column
+// (an extra over the runs that report it) and ns/op's range.
+func fold(runs []result) result {
+	var iters, ns, bytesPerOp, allocs []float64
+	extras := map[string][]float64{}
+	for _, r := range runs {
+		iters = append(iters, float64(r.Iterations))
+		ns = append(ns, r.NsPerOp)
+		bytesPerOp = append(bytesPerOp, float64(r.BytesPerOp))
+		allocs = append(allocs, float64(r.AllocsPerOp))
+		for k, v := range r.Extras {
+			extras[k] = append(extras[k], v)
+		}
+	}
+	row := result{
+		Name:        runs[0].Name,
+		Runs:        len(runs),
+		Iterations:  int64(median(iters)),
+		NsPerOp:     median(ns),
+		NsPerOpMin:  slices.Min(ns),
+		NsPerOpMax:  slices.Max(ns),
+		BytesPerOp:  int64(median(bytesPerOp)),
+		AllocsPerOp: int64(median(allocs)),
+	}
+	for k, vs := range extras {
+		if row.Extras == nil {
+			row.Extras = map[string]float64{}
+		}
+		row.Extras[k] = median(vs)
+	}
+	return row
+}
+
+// median sorts vs in place and returns its middle value, or the mean
+// of the two middle values when the count is even.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBenchLine parses one result line, e.g.

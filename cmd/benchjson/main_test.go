@@ -40,6 +40,10 @@ func TestParse(t *testing.T) {
 	if v.Iterations != 22 || v.NsPerOp != 51234567 || v.BytesPerOp != 9092360 || v.AllocsPerOp != 164253 {
 		t.Errorf("StageValidate = %+v", v)
 	}
+	// One run: its ns/op is the whole range.
+	if v.Runs != 1 || v.NsPerOpMin != v.NsPerOp || v.NsPerOpMax != v.NsPerOp {
+		t.Errorf("StageValidate runs/range = %+v", v)
+	}
 	// -benchmem columns absent → zero (and omitted from JSON).
 	if m := doc.Benchmarks[0]; m.BytesPerOp != 0 || m.AllocsPerOp != 0 || m.NsPerOp != 5086158 {
 		t.Errorf("StageCertMatch = %+v", m)
@@ -82,17 +86,18 @@ func TestParseExtras(t *testing.T) {
 }
 
 // TestMultipleInputs: consuming several bench outputs accumulates one
-// sorted document, later inputs winning name collisions.
+// sorted document, and a name seen in two inputs becomes one row over
+// both runs.
 func TestMultipleInputs(t *testing.T) {
 	var out strings.Builder
-	doc := &document{Context: map[string]string{}, byName: map[string]result{}}
+	doc := newDocument()
 	if err := doc.consume(strings.NewReader(sampleBench), &out); err != nil {
 		t.Fatal(err)
 	}
 	if err := doc.consume(strings.NewReader(sampleServe), &out); err != nil {
 		t.Fatal(err)
 	}
-	// A rerun of an existing name replaces it.
+	// A rerun of an existing name joins it.
 	rerun := "BenchmarkStageCertMatch 	 100 	 999 ns/op\n"
 	if err := doc.consume(strings.NewReader(rerun), &out); err != nil {
 		t.Fatal(err)
@@ -115,8 +120,9 @@ func TestMultipleInputs(t *testing.T) {
 			t.Fatalf("order = %v, want %v", names, wantOrder)
 		}
 	}
-	if doc.Benchmarks[1].NsPerOp != 999 {
-		t.Errorf("rerun did not replace: %+v", doc.Benchmarks[1])
+	if m := doc.Benchmarks[1]; m.Runs != 2 || m.NsPerOp != (999+5086158)/2.0 || m.Iterations != 170 ||
+		m.NsPerOpMin != 999 || m.NsPerOpMax != 5086158 {
+		t.Errorf("rerun not folded into a two-run row: %+v", m)
 	}
 	// Context merges across inputs.
 	if doc.Context["goarch"] != "amd64" || doc.Context["pkg"] != "offnetscope/internal/loadgen" {
@@ -136,5 +142,35 @@ func TestParseNoResults(t *testing.T) {
 	}
 	if len(doc.Benchmarks) != 0 || doc.Context != nil {
 		t.Errorf("doc = %+v", doc)
+	}
+}
+
+// TestRepeatsFoldToMedians: -count N output keeps every run: the row
+// holds each column's median, the run count and ns/op's min and max.
+func TestRepeatsFoldToMedians(t *testing.T) {
+	const repeats = `BenchmarkServe-2  1  300 ns/op  40 qps  1000 B/op  7 allocs/op
+BenchmarkServe-2  1  100 ns/op  60 qps  3000 B/op  9 allocs/op
+BenchmarkServe-2  1  200 ns/op  50 qps  2000 B/op  8 allocs/op
+BenchmarkOdd-2  4  10 ns/op
+BenchmarkOdd-2  2  20 ns/op  5 p50_ns
+`
+	var out strings.Builder
+	doc, err := parse(strings.NewReader(repeats), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("parsed %d rows, want 2: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	odd, serve := doc.Benchmarks[0], doc.Benchmarks[1]
+	if serve.Runs != 3 || serve.NsPerOp != 200 || serve.NsPerOpMin != 100 || serve.NsPerOpMax != 300 ||
+		serve.Iterations != 1 || serve.BytesPerOp != 2000 || serve.AllocsPerOp != 8 || serve.Extras["qps"] != 50 {
+		t.Errorf("three runs = %+v", serve)
+	}
+	// An even count takes the mean of the middle two; an extra only one
+	// run reported is that run's value.
+	if odd.Runs != 2 || odd.NsPerOp != 15 || odd.Iterations != 3 || odd.NsPerOpMin != 10 ||
+		odd.NsPerOpMax != 20 || odd.Extras["p50_ns"] != 5 {
+		t.Errorf("two runs = %+v", odd)
 	}
 }

@@ -12,7 +12,7 @@
 //	loadgen -store offnets.fst [-requests 100000] [-seed 1] [-concurrency 32]
 //	        [-batch 0] [-zipf 1.2] [-rate 0] [-burst-factor 1]
 //	        [-burst-period 0] [-burst-dur 0] [-out report.json]
-//	        [-target http://host:8097 | -cache 4096 -workers 256]
+//	        [-target http://host:8097 | -cache 0 -workers 256]
 //	        [-assert-healthy]
 //
 // With -target, requests go to a live daemon over HTTP. Without it,
@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	burstPeriod := fs.Duration("burst-period", 0, "burst phase period")
 	burstDur := fs.Duration("burst-dur", 0, "burst phase length at the start of each period")
 	outPath := fs.String("out", "", "write the JSON report here (default stdout)")
-	cacheSize := fs.Int("cache", 4096, "in-process server: query-cache entries (0 disables)")
+	cacheSize := fs.Int("cache", 0, "in-process server: query-cache entries (0, the default, disables)")
 	workers := fs.Int("workers", 256, "in-process server: worker-pool size")
 	assertHealthy := fs.Bool("assert-healthy", false, "exit nonzero if the run saw any 5xx or transport error")
 	if err := fs.Parse(args); err != nil {

@@ -89,6 +89,10 @@ func TestLoadtestSmoke(t *testing.T) {
 	if !strings.Contains(stderr, "trace ") || !strings.Contains(stderr, "in-process") {
 		t.Errorf("stderr missing plan/target lines:\n%s", stderr)
 	}
+	// The in-process server runs uncached unless -cache asks otherwise.
+	if !strings.Contains(stderr, "in-process (workers=256 cache=0)") {
+		t.Errorf("default in-process target is not uncached:\n%s", stderr)
+	}
 }
 
 // TestTraceDeterminism: two CLI runs with the same seed report the

@@ -145,6 +145,11 @@ func TestParseFlagsRejectsReplacedValues(t *testing.T) {
 			t.Errorf("parseFlags(%v): %v", ok, err)
 		}
 	}
+	// The query cache is opt-in: without -cache every query is answered
+	// by its handler.
+	if cfg, err := parseFlags([]string{"-store", "x.fst"}); err != nil || cfg.cacheSize != 0 {
+		t.Errorf("default -cache = %v (err %v), want 0", cfg, err)
+	}
 }
 
 // TestShutdownClosesSilentConnections pins that a client holding a

@@ -149,7 +149,9 @@ func TestSIGHUPAlternatingCorruptReloads(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &syncWriter{}
-	base, done := startDaemon(t, ctx, out, path)
+	// The query cache is opt-in; the soak turns it on so that cached
+	// answers face the reloads too.
+	base, done := startDaemon(t, ctx, out, path, "-cache", "4096")
 
 	proxy, err := chaos.NewProxy(strings.TrimPrefix(base, "http://"), chaos.HTTPConfig{Seed: 10, LatencyProb: 0.05})
 	if err != nil {

@@ -14,6 +14,20 @@ type batchRequest struct {
 	IPs []string `json:"ips"`
 }
 
+// batchAnswer is the POST /v1/batch body. Each result is an ipAnswer,
+// or an itemError for an address that does not parse.
+type batchAnswer struct {
+	Count      int    `json:"count"`
+	Generation uint64 `json:"generation"`
+	Results    []any  `json:"results"`
+}
+
+// itemError is the batch item of an unparseable address.
+type itemError struct {
+	Error string `json:"error"`
+	IP    string `json:"ip"`
+}
+
 // handleBatch answers POST /v1/batch: amortized bulk IP→HG resolution.
 // One batch consumes one worker-pool slot and one HTTP round trip for
 // up to maxBatch lookups, which is what makes million-lookup runs
@@ -44,7 +58,7 @@ func (s *Server) handleBatch(v *view, w http.ResponseWriter, r *http.Request) {
 	// many items. The check is amortized over 64 items — one atomic
 	// load per check, invisible against the lookup cost.
 	ctx := r.Context()
-	results := make([]map[string]any, len(req.IPs))
+	results := make([]any, len(req.IPs))
 	for i, raw := range req.IPs {
 		if i&63 == 0 && ctx.Err() != nil {
 			writeError(w, http.StatusGatewayTimeout,
@@ -53,14 +67,10 @@ func (s *Server) handleBatch(v *view, w http.ResponseWriter, r *http.Request) {
 		}
 		ip, err := netmodel.ParseIP(raw)
 		if err != nil {
-			results[i] = map[string]any{"ip": raw, "error": err.Error()}
+			results[i] = itemError{Error: err.Error(), IP: raw}
 			continue
 		}
 		results[i] = resolveIP(v.st, ip)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": v.gen,
-		"count":      len(req.IPs),
-		"results":    results,
-	})
+	writeJSON(w, http.StatusOK, &batchAnswer{Count: len(req.IPs), Generation: v.gen, Results: results})
 }

@@ -6,15 +6,17 @@
 // The package owns the whole serving contract:
 //
 //   - the /v1/* query surface (single-IP, AS, footprint, snapshots) plus
-//     POST /v1/batch for amortized bulk IP→HG resolution;
+//     POST /v1/batch for amortized bulk IP→HG resolution, each answer a
+//     typed value encoded once as compact JSON;
 //   - a bounded worker pool with queue-deadline load shedding;
 //   - zero-downtime store reloads: the store pointer and its generation
 //     number swap together in one atomic pointer, and every /v1/*
 //     response body carries the generation it was answered from, so
 //     clients can detect reload races;
-//   - an optional singleflight-deduped LRU cache for hot answers, keyed
+//   - an opt-in singleflight-deduped LRU cache for hot answers, keyed
 //     by (request URI, store generation) and flushed wholesale on
-//     reload (cache.go);
+//     reload (cache.go). Config.CacheSize is 0 unless set: over a real
+//     socket the cache cost more than it saved;
 //   - obs metrics for all of the above.
 package offnetserve
 
@@ -504,6 +506,53 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// The answer types below are what the /v1/* endpoints encode. The
+// API lists each body's keys sorted, as encoding/json writes a map's;
+// it writes a struct's fields in declaration order, so each type
+// declares its fields in the alphabetical order of their keys.
+
+// snapshotsAnswer is the GET /v1/snapshots body.
+type snapshotsAnswer struct {
+	Generation  uint64   `json:"generation"`
+	Hypergiants []string `json:"hypergiants"`
+	Latest      string   `json:"latest"`
+	Snapshots   []string `json:"snapshots"`
+}
+
+// ipAnswer is the GET /v1/ip/{ip} body and, without its generation,
+// one /v1/batch item. asns and prefix appear only when the address is
+// mapped, and a mapped address always has an origin: the store keeps
+// no prefix without one.
+type ipAnswer struct {
+	ASNs       []astopo.ASN  `json:"asns,omitempty"`
+	Generation uint64        `json:"generation,omitempty"` // 0, so absent, in a batch item
+	Hostings   []hostingJSON `json:"hostings"`
+	IP         string        `json:"ip"`
+	Mapped     bool          `json:"mapped"`
+	Prefix     string        `json:"prefix,omitempty"`
+}
+
+// asAnswer is the GET /v1/as/{asn} body.
+type asAnswer struct {
+	ASN        astopo.ASN    `json:"asn"`
+	Generation uint64        `json:"generation"`
+	Hostings   []hostingJSON `json:"hostings"`
+}
+
+// footprintAnswer is the GET /v1/hg/{id}/footprint body.
+type footprintAnswer struct {
+	ASes       []astopo.ASN `json:"ases"`
+	Count      int          `json:"count"`
+	Generation uint64       `json:"generation"`
+	HG         string       `json:"hg"`
+	Snapshot   string       `json:"snapshot"`
+}
+
+// errorAnswer is the body of every error status the server answers.
+type errorAnswer struct {
+	Error string `json:"error"`
+}
+
 // hostingJSON is the wire form of one hypergiant presence run.
 type hostingJSON struct {
 	HG      string     `json:"hg"`
@@ -513,11 +562,11 @@ type hostingJSON struct {
 	Current bool       `json:"current"` // still present at the store's latest snapshot
 }
 
-func hostingsJSON(st *footstore.Store, as astopo.ASN) []hostingJSON {
+// appendHostings appends the AS's presence runs to dst.
+func appendHostings(dst []hostingJSON, st *footstore.Store, as astopo.ASN) []hostingJSON {
 	latest := st.Latest()
-	out := []hostingJSON{}
 	for _, h := range st.HostingsOf(as) {
-		out = append(out, hostingJSON{
+		dst = append(dst, hostingJSON{
 			HG:      h.HG.String(),
 			AS:      h.AS,
 			First:   h.First.Label(),
@@ -525,7 +574,7 @@ func hostingsJSON(st *footstore.Store, as astopo.ASN) []hostingJSON {
 			Current: h.Last == latest,
 		})
 	}
-	return out
+	return dst
 }
 
 // handleSnapshots answers GET /v1/snapshots.
@@ -539,29 +588,27 @@ func handleSnapshots(v *view, w http.ResponseWriter, r *http.Request) {
 	for _, id := range v.st.Hypergiants() {
 		hgs = append(hgs, id.String())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshots":   labels,
-		"latest":      v.st.Latest().Label(),
-		"hypergiants": hgs,
-		"generation":  v.gen,
+	writeJSON(w, http.StatusOK, &snapshotsAnswer{
+		Generation:  v.gen,
+		Hypergiants: hgs,
+		Latest:      v.st.Latest().Label(),
+		Snapshots:   labels,
 	})
 }
 
-// resolveIP computes the /v1/ip answer for one parsed address — shared
-// by the single-IP endpoint and every /v1/batch item.
-func resolveIP(st *footstore.Store, ip netmodel.IP) map[string]any {
+// resolveIP computes the /v1/ip answer for one parsed address, without
+// its generation — shared by the single-IP endpoint and every
+// /v1/batch item.
+func resolveIP(st *footstore.Store, ip netmodel.IP) ipAnswer {
+	a := ipAnswer{Hostings: []hostingJSON{}, IP: ip.String()}
 	prefix, origins, ok := st.LookupIP(ip)
-	resp := map[string]any{"ip": ip.String(), "mapped": ok}
-	hostings := []hostingJSON{}
 	if ok {
-		resp["prefix"] = prefix.String()
-		resp["asns"] = origins
+		a.ASNs, a.Mapped, a.Prefix = origins, true, prefix.String()
 		for _, as := range origins {
-			hostings = append(hostings, hostingsJSON(st, as)...)
+			a.Hostings = appendHostings(a.Hostings, st, as)
 		}
 	}
-	resp["hostings"] = hostings
-	return resp
+	return a
 }
 
 // handleIP answers GET /v1/ip/{ip}: which hypergiants serve from this
@@ -572,9 +619,9 @@ func handleIP(v *view, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := resolveIP(v.st, ip)
-	resp["generation"] = v.gen
-	writeJSON(w, http.StatusOK, resp)
+	a := resolveIP(v.st, ip)
+	a.Generation = v.gen
+	writeJSON(w, http.StatusOK, &a)
 }
 
 // handleAS answers GET /v1/as/{asn}: the AS's hypergiant tenants over
@@ -586,10 +633,10 @@ func handleAS(v *view, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	as := astopo.ASN(n)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"asn":        as,
-		"hostings":   hostingsJSON(v.st, as),
-		"generation": v.gen,
+	writeJSON(w, http.StatusOK, &asAnswer{
+		ASN:        as,
+		Generation: v.gen,
+		Hostings:   appendHostings([]hostingJSON{}, v.st, as),
 	})
 }
 
@@ -617,12 +664,12 @@ func handleFootprint(v *view, w http.ResponseWriter, r *http.Request) {
 	if ases == nil {
 		ases = []astopo.ASN{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"hg":         h.Name,
-		"snapshot":   snap.Label(),
-		"count":      len(ases),
-		"ases":       ases,
-		"generation": v.gen,
+	writeJSON(w, http.StatusOK, &footprintAnswer{
+		ASes:       ases,
+		Count:      len(ases),
+		Generation: v.gen,
+		HG:         h.Name,
+		Snapshot:   snap.Label(),
 	})
 }
 
@@ -638,16 +685,16 @@ func parseHG(s string) (*hg.Hypergiant, bool) {
 	return nil, false
 }
 
+// writeJSON answers with one compact encode of v: HTML escaping on and
+// json.Encoder's trailing newline, in a single write.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, &errorAnswer{Error: msg})
 }
 
 // publishMetrics exposes the first server's metrics under /debug/vars —

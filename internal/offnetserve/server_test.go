@@ -23,7 +23,7 @@ import (
 
 // testStore hand-builds a tiny store: Google in AS100 (2020-10 on) and
 // AS200 (all three snapshots), Netflix in AS200 at the last snapshot,
-// one /16 and a more-specific /24.
+// one /16, a more-specific /24, and a /24 that both ASes originate.
 func testStore(t testing.TB) *footstore.Store {
 	t.Helper()
 	s1, _ := timeline.FromLabel("2020-10")
@@ -44,6 +44,7 @@ func testStore(t testing.TB) *footstore.Store {
 	}
 	b.AddPrefix(netmodel.MustParsePrefix("10.1.0.0/16"), []astopo.ASN{100})
 	b.AddPrefix(netmodel.MustParsePrefix("10.1.2.0/24"), []astopo.ASN{200})
+	b.AddPrefix(netmodel.MustParsePrefix("10.1.3.0/24"), []astopo.ASN{200, 100})
 	st, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +164,8 @@ func TestEndpoints(t *testing.T) {
 	// Present-window but absent snapshot, bad label, unknown HG.
 	getJSON(t, h, "/v1/hg/google/footprint?snapshot=2014-01", 404)
 	getJSON(t, h, "/v1/hg/google/footprint?snapshot=never", 400)
+	// A month past 12 is no label on the grid, not a later month.
+	getJSON(t, h, "/v1/hg/google/footprint?snapshot=2013-13", 400)
 	getJSON(t, h, "/v1/hg/nosuchhg/footprint", 404)
 
 	// Metrics surface: the handlers above must have been counted.
@@ -475,9 +478,13 @@ func TestHotReloadUnderLoad(t *testing.T) {
 			// Footprint answers must match one of the two versions
 			// exactly — never a torn mix.
 			if strings.Contains(url, "footprint") && rec.Code == http.StatusOK {
-				body := rec.Body.String()
-				if !strings.Contains(body, `"count": 2`) && !strings.Contains(body, `"count": 3`) {
-					errs <- fmt.Sprintf("torn footprint response: %s", body)
+				var fp struct {
+					ASes  []astopo.ASN `json:"ases"`
+					Count int          `json:"count"`
+				}
+				err := json.Unmarshal(rec.Body.Bytes(), &fp)
+				if err != nil || fp.Count != len(fp.ASes) || (fp.Count != 2 && fp.Count != 3) {
+					errs <- fmt.Sprintf("torn footprint response: %s", rec.Body.String())
 				}
 			}
 		}(i)

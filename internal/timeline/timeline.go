@@ -6,6 +6,7 @@ package timeline
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -17,7 +18,7 @@ type Snapshot int
 var start = time.Date(2013, time.October, 1, 0, 0, 0, 0, time.UTC)
 
 // Count returns the number of snapshots in the study period (31).
-func Count() int { return 31 }
+func Count() int { return len(gridLabels) }
 
 // All returns every snapshot in order.
 func All() []Snapshot {
@@ -47,8 +48,28 @@ func (s Snapshot) EndTime() time.Time {
 	return s.Time().AddDate(0, 1, 0)
 }
 
+// gridLabels is the label of every snapshot on the grid, in order,
+// spelled out so that neither start-up nor Label formats them
+// (TestGridLabelsFormatted checks each against its snapshot's Time).
+// Zero-padded "YYYY-MM" labels sort as their months do.
+var gridLabels = [...]string{
+	"2013-10",
+	"2014-01", "2014-04", "2014-07", "2014-10",
+	"2015-01", "2015-04", "2015-07", "2015-10",
+	"2016-01", "2016-04", "2016-07", "2016-10",
+	"2017-01", "2017-04", "2017-07", "2017-10",
+	"2018-01", "2018-04", "2018-07", "2018-10",
+	"2019-01", "2019-04", "2019-07", "2019-10",
+	"2020-01", "2020-04", "2020-07", "2020-10",
+	"2021-01", "2021-04",
+}
+
 // Label renders the snapshot as the paper labels its x-axes: "2013-10".
+// Only a snapshot off the grid is formatted on each call.
 func (s Snapshot) Label() string {
+	if s.Valid() {
+		return gridLabels[s]
+	}
 	t := s.Time()
 	return fmt.Sprintf("%04d-%02d", t.Year(), int(t.Month()))
 }
@@ -56,22 +77,14 @@ func (s Snapshot) Label() string {
 // String implements fmt.Stringer.
 func (s Snapshot) String() string { return s.Label() }
 
-// FromLabel parses a "YYYY-MM" label back into a snapshot. It returns
-// false if the label does not land exactly on the quarterly grid.
+// FromLabel parses a label back into its snapshot. It accepts exactly
+// the strings Label returns for the grid's snapshots, and returns false
+// for anything else.
 func FromLabel(label string) (Snapshot, bool) {
-	var y, m int
-	if _, err := fmt.Sscanf(label, "%d-%d", &y, &m); err != nil {
-		return 0, false
+	if i, ok := slices.BinarySearch(gridLabels[:], label); ok {
+		return Snapshot(i), true
 	}
-	months := (y-start.Year())*12 + (m - int(start.Month()))
-	if months < 0 || months%3 != 0 {
-		return 0, false
-	}
-	s := Snapshot(months / 3)
-	if !s.Valid() {
-		return 0, false
-	}
-	return s, true
+	return 0, false
 }
 
 // At returns the snapshot whose quarter contains t, and false if t is

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -26,6 +27,18 @@ func TestLabelsQuarterly(t *testing.T) {
 	}
 }
 
+// TestGridLabelsFormatted: the spelled-out grid labels are what
+// formatting each snapshot's month gives, and off-grid snapshots are
+// still formatted.
+func TestGridLabelsFormatted(t *testing.T) {
+	for _, s := range append(All(), -1, Snapshot(Count()), 40) {
+		tm := s.Time()
+		if want := fmt.Sprintf("%04d-%02d", tm.Year(), int(tm.Month())); s.Label() != want {
+			t.Errorf("Snapshot(%d).Label() = %q, want %q", int(s), s.Label(), want)
+		}
+	}
+}
+
 func TestFromLabelRoundTrip(t *testing.T) {
 	for _, s := range All() {
 		back, ok := FromLabel(s.Label())
@@ -36,7 +49,13 @@ func TestFromLabelRoundTrip(t *testing.T) {
 }
 
 func TestFromLabelRejects(t *testing.T) {
-	for _, bad := range []string{"", "2013-09", "2013-11", "2012-10", "2021-07", "garbage"} {
+	for _, bad := range []string{
+		"", "2013-09", "2013-11", "2012-10", "2021-07", "garbage",
+		// Month numbers past 12 once carried into the next year.
+		"2013-13", "2020-16", "2012-22",
+		// Grid months written other than as Label writes them.
+		"2021-4", "2021-04garbage", "2021-04-01", " 2021-04", "+2021-+04",
+	} {
 		if _, ok := FromLabel(bad); ok {
 			t.Errorf("FromLabel(%q) unexpectedly succeeded", bad)
 		}
