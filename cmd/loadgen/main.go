@@ -144,7 +144,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	)
 	if *target != "" {
 		opts.BaseURL = *target
-		tgt = &http.Client{Timeout: 30 * time.Second}
+		// Keep one reusable connection per in-flight request. The
+		// default transport keeps only 2 idle connections per host, so
+		// at higher concurrency most requests would open a new one and
+		// the report would measure connection set-up more than answers.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = *concurrency
+		tr.MaxIdleConnsPerHost = *concurrency
+		tr.MaxConnsPerHost = *concurrency
+		defer tr.CloseIdleConnections()
+		tgt = &http.Client{Transport: tr, Timeout: 30 * time.Second}
 		fmt.Fprintf(stderr, "target: %s\n", *target)
 	} else {
 		srv := offnetserve.New(st, offnetserve.Config{Workers: *workers, CacheSize: *cacheSize})

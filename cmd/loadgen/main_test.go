@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"offnetscope/internal/astopo"
@@ -117,24 +120,36 @@ func TestTraceDeterminism(t *testing.T) {
 }
 
 // TestLiveTargetMode drives a real HTTP server (the production engine
-// behind httptest) through the -target path.
+// behind httptest) through the -target path, and checks that the client
+// reuses one connection per in-flight request instead of opening a new
+// one for most requests.
 func TestLiveTargetMode(t *testing.T) {
 	store := smokeStore(t)
 	st, err := footstore.Open(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(offnetserve.New(st, offnetserve.Config{Workers: 16, CacheSize: 64}))
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(offnetserve.New(st, offnetserve.Config{Workers: 16}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
 	defer srv.Close()
 
 	rep, stderr := runCLI(t,
-		"-store", store, "-target", srv.URL, "-requests", "300",
-		"-concurrency", "4", "-assert-healthy")
+		"-store", store, "-target", srv.URL, "-requests", "2000",
+		"-concurrency", "8", "-assert-healthy")
 	if rep.Transport != 0 || rep.Errors5xx != 0 {
 		t.Fatalf("live run unhealthy: %+v\n%s", rep, stderr)
 	}
 	if rep.ByStatus["200"] == 0 {
 		t.Error("no 200s over the wire")
+	}
+	if n := opened.Load(); n > 8 {
+		t.Errorf("opened %d connections for 2000 requests at -concurrency 8, want at most 8", n)
 	}
 }
 

@@ -38,12 +38,14 @@
 // circuit breaker (-breaker-failures, -breaker-open-for) that fails
 // fast with 503; handler panics cost one 500, never the process. The
 // four -read-header/-read/-write/-idle-timeout flags bound connection
-// lifecycles at the http.Server layer (slowloris defense). SIGHUP
-// re-opens the store file, validates it structurally AND with smoke
-// queries, and atomically swaps it in with zero downtime — a corrupt,
-// empty, or otherwise invalid file is rejected, the current store
-// keeps serving, reload.rejected counts the refusal, and /readyz
-// reports "degraded": "reload-rejected" until a good reload lands.
+// lifecycles at the http.Server layer (slowloris defense). Each must be
+// positive: net/http reads a negative bound as none, and a zero one as
+// none or as -read-timeout. SIGHUP re-opens the store file, validates
+// it structurally AND with smoke queries, and atomically swaps it in
+// with zero downtime — a corrupt, empty, or otherwise invalid file is
+// rejected, the current store keeps serving, reload.rejected counts
+// the refusal, and /readyz reports "degraded": "reload-rejected" until
+// a good reload lands.
 // The daemon shuts down gracefully on SIGINT/SIGTERM.
 //
 // With -genlog DIR the daemon serves a live timeline instead of one
@@ -160,6 +162,16 @@ func parseFlags(args []string) (*daemonConfig, error) {
 		bad = "-breaker-open-for must be positive"
 	case cfg.watchInterval <= 0:
 		bad = "-watch-interval must be positive"
+	// net/http reads a connection bound of 0 or less as none (or, for
+	// the header and idle bounds, as the read bound).
+	case cfg.readHeaderTimeout <= 0:
+		bad = "-read-header-timeout must be positive"
+	case cfg.readTimeout <= 0:
+		bad = "-read-timeout must be positive"
+	case cfg.writeTimeout <= 0:
+		bad = "-write-timeout must be positive"
+	case cfg.idleTimeout <= 0:
+		bad = "-idle-timeout must be positive"
 	}
 	if bad != "" {
 		fs.Usage()

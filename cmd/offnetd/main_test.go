@@ -130,6 +130,14 @@ func TestParseFlagsRejectsReplacedValues(t *testing.T) {
 		{"-breaker-failures", "0"},
 		{"-breaker-open-for", "0"},
 		{"-watch-interval", "0"},
+		{"-read-header-timeout", "0"},
+		{"-read-header-timeout", "-1s"},
+		{"-read-timeout", "0"},
+		{"-read-timeout", "-1s"},
+		{"-write-timeout", "0"},
+		{"-write-timeout", "-1s"},
+		{"-idle-timeout", "0"},
+		{"-idle-timeout", "-1s"},
 	} {
 		if _, err := parseFlags(append([]string{"-store", "x.fst"}, bad...)); err == nil {
 			t.Errorf("parseFlags(%v) accepted", bad)
@@ -140,6 +148,7 @@ func TestParseFlagsRejectsReplacedValues(t *testing.T) {
 		{"-timeout", "0"},
 		{"-breaker-failures", "-1"},
 		{"-workers", "1", "-max-batch", "1", "-queue-wait", "1ms", "-breaker-open-for", "1ms", "-watch-interval", "1ms"},
+		{"-read-header-timeout", "1ms", "-read-timeout", "1ms", "-write-timeout", "1ms", "-idle-timeout", "1ms"},
 	} {
 		if _, err := parseFlags(append([]string{"-store", "x.fst"}, ok...)); err != nil {
 			t.Errorf("parseFlags(%v): %v", ok, err)

@@ -169,11 +169,6 @@ func writeDatasets(dir string, seed uint64, scale float64) error {
 		}
 		return f.Close()
 	}
-	if err := writeFile(filepath.Join(dsDir, "as-rel.txt"), func(f io.Writer) error {
-		return astopo.WriteASRel(f, w.Graph())
-	}); err != nil {
-		return err
-	}
 	if err := writeFile(filepath.Join(dsDir, "as-org.txt"), func(f io.Writer) error {
 		return astopo.WriteOrgs(f, w.Orgs())
 	}); err != nil {

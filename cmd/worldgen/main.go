@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 	vendors := fs.String("vendors", "rapid7,censys,certigo", "comma-separated corpus vendors")
 	from := fs.String("from", "2013-10", "first snapshot (YYYY-MM)")
 	to := fs.String("to", "2021-04", "last snapshot (YYYY-MM)")
-	datasets := fs.Bool("datasets", false, "also write AS-relationship, AS-org, and RIB dataset files")
+	datasets := fs.Bool("datasets", false, "also write the AS-to-organization file and both collectors' monthly RIBs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -125,18 +125,13 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// writeDatasets emits the public-dataset stand-ins next to the corpus:
-// the CAIDA-style AS-relationship and AS-organization files and one RIB
-// per collector and month. Each is replaced atomically: readers take
-// them line by line, so a truncated file would read without error.
+// writeDatasets emits, next to the corpus, the public-dataset stand-ins
+// that offnetmap reads: the CAIDA-style AS-to-organization file and one
+// RIB per collector and month. Each is replaced atomically: readers
+// take them line by line, so a truncated file would read without error.
 func writeDatasets(out string, w *worldsim.World, first, last timeline.Snapshot, seed uint64, stdout io.Writer) error {
 	dir := filepath.Join(out, "datasets")
 	if err := os.MkdirAll(filepath.Join(dir, "rib"), 0o755); err != nil {
-		return err
-	}
-	if err := durable.WriteAtomic(filepath.Join(dir, "as-rel.txt"), func(f io.Writer) error {
-		return astopo.WriteASRel(f, w.Graph())
-	}); err != nil {
 		return err
 	}
 	if err := durable.WriteAtomic(filepath.Join(dir, "as-org.txt"), func(f io.Writer) error {
@@ -157,6 +152,6 @@ func writeDatasets(out string, w *worldsim.World, first, last timeline.Snapshot,
 			ribs++
 		}
 	}
-	fmt.Fprintf(stdout, "wrote datasets: as-rel.txt, as-org.txt, %d RIBs\n", ribs)
+	fmt.Fprintf(stdout, "wrote datasets: as-org.txt, %d RIBs\n", ribs)
 	return nil
 }

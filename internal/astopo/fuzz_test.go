@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func FuzzReadASRel(f *testing.F) {
-	f.Add("A 1|US|0\nA 2|BR|3\n1|2|-1\n")
-	f.Add("A 1|US|0\n1|1|0\n")
-	f.Add("# comment only\n")
-	f.Add("A 1|US|x")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadASRel(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		// Whatever parses must re-serialize and re-parse identically.
-		var sb strings.Builder
-		if err := WriteASRel(&sb, g); err != nil {
-			t.Fatalf("re-serialization failed: %v", err)
-		}
-		back, err := ReadASRel(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("round trip parse failed: %v", err)
-		}
-		if back.NumASes() != g.NumASes() {
-			t.Fatalf("round trip AS count %d vs %d", back.NumASes(), g.NumASes())
-		}
-	})
-}
-
 func FuzzReadOrgs(f *testing.F) {
 	f.Add("1|0|Google Inc.\n1|14|Google LLC\n")
 	f.Add("x|y|z")

@@ -175,8 +175,8 @@ func Generate(cfg GenConfig) *Graph {
 	}
 
 	// XLarge (tier-1-like): many large/medium customers; cones blow
-	// straight past 1000. Tier-1s peer with each other.
-	for i, x := range xlarge {
+	// straight past 1000.
+	for _, x := range xlarge {
 		for _, l := range large {
 			if rnd.Bool(0.5) {
 				g.AddCustomer(x, l)
@@ -184,9 +184,6 @@ func Generate(cfg GenConfig) *Graph {
 		}
 		for k := 0; k < len(medium)/3; k++ {
 			g.AddCustomer(x, rng.Pick(rnd, medium))
-		}
-		for j := 0; j < i; j++ {
-			g.AddPeer(x, xlarge[j])
 		}
 	}
 
@@ -197,11 +194,6 @@ func Generate(cfg GenConfig) *Graph {
 		} else if rnd.Bool(0.33) {
 			g.AddCustomer(rng.Pick(rnd, small), st)
 		}
-	}
-
-	// Sprinkle peering among mediums (does not affect customer cones).
-	for i := 0; i+1 < len(medium); i += 7 {
-		g.AddPeer(medium[i], medium[i+1])
 	}
 
 	return g

@@ -113,25 +113,3 @@ func CountryByCode(code string) (Country, bool) {
 	}
 	return *c, true
 }
-
-// CountriesIn returns the countries of one continent, sorted by code.
-func CountriesIn(cont Continent) []Country {
-	var out []Country
-	for _, c := range countries {
-		if c.Continent == cont {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
-}
-
-// WorldUsers returns the total Internet user population (millions) across
-// the registry.
-func WorldUsers() float64 {
-	var sum float64
-	for _, c := range countries {
-		sum += c.Users
-	}
-	return sum
-}

@@ -1,10 +1,6 @@
 package astopo
 
-import (
-	"sort"
-
-	"offnetscope/internal/timeline"
-)
+import "offnetscope/internal/timeline"
 
 // ASN is an autonomous system number. The simulator allocates them
 // densely from 1; 0 is never a valid ASN.
@@ -60,11 +56,10 @@ func Categorize(coneSize int) Category {
 	}
 }
 
-// Graph is the AS-level topology: the customer-provider edges (peering
-// edges do not contribute to the provider-peer customer cone and are kept
-// only for completeness), each AS's country, and the snapshot at which
-// each AS first appears in BGP. ASNs are dense indices into the internal
-// slices.
+// Graph is the AS-level topology: the customer-provider edges that make
+// up the provider-peer customer cone, each AS's country, and the
+// snapshot at which each AS first appears in BGP. ASNs are dense
+// indices into the internal slices.
 //
 // Build a Graph with NewGraph plus AddAS/AddCustomer, or via Generate.
 type Graph struct {
@@ -72,7 +67,6 @@ type Graph struct {
 	born     []timeline.Snapshot // per ASN-1: first active snapshot
 	children [][]ASN             // per ASN-1: direct customers
 	parents  [][]ASN             // per ASN-1: direct providers
-	peers    [][]ASN             // per ASN-1: peers
 }
 
 // NewGraph returns an empty graph.
@@ -85,7 +79,6 @@ func (g *Graph) AddAS(country string, born timeline.Snapshot) ASN {
 	g.born = append(g.born, born)
 	g.children = append(g.children, nil)
 	g.parents = append(g.parents, nil)
-	g.peers = append(g.peers, nil)
 	return ASN(len(g.country))
 }
 
@@ -101,12 +94,6 @@ func (g *Graph) Valid(as ASN) bool { return as >= 1 && int(as) <= len(g.country)
 func (g *Graph) AddCustomer(provider, customer ASN) {
 	g.children[g.idx(provider)] = append(g.children[g.idx(provider)], customer)
 	g.parents[g.idx(customer)] = append(g.parents[g.idx(customer)], provider)
-}
-
-// AddPeer records a (symmetric) peering edge.
-func (g *Graph) AddPeer(a, b ASN) {
-	g.peers[g.idx(a)] = append(g.peers[g.idx(a)], b)
-	g.peers[g.idx(b)] = append(g.peers[g.idx(b)], a)
 }
 
 // Country returns the AS's ISO country code.
@@ -146,9 +133,6 @@ func (g *Graph) Customers(as ASN) []ASN { return g.children[g.idx(as)] }
 // Providers returns the direct providers of as.
 func (g *Graph) Providers(as ASN) []ASN { return g.parents[g.idx(as)] }
 
-// Peers returns the peers of as.
-func (g *Graph) Peers(as ASN) []ASN { return g.peers[g.idx(as)] }
-
 // ConeSize returns the provider-peer customer cone size of as at
 // snapshot s: the number of active ASes reachable over customer edges,
 // including as itself. cap, when positive, bounds the work: once the
@@ -186,30 +170,11 @@ func (g *Graph) CategoryOf(as ASN, s timeline.Snapshot) Category {
 	return Categorize(g.ConeSize(as, s, 1001))
 }
 
-// Cone returns the full customer cone of as at s as a sorted ASN slice,
-// including as itself.
-func (g *Graph) Cone(as ASN, s timeline.Snapshot) []ASN {
-	if !g.Active(as, s) {
-		return nil
-	}
-	set := g.descend([]ASN{as}, s)
-	out := make([]ASN, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Descendants returns the union of customer cones of the seed ASes at s
 // (each seed included), as a set. This is the primitive behind the
 // "serve the customer cone too" coverage expansion (Fig. 8 / Fig. 12):
 // it runs in one traversal regardless of how many seeds there are.
 func (g *Graph) Descendants(seeds []ASN, s timeline.Snapshot) map[ASN]struct{} {
-	return g.descend(seeds, s)
-}
-
-func (g *Graph) descend(seeds []ASN, s timeline.Snapshot) map[ASN]struct{} {
 	visited := make(map[ASN]struct{})
 	var stack []ASN
 	for _, as := range seeds {

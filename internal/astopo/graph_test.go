@@ -119,17 +119,17 @@ func TestConeDiamondNotDoubleCounted(t *testing.T) {
 
 func TestConeMembers(t *testing.T) {
 	g, ids := chainGraph()
-	cone := g.Cone(ids["m"], 10)
+	cone := g.Descendants([]ASN{ids["m"]}, 10)
+	for _, name := range []string{"m", "s1", "s2", "stub1", "stub2"} {
+		if _, ok := cone[ids[name]]; !ok {
+			t.Errorf("cone of m lacks %s", name)
+		}
+	}
 	if len(cone) != 5 {
 		t.Fatalf("cone members = %v", cone)
 	}
-	for i := 1; i < len(cone); i++ {
-		if cone[i-1] >= cone[i] {
-			t.Fatal("cone not sorted")
-		}
-	}
-	if g.Cone(ids["stub2"], 0) != nil {
-		t.Error("cone of unborn AS should be nil")
+	if cone := g.Descendants([]ASN{ids["stub2"]}, 0); len(cone) != 0 {
+		t.Errorf("cone of unborn AS = %v, want empty", cone)
 	}
 }
 
@@ -165,23 +165,6 @@ func TestContinentOf(t *testing.T) {
 	bad := g.AddAS("ZZ", 0)
 	if _, ok := g.ContinentOf(bad); ok {
 		t.Error("unknown country should not resolve")
-	}
-}
-
-func TestPeersSymmetric(t *testing.T) {
-	g := NewGraph()
-	a := g.AddAS("US", 0)
-	b := g.AddAS("DE", 0)
-	g.AddPeer(a, b)
-	if len(g.Peers(a)) != 1 || g.Peers(a)[0] != b {
-		t.Error("peer edge a→b missing")
-	}
-	if len(g.Peers(b)) != 1 || g.Peers(b)[0] != a {
-		t.Error("peer edge b→a missing")
-	}
-	// Peering must not affect customer cones.
-	if g.ConeSize(a, 0, 0) != 1 {
-		t.Error("peering leaked into the customer cone")
 	}
 }
 

@@ -11,94 +11,9 @@ import (
 	"offnetscope/internal/timeline"
 )
 
-// Serialization in the spirit of the public datasets the paper consumes:
-// the CAIDA AS-relationship format ("a|b|rel") and the AS-organization
-// format ("as|from|org"). A "# born" extension carries each AS's first
-// active snapshot and country, which the public datasets encode by
-// having one file per month; one annotated file keeps the corpus
-// directories small.
-
-// WriteASRel serializes the graph. Lines:
-//
-//	# as|country|born
-//	A 64500 US 0
-//	# provider|customer|-1  /  peer|peer|0
-//	64500|64501|-1
-//	64501|64502|0
-func WriteASRel(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# offnetscope as-rel: A as|country|born, then provider|customer|-1 and peer|peer|0")
-	for i := 1; i <= g.NumASes(); i++ {
-		as := ASN(i)
-		fmt.Fprintf(bw, "A %d|%s|%d\n", as, g.Country(as), g.Born(as))
-	}
-	for i := 1; i <= g.NumASes(); i++ {
-		as := ASN(i)
-		for _, c := range g.Customers(as) {
-			fmt.Fprintf(bw, "%d|%d|-1\n", as, c)
-		}
-		for _, p := range g.Peers(as) {
-			if p > as { // each symmetric edge once
-				fmt.Fprintf(bw, "%d|%d|0\n", as, p)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadASRel parses WriteASRel output back into a Graph.
-func ReadASRel(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	next := ASN(1)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		if strings.HasPrefix(text, "A ") {
-			parts := strings.Split(text[2:], "|")
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("astopo: line %d: bad AS record %q", line, text)
-			}
-			asn, err := strconv.Atoi(parts[0])
-			if err != nil || ASN(asn) != next {
-				return nil, fmt.Errorf("astopo: line %d: AS records must be dense and ordered, got %q", line, parts[0])
-			}
-			born, err := strconv.Atoi(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("astopo: line %d: bad born %q", line, parts[2])
-			}
-			g.AddAS(parts[1], timeline.Snapshot(born))
-			next++
-			continue
-		}
-		parts := strings.Split(text, "|")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("astopo: line %d: bad edge %q", line, text)
-		}
-		a, err1 := strconv.Atoi(parts[0])
-		b, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil || !g.Valid(ASN(a)) || !g.Valid(ASN(b)) {
-			return nil, fmt.Errorf("astopo: line %d: bad edge endpoints %q", line, text)
-		}
-		switch parts[2] {
-		case "-1":
-			g.AddCustomer(ASN(a), ASN(b))
-		case "0":
-			g.AddPeer(ASN(a), ASN(b))
-		default:
-			return nil, fmt.Errorf("astopo: line %d: bad relationship %q", line, parts[2])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("astopo: %w", err)
-	}
-	return g, nil
-}
+// Serialization in the spirit of the CAIDA AS-to-organization dataset
+// the paper consumes ("as|from|org"): one file carries every AS's
+// rename history, where the public dataset has one file per release.
 
 // WriteOrgs serializes an OrgDB: "as|from-snapshot|org name".
 func WriteOrgs(w io.Writer, db *OrgDB) error {

@@ -4,58 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"offnetscope/internal/timeline"
 )
-
-func TestASRelRoundTrip(t *testing.T) {
-	g := Generate(GenConfig{Seed: 4, FinalASes: 400})
-	var buf bytes.Buffer
-	if err := WriteASRel(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadASRel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumASes() != g.NumASes() {
-		t.Fatalf("AS counts differ: %d vs %d", back.NumASes(), g.NumASes())
-	}
-	last := timeline.Snapshot(timeline.Count() - 1)
-	for i := 1; i <= g.NumASes(); i++ {
-		as := ASN(i)
-		if g.Country(as) != back.Country(as) || g.Born(as) != back.Born(as) {
-			t.Fatalf("AS %d metadata differs", i)
-		}
-		if g.ConeSize(as, last, 0) != back.ConeSize(as, last, 0) {
-			t.Fatalf("AS %d cone differs after round trip", i)
-		}
-		if len(g.Peers(as)) != len(back.Peers(as)) {
-			t.Fatalf("AS %d peer count differs", i)
-		}
-	}
-}
-
-func TestASRelRejectsGarbage(t *testing.T) {
-	bad := []string{
-		"A 2|US|0",         // not dense (must start at 1)
-		"A 1|US|x",         // bad born
-		"A 1|US",           // wrong arity
-		"1|2|-1",           // edge before AS records
-		"A 1|US|0\n1|9|-1", // unknown endpoint
-		"A 1|US|0\n1|1|9",  // bad relationship
-		"A 1|US|0\nnonsense",
-	}
-	for _, in := range bad {
-		if _, err := ReadASRel(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q parsed without error", in)
-		}
-	}
-	// Comments and blank lines are fine.
-	if _, err := ReadASRel(strings.NewReader("# hi\n\nA 1|US|0\n")); err != nil {
-		t.Errorf("benign input rejected: %v", err)
-	}
-}
 
 func TestOrgsRoundTrip(t *testing.T) {
 	db := NewOrgDB()

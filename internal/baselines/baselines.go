@@ -133,14 +133,3 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
-
-// Overlap computes |a ∩ b|.
-func Overlap(a, b map[astopo.ASN]struct{}) int {
-	n := 0
-	for as := range a {
-		if _, ok := b[as]; ok {
-			n++
-		}
-	}
-	return n
-}

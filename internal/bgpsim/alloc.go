@@ -8,7 +8,6 @@ package bgpsim
 
 import (
 	"fmt"
-	"sort"
 
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/netmodel"
@@ -41,15 +40,10 @@ var allocPlan = map[astopo.Category]Plan{
 	astopo.XLarge: {4, 15},
 }
 
-// NewAllocator assigns address space to every AS in the graph, sized by
-// the AS's category at the final snapshot.
-func NewAllocator(g *astopo.Graph, seed uint64) (*Allocator, error) {
-	return NewAllocatorFunc(g, seed, nil)
-}
-
-// NewAllocatorFunc is NewAllocator with per-AS plan overrides: when
-// planFor returns a non-zero Plan for an AS it replaces the
-// category-derived default. Hypergiant on-net ASes use this to receive
+// NewAllocatorFunc assigns address space to every AS in the graph,
+// sized by the AS's category at the final snapshot. When planFor is
+// non-nil and returns a non-zero Plan for an AS, that Plan replaces the
+// category-derived default: hypergiant on-net ASes use this to receive
 // datacenter-sized blocks despite having no customer cone.
 func NewAllocatorFunc(g *astopo.Graph, seed uint64, planFor func(astopo.ASN) Plan) (*Allocator, error) {
 	rnd := rng.New(seed).Fork("bgpsim/alloc")
@@ -106,17 +100,4 @@ func (a *Allocator) PrefixesOf(as astopo.ASN) []netmodel.Prefix {
 // independent of BGP noise).
 func (a *Allocator) TrueOwner(ip netmodel.IP) (astopo.ASN, bool) {
 	return a.owner.Lookup(ip)
-}
-
-// NumPrefixes returns the total number of allocated prefixes.
-func (a *Allocator) NumPrefixes() int { return a.owner.Len() }
-
-// AllASes returns every AS holding at least one prefix, sorted.
-func (a *Allocator) AllASes() []astopo.ASN {
-	out := make([]astopo.ASN, 0, len(a.prefixes))
-	for as := range a.prefixes {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -16,20 +16,20 @@ func testGraph(t *testing.T) *astopo.Graph {
 
 func TestAllocatorDisjointPrefixes(t *testing.T) {
 	g := testGraph(t)
-	alloc, err := NewAllocator(g, 5)
+	alloc, err := NewAllocatorFunc(g, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.NumPrefixes() == 0 {
-		t.Fatal("no prefixes allocated")
-	}
 	var all []netmodel.Prefix
-	for _, as := range alloc.AllASes() {
+	for as := astopo.ASN(1); int(as) <= g.NumASes(); as++ {
 		ps := alloc.PrefixesOf(as)
 		if len(ps) == 0 {
 			t.Fatalf("AS %d has no prefixes", as)
 		}
 		all = append(all, ps...)
+	}
+	if len(all) == 0 {
+		t.Fatal("no prefixes allocated")
 	}
 	for i := 0; i < len(all); i++ {
 		if netmodel.IsBogonPrefix(all[i]) {
@@ -45,14 +45,14 @@ func TestAllocatorDisjointPrefixes(t *testing.T) {
 
 func TestAllocatorSizesScaleWithCategory(t *testing.T) {
 	g := testGraph(t)
-	alloc, err := NewAllocator(g, 5)
+	alloc, err := NewAllocatorFunc(g, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := timeline.Snapshot(timeline.Count() - 1)
 	space := func(cat astopo.Category) uint64 {
 		var total, n uint64
-		for _, as := range alloc.AllASes() {
+		for as := astopo.ASN(1); int(as) <= g.NumASes(); as++ {
 			if g.CategoryOf(as, last) != cat {
 				continue
 			}
@@ -82,8 +82,8 @@ func TestAllocatorSizesScaleWithCategory(t *testing.T) {
 
 func TestTrueOwner(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
-	for _, as := range alloc.AllASes()[:20] {
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
+	for as := astopo.ASN(1); as <= 20; as++ {
 		p := alloc.PrefixesOf(as)[0]
 		owner, ok := alloc.TrueOwner(p.First())
 		if !ok || owner != as {
@@ -97,7 +97,7 @@ func TestTrueOwner(t *testing.T) {
 
 func TestBuildRIBActiveOnly(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
 	rib := BuildRIB(g, alloc, RouteViews, 0, DefaultNoise(), 9)
 	for _, ann := range rib.Announcements {
 		if g.Valid(ann.Origin) && !g.Active(ann.Origin, 0) {
@@ -114,7 +114,7 @@ func TestBuildRIBActiveOnly(t *testing.T) {
 
 func TestBuildRIBDeterministic(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
 	a := BuildRIB(g, alloc, RouteViews, 3, DefaultNoise(), 9)
 	b := BuildRIB(g, alloc, RouteViews, 3, DefaultNoise(), 9)
 	if len(a.Announcements) != len(b.Announcements) {
@@ -144,8 +144,8 @@ func TestBuildRIBDeterministic(t *testing.T) {
 
 func TestIP2ASStabilityFilterDropsHijacks(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
-	victim := alloc.AllASes()[0]
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
+	victim := astopo.ASN(1)
 	p := alloc.PrefixesOf(victim)[0]
 	rib := &RIB{Collector: RouteViews, Snapshot: 0, Announcements: []Announcement{
 		{Prefix: p, Origin: victim, Presence: 0.95},
@@ -204,12 +204,12 @@ func TestIP2ASMergesCollectors(t *testing.T) {
 
 func TestBuildMonthlyMapsMostOwnedSpace(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
 	last := timeline.Snapshot(timeline.Count() - 1)
 	m := BuildMonthly(g, alloc, last, DefaultNoise(), 9)
 
 	total, correct := 0, 0
-	for _, as := range alloc.AllASes() {
+	for as := astopo.ASN(1); int(as) <= g.NumASes(); as++ {
 		if !g.Active(as, last) {
 			continue
 		}
@@ -232,7 +232,7 @@ func TestBuildMonthlyMapsMostOwnedSpace(t *testing.T) {
 
 func TestIP2ASWalkOrdered(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
 	m := BuildMonthly(g, alloc, 0, DefaultNoise(), 9)
 	var prev netmodel.Prefix
 	first := true
@@ -250,7 +250,7 @@ func TestIP2ASWalkOrdered(t *testing.T) {
 
 func TestIP2ASLookupNeverPanicsQuick(t *testing.T) {
 	g := testGraph(t)
-	alloc, _ := NewAllocator(g, 5)
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
 	m := BuildMonthly(g, alloc, 10, DefaultNoise(), 9)
 	f := func(raw uint32) bool {
 		asns := m.Lookup(netmodel.IP(raw))

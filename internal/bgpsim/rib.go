@@ -137,12 +137,8 @@ func BuildRIB(g *astopo.Graph, alloc *Allocator, col Collector, s timeline.Snaps
 // IP2AS is the monthly IP-to-AS longest-prefix-match table produced by
 // the appendix-A.1 pipeline. MOAS prefixes map to multiple origins.
 type IP2AS struct {
-	snapshot timeline.Snapshot
-	trie     netmodel.Trie[[]astopo.ASN]
+	trie netmodel.Trie[[]astopo.ASN]
 }
-
-// Snapshot returns the month the table describes.
-func (m *IP2AS) Snapshot() timeline.Snapshot { return m.snapshot }
 
 // Len returns the number of mapped prefixes.
 func (m *IP2AS) Len() int { return m.trie.Len() }
@@ -180,8 +176,9 @@ const MinPresence = 0.25
 // BuildIP2AS merges monthly RIBs from multiple collectors into one
 // IP-to-AS table: bogon prefixes are dropped, mappings below MinPresence
 // are dropped (per collector), and surviving conflicting origins for the
-// same prefix are all kept as MOAS.
-func BuildIP2AS(s timeline.Snapshot, ribs ...*RIB) *IP2AS {
+// same prefix are all kept as MOAS. The table does not record the
+// snapshot argument; it stays for the bench module's callers.
+func BuildIP2AS(_ timeline.Snapshot, ribs ...*RIB) *IP2AS {
 	origins := make(map[netmodel.Prefix]map[astopo.ASN]struct{})
 	for _, rib := range ribs {
 		for _, ann := range rib.Announcements {
@@ -199,7 +196,7 @@ func BuildIP2AS(s timeline.Snapshot, ribs ...*RIB) *IP2AS {
 			set[ann.Origin] = struct{}{}
 		}
 	}
-	m := &IP2AS{snapshot: s}
+	m := &IP2AS{}
 	for p, set := range origins {
 		asns := make([]astopo.ASN, 0, len(set))
 		for as := range set {

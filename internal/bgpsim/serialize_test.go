@@ -10,7 +10,7 @@ import (
 
 func TestRIBRoundTrip(t *testing.T) {
 	g := astopo.Generate(astopo.GenConfig{Seed: 5, FinalASes: 300})
-	alloc, _ := NewAllocator(g, 5)
+	alloc, _ := NewAllocatorFunc(g, 5, nil)
 	rib := BuildRIB(g, alloc, RouteViews, 12, DefaultNoise(), 9)
 
 	var buf bytes.Buffer

@@ -107,12 +107,6 @@ func (c *Certificate) Fingerprint() Fingerprint {
 // SelfSigned reports whether the certificate is signed by its own key.
 func (c *Certificate) SelfSigned() bool { return c.Key == c.SignedBy }
 
-// ValidAt reports whether t falls inside the certificate's validity
-// window (inclusive of the boundaries, as in RFC 5280).
-func (c *Certificate) ValidAt(t time.Time) bool {
-	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
-}
-
 // MatchesOrganization performs the paper's case-insensitive substring
 // search of a hypergiant keyword in the Subject Organization (§4.2).
 func (c *Certificate) MatchesOrganization(keyword string) bool {

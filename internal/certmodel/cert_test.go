@@ -255,12 +255,22 @@ func TestFingerprintMatchesFmtForm(t *testing.T) {
 }
 
 func TestValidAtBoundaries(t *testing.T) {
-	c := &Certificate{NotBefore: epoch, NotAfter: far}
-	if !c.ValidAt(epoch) || !c.ValidAt(far) {
-		t.Error("validity boundaries are inclusive")
+	a, store := testAuthority(t)
+	spec := leafSpec("Google LLC", "*.google.com")
+	spec.NotBefore = time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	spec.NotAfter = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	ch := a.IssueLeaf(spec)
+	// The leaf's validity window is inclusive of both ends, as in RFC 5280.
+	for _, at := range []time.Time{spec.NotBefore, spec.NotAfter} {
+		if err := Verify(ch, at, store); err != nil {
+			t.Errorf("at %v: %v", at, err)
+		}
 	}
-	if c.ValidAt(epoch.Add(-time.Second)) || c.ValidAt(far.Add(time.Second)) {
-		t.Error("outside boundaries must be invalid")
+	if err := Verify(ch, spec.NotBefore.Add(-time.Second), store); Reason(err) != ReasonNotYetValid {
+		t.Errorf("before the window: reason = %q, err = %v", Reason(err), err)
+	}
+	if err := Verify(ch, spec.NotAfter.Add(time.Second), store); Reason(err) != ReasonExpired {
+		t.Errorf("after the window: reason = %q, err = %v", Reason(err), err)
 	}
 }
 

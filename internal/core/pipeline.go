@@ -12,9 +12,9 @@
 //  3. flag candidate off-nets: IPs outside the hypergiant whose
 //     certificate matches the organization keyword and whose dNSNames
 //     are all served on-net (§4.3);
-//  4. learn HTTP(S) header fingerprints from on-net responses (§4.4,
-//     implemented in mine.go; confirmation uses the curated appendix-A.5
-//     registry);
+//  4. learn HTTP(S) header fingerprints from on-net responses (§4.4;
+//     confirmation uses the curated appendix-A.5 registry, and
+//     TestMiningRecoversTable4 checks that mining recovers it);
 //  5. confirm candidates whose responses carry the hypergiant's header
 //     fingerprint (§4.5), resolving reverse-proxy conflicts in favour of
 //     third-party edge CDNs (§7).

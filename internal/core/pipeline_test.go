@@ -6,7 +6,6 @@ import (
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/corpus"
 	"offnetscope/internal/hg"
-	"offnetscope/internal/netmodel"
 	"offnetscope/internal/scanners"
 	"offnetscope/internal/timeline"
 	"offnetscope/internal/worldsim"
@@ -253,53 +252,6 @@ func TestHeaderModesOrdering(t *testing.T) {
 		// Fig 4: the differences are minimal for genuine off-nets.
 		if id != hg.Netflix && e < c*8/10 {
 			t.Errorf("%v: header confirmation lost too much: %d of %d", id, e, c)
-		}
-	}
-}
-
-func TestMiningRecoversTable4(t *testing.T) {
-	snap := rapid7At(t, lastSnap)
-	mapper := testWorld.IP2AS(lastSnap)
-	// §4.4 mines every on-net response, not only keyword IPs' headers.
-	httpsIdx := make(map[netmodel.IP][]hg.Header, len(snap.HTTPS))
-	for _, r := range snap.HTTPS {
-		httpsIdx[r.IP] = r.Headers
-	}
-
-	for _, id := range []hg.ID{hg.Google, hg.Facebook, hg.Akamai, hg.Cloudflare} {
-		h := hg.Get(id)
-		onNet := make(map[astopo.ASN]struct{})
-		for _, as := range testWorld.OnNetASes(id) {
-			onNet[as] = struct{}{}
-		}
-		var responses [][]hg.Header
-		for ip, headers := range httpsIdx {
-			for _, as := range mapper.Lookup(ip) {
-				if _, ok := onNet[as]; ok {
-					responses = append(responses, headers)
-					break
-				}
-			}
-		}
-		if len(responses) == 0 {
-			t.Fatalf("%v: no on-net header responses", id)
-		}
-		mined := MineHeaderFingerprints(responses, 50)
-		recovered := false
-		for _, f := range h.Fingerprints {
-			if mined.RecoversFingerprint(f) {
-				recovered = true
-				break
-			}
-		}
-		if !recovered {
-			t.Errorf("%v: mining did not recover any Table 4 fingerprint; top pairs: %v", id, mined.TopPairs[:min(5, len(mined.TopPairs))])
-		}
-		// Common standard headers must be filtered out.
-		for _, pc := range mined.TopPairs {
-			if pc.Name == "content-type" || pc.Name == "cache-control" {
-				t.Errorf("%v: common header %q not filtered", id, pc.Name)
-			}
 		}
 	}
 }

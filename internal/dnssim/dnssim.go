@@ -174,13 +174,6 @@ func (r *Resolver) resolveFNA(qname string, s timeline.Snapshot) Answer {
 	return Answer{IPs: ips}
 }
 
-// FNAName exposes the site name of a hosting AS — ground truth used only
-// by tests.
-func (r *Resolver) FNAName(as astopo.ASN) (string, bool) {
-	name, ok := r.fnaOfAS[as]
-	return name, ok
-}
-
 // steer picks the closest serving IPs for a client: in-network off-net →
 // provider's off-net → on-net.
 func (r *Resolver) steer(id hg.ID, clientAS astopo.ASN, s timeline.Snapshot) []netmodel.IP {

@@ -135,7 +135,7 @@ func TestFNAResolution(t *testing.T) {
 		t.Fatal("no Facebook off-nets")
 	}
 	as := hosting[0]
-	name, ok := testResolver.FNAName(as)
+	name, ok := testResolver.fnaOfAS[as]
 	if !ok {
 		t.Fatalf("AS %d has no FNA name", as)
 	}
@@ -161,7 +161,7 @@ func TestFNANamesFollowCountryCodes(t *testing.T) {
 	s := lastS()
 	g := testWorld.Graph()
 	for _, as := range testWorld.TrueOffNetASes(hg.Facebook, s) {
-		name, ok := testResolver.FNAName(as)
+		name, ok := testResolver.fnaOfAS[as]
 		if !ok {
 			t.Fatalf("AS %d unnamed", as)
 		}

@@ -137,7 +137,7 @@ func BenchmarkFootstoreQueryParallel(b *testing.B) {
 			case 1:
 				st.HostingsOf(astopo.ASN(r.Intn(benchASes) + 1))
 			default:
-				st.FootprintSize(hg.Google, latest)
+				st.Footprint(hg.Google, latest)
 			}
 			i++
 		}

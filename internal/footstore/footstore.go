@@ -121,22 +121,6 @@ func (st *Store) Footprint(id hg.ID, s timeline.Snapshot) ([]astopo.ASN, bool) {
 	return out, true
 }
 
-// FootprintSize counts id's off-net ASes at snapshot s without
-// allocating the set.
-func (st *Store) FootprintSize(id hg.ID, s timeline.Snapshot) int {
-	idx, ok := st.SnapshotIndex(s)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, sp := range st.spansOf(id) {
-		if sp.from <= int32(idx) && int32(idx) <= sp.to {
-			n++
-		}
-	}
-	return n
-}
-
 func (st *Store) spansOf(id hg.ID) []span {
 	if int(id) < 0 || int(id) >= len(st.spans) {
 		return nil

@@ -2,7 +2,6 @@ package footstore
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -85,11 +84,11 @@ func TestStoreQueries(t *testing.T) {
 	if _, ok := st.Footprint(hg.Google, 11); ok {
 		t.Error("Footprint at absent snapshot should report !ok")
 	}
-	if n := st.FootprintSize(hg.Netflix, 13); n != 2 {
-		t.Errorf("FootprintSize(netflix, 13) = %d, want 2", n)
+	if fp, _ := st.Footprint(hg.Netflix, 13); len(fp) != 2 {
+		t.Errorf("Footprint(netflix, 13) = %v, want 2 ASes", fp)
 	}
-	if n := st.FootprintSize(hg.Akamai, 13); n != 0 {
-		t.Errorf("FootprintSize(akamai, 13) = %d, want 0", n)
+	if fp, ok := st.Footprint(hg.Akamai, 13); !ok || len(fp) != 0 {
+		t.Errorf("Footprint(akamai, 13) = %v, %v, want none", fp, ok)
 	}
 
 	hostings := st.HostingsOf(200)
@@ -182,17 +181,6 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, st3.Encode()) {
 		t.Error("Save/Open round trip is not byte-identical")
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st4, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, st4.Encode()) {
-		t.Error("Read round trip is not byte-identical")
-	}
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
@@ -263,8 +251,8 @@ func TestFromStudyAndResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Latest() != 3 || single.FootprintSize(hg.Google, 3) != 2 {
-		t.Errorf("FromResult store wrong: latest=%v size=%d", single.Latest(), single.FootprintSize(hg.Google, 3))
+	if fp, _ := single.Footprint(hg.Google, 3); single.Latest() != 3 || len(fp) != 2 {
+		t.Errorf("FromResult store wrong: latest=%v footprint=%v", single.Latest(), fp)
 	}
 }
 

@@ -257,9 +257,6 @@ func (l *GenLog) SetMetrics(reg *obs.Registry) {
 	reg.Gauge("genlog.generations").Set(int64(len(l.segs)))
 }
 
-// Dir returns the log directory.
-func (l *GenLog) Dir() string { return l.dir }
-
 // Base returns the first retained generation number.
 func (l *GenLog) Base() uint64 {
 	l.mu.Lock()

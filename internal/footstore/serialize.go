@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
@@ -130,15 +129,6 @@ var ErrCorrupt = durable.ErrCorrupt
 // CorruptError is durable.CorruptError, the one corruption type: Open
 // and the generation-log readers fill its Path.
 type CorruptError = durable.CorruptError
-
-// Read decodes a store from r.
-func Read(r io.Reader) (*Store, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("footstore: %w", err)
-	}
-	return Decode(data)
-}
 
 // Open loads a store file written by Save.
 func Open(path string) (*Store, error) {

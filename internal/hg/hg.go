@@ -168,10 +168,6 @@ func (h *Hypergiant) MatchesHeaders(headers []Header) bool {
 	return false
 }
 
-// HasFingerprints reports whether header confirmation is possible for
-// this hypergiant.
-func (h *Hypergiant) HasFingerprints() bool { return len(h.Fingerprints) > 0 }
-
 var registry = map[ID]*Hypergiant{
 	Google: {
 		ID: Google, Name: "Google", Keyword: "google",

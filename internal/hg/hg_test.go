@@ -119,7 +119,7 @@ func TestFingerprintCoverageMatchesPaper(t *testing.T) {
 	// have none.
 	var with, without int
 	for _, h := range All() {
-		if h.HasFingerprints() {
+		if len(h.Fingerprints) > 0 {
 			with++
 		} else {
 			without++
@@ -129,7 +129,7 @@ func TestFingerprintCoverageMatchesPaper(t *testing.T) {
 		t.Fatalf("fingerprints: %d with, %d without; want 16/7", with, without)
 	}
 	for _, id := range []ID{Bamtech, CDN77, Cachefly, Chinacache, Disney, Highwinds, Yahoo} {
-		if Get(id).HasFingerprints() {
+		if len(Get(id).Fingerprints) > 0 {
 			t.Errorf("%v should have no fingerprints", id)
 		}
 	}
@@ -154,12 +154,12 @@ func TestFingerprintsAreMutuallyDistinctive(t *testing.T) {
 		return hd
 	}
 	for _, owner := range All() {
-		if !owner.HasFingerprints() {
+		if len(owner.Fingerprints) == 0 {
 			continue
 		}
 		hd := sample(owner)
 		for _, other := range All() {
-			if !other.HasFingerprints() {
+			if len(other.Fingerprints) == 0 {
 				continue
 			}
 			got := other.MatchesHeaders([]Header{hd})

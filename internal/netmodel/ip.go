@@ -77,11 +77,6 @@ func (ip IP) String() string {
 	return string(out)
 }
 
-// Octets returns the four dotted-quad octets of the address.
-func (ip IP) Octets() (a, b, c, d byte) {
-	return byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)
-}
-
 // Prefix is an IPv4 CIDR prefix. Bits beyond Len are zero by construction
 // for prefixes produced by MakePrefix/ParsePrefix; Canonical() enforces it.
 type Prefix struct {

@@ -29,9 +29,8 @@ func TestParseIPRejectsInvalid(t *testing.T) {
 
 func TestMakeIPOctets(t *testing.T) {
 	ip := MakeIP(10, 20, 30, 40)
-	a, b, c, d := ip.Octets()
-	if a != 10 || b != 20 || c != 30 || d != 40 {
-		t.Fatalf("Octets = %d.%d.%d.%d", a, b, c, d)
+	if ip != 10<<24|20<<16|30<<8|40 {
+		t.Fatalf("MakeIP(10, 20, 30, 40) = %#x", uint32(ip))
 	}
 	if ip.String() != "10.20.30.40" {
 		t.Fatalf("String = %q", ip.String())

@@ -84,39 +84,6 @@ func (t *Trie[V]) LookupPrefix(ip IP) (p Prefix, val V, ok bool) {
 	return p, val, ok
 }
 
-// Get returns the value stored for exactly prefix p, if any.
-func (t *Trie[V]) Get(p Prefix) (val V, ok bool) {
-	p = p.Canonical()
-	n := t.root
-	for depth := 0; depth < int(p.Len) && n != nil; depth++ {
-		bit := (p.Addr >> (31 - depth)) & 1
-		n = n.child[bit]
-	}
-	if n == nil || !n.set {
-		return val, false
-	}
-	return n.val, true
-}
-
-// Delete removes the exact prefix p. It reports whether it was present.
-// Interior nodes are left in place; the trie is built once per snapshot
-// and discarded, so reclaiming them is not worth the bookkeeping.
-func (t *Trie[V]) Delete(p Prefix) bool {
-	p = p.Canonical()
-	n := t.root
-	for depth := 0; depth < int(p.Len) && n != nil; depth++ {
-		bit := (p.Addr >> (31 - depth)) & 1
-		n = n.child[bit]
-	}
-	if n == nil || !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
-}
-
 // Walk visits every stored prefix/value pair in address order. The walk
 // stops early if fn returns false.
 func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {

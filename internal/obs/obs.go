@@ -106,9 +106,6 @@ func (h *Histogram) Observe(v int64) {
 // the idiomatic stage timer: defer reg.Histogram("x_ns").Since(start).
 func (h *Histogram) Since(start time.Time) { h.Observe(int64(time.Since(start))) }
 
-// Count returns how many values were observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Registry is a named collection of metrics, created on first use.
 // Lookups are mutex-guarded get-or-create; all updates on the returned
 // metric are lock-free. A nil *Registry is valid: it hands out shared
@@ -139,14 +136,6 @@ func NewRegistry(name string) *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
-}
-
-// Name returns the registry's report name ("" for nil).
-func (r *Registry) Name() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
 }
 
 // Counter returns the named counter, creating it at zero on first use.

@@ -25,8 +25,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
-	if r.Name() != "t" {
-		t.Fatalf("Name = %q", r.Name())
+	if got := r.Snapshot().Name; got != "t" {
+		t.Fatalf("Name = %q", got)
 	}
 }
 
@@ -36,10 +36,10 @@ func TestNilRegistryDiscards(t *testing.T) {
 	r.Gauge("y").Set(5)
 	r.Histogram("z").Observe(5)
 	r.Histogram("z").Since(time.Now())
-	if r.Name() != "" {
+	s := r.Snapshot()
+	if s.Name != "" {
 		t.Fatal("nil registry has a name")
 	}
-	s := r.Snapshot()
 	if s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
 		t.Fatalf("nil registry snapshot is not empty: %+v", s)
 	}

@@ -105,10 +105,6 @@ func (d *Dataset) Share(as astopo.ASN, s timeline.Snapshot) float64 {
 	return d.share[as]
 }
 
-// TrueShare bypasses the presence filter (used to quantify what the
-// filter costs).
-func (d *Dataset) TrueShare(as astopo.ASN) float64 { return d.share[as] }
-
 // CoverageByCountry returns, per country code, the percentage (0-100) of
 // the country's Internet users inside ASes from the hosting set — one
 // Fig 7 map.

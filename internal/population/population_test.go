@@ -20,7 +20,7 @@ func TestSharesSumToAtMostOnePerCountry(t *testing.T) {
 	sums := make(map[string]float64)
 	for i := 1; i <= g.NumASes(); i++ {
 		as := astopo.ASN(i)
-		sums[g.Country(as)] += d.TrueShare(as)
+		sums[g.Country(as)] += d.share[as]
 	}
 	for code, sum := range sums {
 		if sum < 0.999 || sum > 1.001 {
@@ -76,7 +76,7 @@ func TestLargeASesSurviveFilter(t *testing.T) {
 	missedBig := 0
 	for i := 1; i <= g.NumASes(); i++ {
 		as := astopo.ASN(i)
-		if g.Active(as, s) && d.TrueShare(as) > 0.05 && !d.Present(as, s) {
+		if g.Active(as, s) && d.share[as] > 0.05 && !d.Present(as, s) {
 			missedBig++
 		}
 	}
@@ -190,7 +190,7 @@ func TestBuildDeterministic(t *testing.T) {
 	d2 := Build(g, 7)
 	for i := 1; i <= g.NumASes(); i++ {
 		as := astopo.ASN(i)
-		if d1.TrueShare(as) != d2.TrueShare(as) {
+		if d1.share[as] != d2.share[as] {
 			t.Fatal("same seed produced different shares")
 		}
 	}

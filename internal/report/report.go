@@ -1,7 +1,6 @@
-// Package report renders experiment series as terminal charts:
-// sparklines for single series and stacked horizontal bars for
-// composition, so cmd/experiments output conveys the *shape* of each
-// figure at a glance.
+// Package report renders experiment series as terminal sparklines, so
+// cmd/experiments output conveys the *shape* of each figure at a
+// glance.
 package report
 
 import (
@@ -50,75 +49,4 @@ func SparkRow(label string, values []int) string {
 		return fmt.Sprintf("%-12s (no data)", label)
 	}
 	return fmt.Sprintf("%-12s %6d %s %-6d", label, values[0], Sparkline(values), values[len(values)-1])
-}
-
-// Bar renders a horizontal bar of width cells for value out of max.
-func Bar(value, max, width int) string {
-	if max <= 0 || width <= 0 {
-		return ""
-	}
-	n := value * width / max
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	return strings.Repeat("█", n) + strings.Repeat("·", width-n)
-}
-
-// BarRow renders a labelled bar with its value, e.g.
-//
-//	Stub        ███████···············  102
-func BarRow(label string, value, max, width int) string {
-	return fmt.Sprintf("%-12s %s %5d", label, Bar(value, max, width), value)
-}
-
-// StackedShares renders a percentage composition as one bar, e.g.
-//
-//	2021-04  ████▒▒▒▒░░░░  29/44/27
-//
-// using a distinct fill per component. Components beyond the fill
-// alphabet reuse the last glyph.
-func StackedShares(label string, shares []float64, width int) string {
-	fills := []rune{'█', '▓', '▒', '░', '/', '\\'}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s ", label)
-	used := 0
-	var total float64
-	for _, s := range shares {
-		total += s
-	}
-	if total <= 0 {
-		b.WriteString(strings.Repeat("·", width))
-		return b.String()
-	}
-	for i, s := range shares {
-		cells := int(s/total*float64(width) + 0.5)
-		if used+cells > width {
-			cells = width - used
-		}
-		fill := fills[min(i, len(fills)-1)]
-		b.WriteString(strings.Repeat(string(fill), cells))
-		used += cells
-	}
-	if used < width {
-		b.WriteString(strings.Repeat("·", width-used))
-	}
-	b.WriteString("  ")
-	for i, s := range shares {
-		if i > 0 {
-			b.WriteString("/")
-		}
-		fmt.Fprintf(&b, "%.0f", s/total*100)
-	}
-	b.WriteString("%")
-	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

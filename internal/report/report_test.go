@@ -55,44 +55,3 @@ func TestSparkRow(t *testing.T) {
 		t.Error("empty row should say so")
 	}
 }
-
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); utf8.RuneCountInString(got) != 10 {
-		t.Errorf("bar width = %q", got)
-	}
-	if got := Bar(10, 10, 8); strings.Contains(got, "·") {
-		t.Errorf("full bar should have no empty cells: %q", got)
-	}
-	if got := Bar(0, 10, 8); strings.Contains(got, "█") {
-		t.Errorf("empty bar should have no full cells: %q", got)
-	}
-	if Bar(5, 0, 10) != "" || Bar(5, 10, 0) != "" {
-		t.Error("degenerate bars should be empty")
-	}
-	// Overflow clamps.
-	if got := Bar(100, 10, 8); utf8.RuneCountInString(got) != 8 {
-		t.Errorf("overflow bar = %q", got)
-	}
-}
-
-func TestBarRow(t *testing.T) {
-	row := BarRow("Stub", 3, 10, 10)
-	if !strings.Contains(row, "Stub") || !strings.Contains(row, "3") {
-		t.Errorf("row = %q", row)
-	}
-}
-
-func TestStackedShares(t *testing.T) {
-	row := StackedShares("2021-04", []float64{25, 50, 25}, 20)
-	if !strings.Contains(row, "2021-04") {
-		t.Errorf("row = %q", row)
-	}
-	if !strings.Contains(row, "25%") && !strings.Contains(row, "50") {
-		t.Errorf("percentages missing: %q", row)
-	}
-	// Zero shares render as a dotted bar without dividing by zero.
-	row = StackedShares("empty", []float64{0, 0}, 10)
-	if !strings.Contains(row, strings.Repeat("·", 10)) {
-		t.Errorf("zero shares row = %q", row)
-	}
-}

@@ -4,8 +4,6 @@
 // generator is splitmix64-based, cheap to fork, and has no global state.
 package rng
 
-import "math"
-
 // RNG is a splitmix64 generator. The zero value is a valid generator
 // seeded with 0; use New for an explicit seed.
 type RNG struct {
@@ -48,9 +46,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -81,100 +76,6 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a normally distributed float with mean 0 and
-// standard deviation 1, via the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// Exp returns an exponentially distributed float with rate 1.
-func (r *RNG) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and a normal approximation otherwise.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(mean + math.Sqrt(mean)*r.NormFloat64() + 0.5)
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	n := 0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return n
-		}
-		n++
-	}
-}
-
-// Zipf returns an integer in [0, n) drawn from a Zipf-like distribution
-// with exponent s (larger s = more skew). Implemented via rejection-free
-// inverse CDF over a harmonic table would be costly per call, so this uses
-// the standard approximation by inverse transform on the continuous
-// bounded Pareto distribution.
-func (r *RNG) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	if s == 1 {
-		s = 1.0000001
-	}
-	u := r.Float64()
-	oneMinusS := 1 - s
-	hi := math.Pow(float64(n)+1, oneMinusS)
-	x := math.Pow(u*(hi-1)+1, 1/oneMinusS) - 1
-	k := int(x)
-	if k < 0 {
-		k = 0
-	}
-	if k >= n {
-		k = n - 1
-	}
-	return k
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Pick returns a uniformly chosen element of xs. It panics on an empty

@@ -72,9 +72,6 @@ type Dir struct {
 	metrics  *obs.Registry
 }
 
-// Path returns the directory the checkpoints live in.
-func (d *Dir) Path() string { return d.path }
-
 // SetMetrics routes checkpoint accounting (runstate.* in DESIGN.md §7)
 // into reg: save/load counts, corrupt-entry discards, and save/load
 // latency histograms. A nil registry (the default) disables it.

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -76,8 +77,8 @@ func FuzzScenarioConfig(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeMatrix(data)
-		if err != nil {
+		var back Matrix
+		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		data2, err := back.EncodeJSON()

@@ -31,15 +31,6 @@ func (m *Matrix) EncodeJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeMatrix parses an encoded matrix back.
-func DecodeMatrix(data []byte) (*Matrix, error) {
-	var m Matrix
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("scenarios: decoding matrix: %w", err)
-	}
-	return &m, nil
-}
-
 // Markdown renders the matrix as the committed results table: one row
 // per cell with its micro-averaged scores, thresholds, and verdict.
 func (m *Matrix) Markdown() string {

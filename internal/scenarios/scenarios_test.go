@@ -3,6 +3,7 @@ package scenarios
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"offnetscope/internal/timeline"
@@ -148,8 +149,8 @@ func TestMatrixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeMatrix(data)
-	if err != nil {
+	var back Matrix
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	data2, err := back.EncodeJSON()

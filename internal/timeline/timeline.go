@@ -43,11 +43,6 @@ func (s Snapshot) MidTime() time.Time {
 	return s.Time().AddDate(0, 0, 14)
 }
 
-// EndTime returns the first instant after the snapshot's month.
-func (s Snapshot) EndTime() time.Time {
-	return s.Time().AddDate(0, 1, 0)
-}
-
 // gridLabels is the label of every snapshot on the grid, in order,
 // spelled out so that neither start-up nor Label formats them
 // (TestGridLabelsFormatted checks each against its snapshot's Time).
@@ -85,18 +80,4 @@ func FromLabel(label string) (Snapshot, bool) {
 		return Snapshot(i), true
 	}
 	return 0, false
-}
-
-// At returns the snapshot whose quarter contains t, and false if t is
-// outside the study period.
-func At(t time.Time) (Snapshot, bool) {
-	if t.Before(start) {
-		return 0, false
-	}
-	months := (t.Year()-start.Year())*12 + int(t.Month()) - int(start.Month())
-	s := Snapshot(months / 3)
-	if !s.Valid() {
-		return 0, false
-	}
-	return s, true
 }

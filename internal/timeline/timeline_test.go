@@ -3,7 +3,6 @@ package timeline
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestBounds(t *testing.T) {
@@ -69,25 +68,8 @@ func TestTimesOrdered(t *testing.T) {
 		}
 	}
 	s := Snapshot(3)
-	if !s.Time().Before(s.MidTime()) || !s.MidTime().Before(s.EndTime()) {
-		t.Error("Time < MidTime < EndTime must hold")
-	}
-}
-
-func TestAt(t *testing.T) {
-	s, ok := At(time.Date(2013, 11, 15, 0, 0, 0, 0, time.UTC))
-	if !ok || s != 0 {
-		t.Errorf("At(2013-11) = %v, %v", s, ok)
-	}
-	s, ok = At(time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC))
-	if !ok || s != 1 {
-		t.Errorf("At(2014-02) = %v, %v", s, ok)
-	}
-	if _, ok := At(time.Date(2013, 9, 30, 0, 0, 0, 0, time.UTC)); ok {
-		t.Error("before study period should be invalid")
-	}
-	if _, ok := At(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)); ok {
-		t.Error("after study period should be invalid")
+	if !s.Time().Before(s.MidTime()) || s.MidTime().Month() != s.Time().Month() {
+		t.Error("MidTime must fall inside the snapshot's month, after Time")
 	}
 }
 

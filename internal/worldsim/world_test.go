@@ -1,7 +1,6 @@
 package worldsim
 
 import (
-	"strings"
 	"testing"
 
 	"offnetscope/internal/certmodel"
@@ -424,36 +423,6 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestPTRRecords(t *testing.T) {
-	w := testWorld
-	s := last()
-	// Netflix off-nets carry the nflxvideo.net naming the paper used as
-	// corroborating evidence (§6.2).
-	nf := w.TrueOffNetASes(hg.Netflix, s)
-	if len(nf) == 0 {
-		t.Fatal("no Netflix off-nets")
-	}
-	ptr := w.PTR(w.offNetIP(nf[0], hg.Netflix, 0), s)
-	if ptr == "" || !strings.Contains(ptr, "nflxvideo.net") {
-		t.Errorf("Netflix off-net PTR = %q", ptr)
-	}
-	// Unallocated space has no record.
-	if got := w.PTR(netmodel.MustParseIP("0.0.0.1"), s); got != "" {
-		t.Errorf("PTR for unallocated space = %q", got)
-	}
-	// On-net servers use first-party naming.
-	gOn := w.OnNetASes(hg.Google)[0]
-	ip := w.onNetIP(hg.Google, 0, 0)
-	_ = gOn
-	if ptr := w.PTR(ip, s); !strings.Contains(ptr, "google.com") {
-		t.Errorf("Google on-net PTR = %q", ptr)
-	}
-	// PTR is deterministic.
-	if w.PTR(ip, s) != w.PTR(ip, s) {
-		t.Error("PTR not deterministic")
-	}
 }
 
 func TestHideAndSeekCountermeasures(t *testing.T) {
