@@ -89,7 +89,7 @@ bench:
 # vet it and run its tests, the schema and statistics tests and a
 # smoke run of every workload on three snapshots.
 bench-smoke:
-	go test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/core
+	go test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/core ./internal/certmodel ./internal/footstore ./internal/netmodel ./internal/worldsim
 	go test -bench=. -benchtime=1x -benchmem -short -run='^$$' ./internal/loadgen
 	go test -count=1 -run 'TestA3CertAllocBudget' .
 	go -C bench vet ./...

@@ -18,7 +18,6 @@ package certmodel
 import (
 	"crypto/x509"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
@@ -184,14 +183,14 @@ func (s *TrustStore) Roots() []*Certificate {
 // VerifyError explains why a chain failed §4.1 validation. Reason is one
 // of the Reason* constants; the pipeline aggregates failures by reason to
 // reproduce the paper's "more than one third of hosts returned invalid
-// certificates" statistic.
+// certificates" statistic. Verify returns one shared value per reason,
+// so callers must not modify it.
 type VerifyError struct {
 	Reason string
-	Detail string
 }
 
 func (e *VerifyError) Error() string {
-	return "certmodel: invalid chain: " + e.Reason + ": " + e.Detail
+	return "certmodel: invalid chain: " + e.Reason
 }
 
 // Chain-verification failure reasons.
@@ -207,56 +206,70 @@ const (
 	ReasonExpiredChain = "expired-intermediate"
 )
 
+// One shared error per reason, built once: about a third of scanned
+// chains fail, and rejecting one must cost no allocation.
+var (
+	errEmptyChain   = &VerifyError{ReasonEmptyChain}
+	errExpired      = &VerifyError{ReasonExpired}
+	errNotYetValid  = &VerifyError{ReasonNotYetValid}
+	errSelfSigned   = &VerifyError{ReasonSelfSigned}
+	errBrokenChain  = &VerifyError{ReasonBrokenChain}
+	errForged       = &VerifyError{ReasonForged}
+	errNotCA        = &VerifyError{ReasonNotCA}
+	errUntrusted    = &VerifyError{ReasonUntrusted}
+	errExpiredChain = &VerifyError{ReasonExpiredChain}
+)
+
 // Verify checks a chain at time at against the trust store, applying
 // exactly the §4.1 rules: the leaf must be inside its validity window and
 // must not be self-signed, every signature must link and verify, every
 // issuer must be a CA valid at time at, and the chain must anchor at a
-// trusted root. A nil error means the chain is valid.
+// trusted root. A nil error means the chain is valid; an invalid chain
+// gets the *VerifyError shared by every chain failing for its reason.
 func Verify(ch Chain, at time.Time, store *TrustStore) error {
 	if len(ch) == 0 {
-		return &VerifyError{Reason: ReasonEmptyChain, Detail: "no certificates presented"}
+		return errEmptyChain
 	}
 	leaf := ch[0]
 	if at.Before(leaf.NotBefore) {
-		return &VerifyError{Reason: ReasonNotYetValid, Detail: fmt.Sprintf("leaf valid from %s", leaf.NotBefore.Format(time.RFC3339))}
+		return errNotYetValid
 	}
 	if at.After(leaf.NotAfter) {
-		return &VerifyError{Reason: ReasonExpired, Detail: fmt.Sprintf("leaf expired %s", leaf.NotAfter.Format(time.RFC3339))}
+		return errExpired
 	}
 	if leaf.SelfSigned() {
 		// Anyone can mint a certificate naming any organization; the
 		// paper discards all self-signed end entities.
-		return &VerifyError{Reason: ReasonSelfSigned, Detail: "self-signed end-entity certificate"}
+		return errSelfSigned
 	}
 	for i, c := range ch {
 		if c.Forged {
-			return &VerifyError{Reason: ReasonForged, Detail: fmt.Sprintf("certificate %d has an invalid signature", i)}
+			return errForged
 		}
 		if i == 0 {
 			continue
 		}
 		if !c.IsCA {
-			return &VerifyError{Reason: ReasonNotCA, Detail: fmt.Sprintf("certificate %d signs but is not a CA", i)}
+			return errNotCA
 		}
 		if at.Before(c.NotBefore) || at.After(c.NotAfter) {
-			return &VerifyError{Reason: ReasonExpiredChain, Detail: fmt.Sprintf("intermediate %d outside validity window", i)}
+			return errExpiredChain
 		}
 		if ch[i-1].SignedBy != c.Key {
-			return &VerifyError{Reason: ReasonBrokenChain, Detail: fmt.Sprintf("certificate %d not signed by certificate %d", i-1, i)}
+			return errBrokenChain
 		}
 	}
 	last := ch[len(ch)-1]
 	if store.Trusted(last.Key) || store.Trusted(last.SignedBy) {
 		return nil
 	}
-	return &VerifyError{Reason: ReasonUntrusted, Detail: "chain does not anchor at a trusted root"}
+	return errUntrusted
 }
 
 // Reason extracts the failure reason from an error returned by Verify,
-// or "" for nil / foreign errors.
+// or "" for nil / foreign errors, a wrapped Verify error included.
 func Reason(err error) string {
-	var ve *VerifyError
-	if errors.As(err, &ve) {
+	if ve, ok := err.(*VerifyError); ok {
 		return ve.Reason
 	}
 	return ""

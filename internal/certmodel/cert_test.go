@@ -1,6 +1,7 @@
 package certmodel
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -349,13 +350,58 @@ func TestTrustStoreRoots(t *testing.T) {
 	}
 }
 
+// TestVerifyErrorMessage builds one chain failing for each reason and
+// checks that Verify reports it through Reason and the message, without
+// allocating: about a third of scanned chains fail.
 func TestVerifyErrorMessage(t *testing.T) {
-	_, store := testAuthority(t)
-	err := Verify(nil, mid, store)
-	if err == nil || err.Error() == "" {
-		t.Fatal("error should have a message")
+	a, store := testAuthority(t)
+	ch := a.IssueLeaf(leafSpec("Google LLC", "*.google.com"))
+	expired := leafSpec("Google LLC", "*.google.com")
+	expired.NotAfter = time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	future := leafSpec("Google LLC", "*.google.com")
+	future.NotBefore = time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	other := NewAuthority("OtherPKI", 1, epoch, far, rng.New(2))
+	forged := Chain{ch[0].Clone(), ch[1], ch[2]}
+	forged[0].Forged = true
+	notCA := ch[1].Clone()
+	notCA.IsCA = false
+	oldInter, relinked := ch[1].Clone(), ch[0].Clone()
+	oldInter.NotAfter = expired.NotAfter
+	relinked.SignedBy = oldInter.Key
+
+	for _, tc := range []struct {
+		reason string
+		ch     Chain
+		store  *TrustStore
+	}{
+		{ReasonEmptyChain, nil, store},
+		{ReasonExpired, a.IssueLeaf(expired), store},
+		{ReasonNotYetValid, a.IssueLeaf(future), store},
+		{ReasonSelfSigned, a.IssueSelfSigned(leafSpec("Google LLC", "*.google.com")), store},
+		{ReasonBrokenChain, Chain{ch[0], other.Intermediates[0], other.Root}, store},
+		{ReasonForged, forged, store},
+		{ReasonNotCA, Chain{ch[0], notCA, ch[2]}, store},
+		{ReasonUntrusted, ch, NewTrustStore()},
+		{ReasonExpiredChain, Chain{relinked, oldInter, ch[2]}, store},
+	} {
+		t.Run(tc.reason, func(t *testing.T) {
+			var err error
+			allocs := testing.AllocsPerRun(100, func() { err = Verify(tc.ch, mid, tc.store) })
+			if got := Reason(err); got != tc.reason {
+				t.Fatalf("reason = %q, err = %v", got, err)
+			}
+			if allocs != 0 {
+				t.Errorf("Verify allocated %.0f objects per call", allocs)
+			}
+			if want := "certmodel: invalid chain: " + tc.reason; err.Error() != want {
+				t.Errorf("message = %q, want %q", err.Error(), want)
+			}
+		})
 	}
 	if Reason(nil) != "" {
 		t.Error("Reason(nil) should be empty")
+	}
+	if Reason(errors.New("x")) != "" {
+		t.Error("Reason of a foreign error should be empty")
 	}
 }

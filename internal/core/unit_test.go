@@ -179,6 +179,46 @@ func TestUnitSelfSignedExcluded(t *testing.T) {
 	}
 }
 
+// TestUnitInvalidChainsAllocateNothing pins what §4.1 costs for the
+// third of scanned chains that fail: once the organization memo, the AS
+// set and the reason tallies hold their keys, validating a batch of
+// invalid chains whose organizations carry no keyword allocates nothing.
+func TestUnitInvalidChainsAllocateNothing(t *testing.T) {
+	tw := newToyWorld(t)
+	spec := certmodel.LeafSpec{
+		Organization: "Eyeball ISP", CommonName: "cpe.example", DNSNames: []string{"cpe.example"},
+		NotBefore: time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC),
+		NotAfter:  time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC),
+	}
+	expired := spec
+	expired.NotAfter = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	foreign := certmodel.NewAuthority("ForeignCA", 1, spec.NotBefore, spec.NotAfter, rng.New(10))
+	tw.addCert(200, 2, tw.auth.IssueLeaf(expired))
+	tw.addCert(201, 3, tw.auth.IssueSelfSigned(spec))
+	tw.addCert(202, 4, foreign.IssueLeaf(spec))
+
+	p := tw.pipeline(DefaultOptions())
+	res := newResult(tw.snap)
+	asSet := make(map[astopo.ASN]struct{})
+	orgs := make(orgMatcher)
+	mapper := p.Mapper(tw.at)
+	var records []record
+	allocs := testing.AllocsPerRun(100, func() {
+		records = p.validateBatch(res, asSet, orgs, nil, tw.snap.Certs, tw.snap.ScanTime(), mapper)
+	})
+	if allocs != 0 {
+		t.Errorf("validateBatch allocated %.0f objects per batch of %d invalid chains", allocs, len(tw.snap.Certs))
+	}
+	if len(records) != 0 || res.ValidCertIPs != 0 {
+		t.Fatalf("records = %d, valid = %d; want none", len(records), res.ValidCertIPs)
+	}
+	runs := res.TotalCertIPs / len(tw.snap.Certs)
+	want := map[string]int{certmodel.ReasonExpired: runs, certmodel.ReasonSelfSigned: runs, certmodel.ReasonUntrusted: runs}
+	if !reflect.DeepEqual(res.InvalidByReason, want) {
+		t.Errorf("invalid by reason = %v, want %v", res.InvalidByReason, want)
+	}
+}
+
 func TestUnitMOASAttributesAllOrigins(t *testing.T) {
 	tw := newToyWorld(t)
 	tw.addCert(100, 1, tw.leaf("Google LLC", "*.google.com"))

@@ -35,9 +35,8 @@ const ECSCutoff = timeline.Snapshot(10) // 2016-04
 // Resolver is the hypergiants' authoritative DNS for the world.
 type Resolver struct {
 	w *worldsim.World
-	// fna maps (code, idx) → Facebook hosting AS, and its inverse.
+	// fnaByName maps an FNA site name (code + index) → Facebook hosting AS.
 	fnaByName map[string]astopo.ASN
-	fnaOfAS   map[astopo.ASN]string
 }
 
 // New builds the resolver, assigning every Facebook hosting AS (over the
@@ -47,7 +46,6 @@ func New(w *worldsim.World) *Resolver {
 	r := &Resolver{
 		w:         w,
 		fnaByName: make(map[string]astopo.ASN),
-		fnaOfAS:   make(map[astopo.ASN]string),
 	}
 	// All-time Facebook hosting ASes in deterministic order.
 	seen := make(map[astopo.ASN]struct{})
@@ -67,7 +65,6 @@ func New(w *worldsim.World) *Resolver {
 		counter[code]++
 		name := fmt.Sprintf("%s%d", code, counter[code])
 		r.fnaByName[name] = as
-		r.fnaOfAS[as] = name
 	}
 	return r
 }

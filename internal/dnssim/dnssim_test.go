@@ -22,6 +22,16 @@ var (
 
 func lastS() timeline.Snapshot { return timeline.Snapshot(timeline.Count() - 1) }
 
+// fnaNames inverts the resolver's site-name table: Facebook hosting AS →
+// its FNA site name.
+func fnaNames(r *Resolver) map[astopo.ASN]string {
+	names := make(map[astopo.ASN]string, len(r.fnaByName))
+	for name, as := range r.fnaByName {
+		names[as] = name
+	}
+	return names
+}
+
 func TestResolveSteersToLocalOffNet(t *testing.T) {
 	s := lastS()
 	hosting := testWorld.TrueOffNetASes(hg.Google, s)
@@ -135,7 +145,7 @@ func TestFNAResolution(t *testing.T) {
 		t.Fatal("no Facebook off-nets")
 	}
 	as := hosting[0]
-	name, ok := testResolver.fnaOfAS[as]
+	name, ok := fnaNames(testResolver)[as]
 	if !ok {
 		t.Fatalf("AS %d has no FNA name", as)
 	}
@@ -160,8 +170,9 @@ func TestFNAResolution(t *testing.T) {
 func TestFNANamesFollowCountryCodes(t *testing.T) {
 	s := lastS()
 	g := testWorld.Graph()
+	names := fnaNames(testResolver)
 	for _, as := range testWorld.TrueOffNetASes(hg.Facebook, s) {
-		name, ok := testResolver.fnaOfAS[as]
+		name, ok := names[as]
 		if !ok {
 			t.Fatalf("AS %d unnamed", as)
 		}
