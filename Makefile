@@ -32,8 +32,9 @@ test-short:
 race:
 	go test -race -short ./...
 
-# Smoke-fuzz every input decoder and the hypergiant matchers (header
-# fingerprints against their strings.ToLower definition); go test
+# Smoke-fuzz every input decoder, the hypergiant matchers (header
+# fingerprints against their strings.ToLower definition) and the
+# open-addressed key set (against a Go map); go test
 # allows one -fuzz target per invocation, hence one line per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -45,6 +46,7 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzReadOrgs -fuzztime=$(FUZZTIME) ./internal/astopo
 	go test -run=^$$ -fuzz=FuzzParseIP -fuzztime=$(FUZZTIME) ./internal/netmodel
 	go test -run=^$$ -fuzz=FuzzParsePrefix -fuzztime=$(FUZZTIME) ./internal/netmodel
+	go test -run=^$$ -fuzz=FuzzSet -fuzztime=$(FUZZTIME) ./internal/netmodel
 	go test -run=^$$ -fuzz=FuzzMatchDomain -fuzztime=$(FUZZTIME) ./internal/hg
 	go test -run=^$$ -fuzz=FuzzHeaderFingerprintMatches -fuzztime=$(FUZZTIME) ./internal/hg
 	go test -run=^$$ -fuzz=FuzzFromLabel -fuzztime=$(FUZZTIME) ./internal/timeline

@@ -340,11 +340,11 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 // hypergiant keyword, since §4.2–4.5 read no other. Batches validated
 // in record order therefore keep corpus order, and every tally is
 // byte-identical at any chunk size. It is the only §4.1 pass.
-func (p *Pipeline) validateBatch(res *Result, asSet map[astopo.ASN]struct{}, orgs orgMatcher, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
+func (p *Pipeline) validateBatch(res *Result, asSet *netmodel.Set[astopo.ASN], orgs orgMatcher, records []record, batch []corpus.CertRecord, at time.Time, mapper IPMapper) []record {
 	for _, cr := range batch {
 		asns := mapper.Lookup(cr.IP)
 		for _, as := range asns {
-			asSet[as] = struct{}{}
+			asSet.Add(as)
 		}
 		err := certmodel.Verify(cr.Chain, at, p.Trust)
 		expired := false

@@ -39,7 +39,10 @@ type SnapshotInference struct {
 	// HTTPOnlyIPs are addresses that answered on port 80 but presented
 	// no certificate in this snapshot — the §6.2 non-TLS restoration
 	// test set: a remembered Netflix IP found here keeps its AS counted.
-	HTTPOnlyIPs map[netmodel.IP]struct{}
+	// The envelope fold only probes it, once per remembered IP, so it is
+	// a netmodel.Set, which holds no pointers and cannot be iterated:
+	// compare two by membership, never by layout.
+	HTTPOnlyIPs *netmodel.Set[netmodel.IP]
 
 	// NetflixLookups maps this snapshot's confirmed and expired Netflix
 	// IPs (in evidence order, deduplicated) to their origin ASes at scan
@@ -113,7 +116,7 @@ func (e *envelopeState) fold(inf *SnapshotInference) (EnvelopeValues, []MemEntry
 		restored[as] = struct{}{}
 	}
 	for ip, asns := range e.memory {
-		if _, onHTTPOnly := inf.HTTPOnlyIPs[ip]; !onHTTPOnly {
+		if !inf.HTTPOnlyIPs.Has(ip) {
 			continue
 		}
 		for _, as := range asns {

@@ -24,6 +24,14 @@ import (
 // validated keyword records + the month's certificate and HTTP-only IPs
 // + the keyword IPs' header lists + the per-read intern table).
 //
+// The month-sized sets — certificate IPs, keyword IPs, HTTP-only IPs
+// and the certificate ASes behind TotalCertASes — are netmodel.Sets:
+// one open-addressed array of 4-byte keys, at most half full, so 8–16
+// bytes a key. The certificate IPs are appended to a slice during the
+// certificate read and put into one set sized from it, and the keyword
+// set is sized from the keyword records, so neither rehashes as it
+// fills.
+//
 // Determinism contract: batches arrive in record order and validate in
 // arrival order, so the fold order is chunk order, which is record
 // order. Every counter adds, every set unions and every list appends in
@@ -57,21 +65,25 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 
 	var (
 		records  []record
-		asSet    = make(map[astopo.ASN]struct{})
+		certList []netmodel.IP
+		asSet    = &netmodel.Set[astopo.ASN]{}
 		orgs     = make(orgMatcher)
-		certIPs  = make(map[netmodel.IP]struct{})
 		httpsIdx = make(map[netmodel.IP][]hg.Header)
 		httpIdx  = make(map[netmodel.IP][]hg.Header)
-		httpOnly = make(map[netmodel.IP]struct{})
+		httpOnly = &netmodel.Set[netmodel.IP]{}
 	)
 	valStart := time.Now()
 	errCerts := st.Certs(func(batch []corpus.CertRecord) error {
 		for i := range batch {
-			certIPs[batch[i].IP] = struct{}{}
+			certList = append(certList, batch[i].IP)
 		}
 		records = p.validateBatch(res, asSet, orgs, records, batch, at, mapper)
 		return nil
 	})
+	certIPs := netmodel.NewSet[netmodel.IP](len(certList))
+	for _, ip := range certList {
+		certIPs.Add(ip)
+	}
 	keyword := keywordIPs(records)
 	st.HeaderIPs = keyword
 	errHTTPS := st.HTTPS(func(batch []corpus.HeaderRecord) error {
@@ -81,8 +93,8 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	errHTTP := st.HTTP(func(batch []corpus.HeaderRecord) error {
 		// §6.2: answered on port 80 but presented no certificate.
 		for i := range batch {
-			if _, onTLS := certIPs[batch[i].IP]; !onTLS {
-				httpOnly[batch[i].IP] = struct{}{}
+			if !certIPs.Has(batch[i].IP) {
+				httpOnly.Add(batch[i].IP)
 			}
 		}
 		indexHeaders(httpIdx, keyword, batch)
@@ -91,7 +103,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 	if err := cmp.Or(errCerts, errHTTPS, errHTTP); err != nil {
 		return nil, err
 	}
-	res.TotalCertASes = len(asSet)
+	res.TotalCertASes = asSet.Len()
 	m.Histogram("funnel.validate_ns").Since(valStart)
 
 	p.matchAndCount(res, records, httpsIdx, httpIdx)
@@ -103,10 +115,10 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 
 // keywordIPs is the set of IPs of the validated keyword records: §4.5
 // reads the headers of §4.3 candidates only, and each is one of them.
-func keywordIPs(records []record) map[netmodel.IP]struct{} {
-	ips := make(map[netmodel.IP]struct{}, len(records))
+func keywordIPs(records []record) *netmodel.Set[netmodel.IP] {
+	ips := netmodel.NewSet[netmodel.IP](len(records))
 	for i := range records {
-		ips[records[i].ip] = struct{}{}
+		ips.Add(records[i].ip)
 	}
 	return ips
 }
@@ -114,9 +126,9 @@ func keywordIPs(records []record) map[netmodel.IP]struct{} {
 // indexHeaders folds one batch of header records into a per-IP index,
 // keeping only the IPs in keep; a later record for the same IP replaces
 // an earlier one.
-func indexHeaders(idx map[netmodel.IP][]hg.Header, keep map[netmodel.IP]struct{}, batch []corpus.HeaderRecord) {
+func indexHeaders(idx map[netmodel.IP][]hg.Header, keep *netmodel.Set[netmodel.IP], batch []corpus.HeaderRecord) {
 	for _, r := range batch {
-		if _, ok := keep[r.IP]; ok {
+		if keep.Has(r.IP) {
 			idx[r.IP] = r.Headers
 		}
 	}

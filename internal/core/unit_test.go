@@ -199,7 +199,7 @@ func TestUnitInvalidChainsAllocateNothing(t *testing.T) {
 
 	p := tw.pipeline(DefaultOptions())
 	res := newResult(tw.snap)
-	asSet := make(map[astopo.ASN]struct{})
+	asSet := &netmodel.Set[astopo.ASN]{}
 	orgs := make(orgMatcher)
 	mapper := p.Mapper(tw.at)
 	var records []record

@@ -168,7 +168,7 @@ func FuzzCorpusRead(f *testing.F) {
 
 			wantH, hfs, herr := readChunked(input, opts, 1<<30, newHeaderDecoder(nil))
 			for _, chunk := range []int{1, 7, 0} {
-				for _, set := range []map[netmodel.IP]struct{}{nil, {}} {
+				for _, set := range []*netmodel.Set[netmodel.IP]{nil, {}} {
 					recs, cfs, cerr := readChunked(input, opts, chunk, newHeaderDecoder(set))
 					if errString(cerr) != errString(herr) {
 						t.Fatalf("headers, chunk=%d, empty set %v: error %v, single full batch %v", chunk, set != nil, cerr, herr)

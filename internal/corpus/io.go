@@ -414,13 +414,13 @@ func appendTo[T any](dst *[]T) func([]T) error {
 // set.
 type headerDecoder struct {
 	d    wireDecoder
-	want map[netmodel.IP]struct{} // nil: build every record's Headers
+	want *netmodel.Set[netmodel.IP] // nil: build every record's Headers
 }
 
 // newHeaderDecoder returns the header-file line decoder for one file
 // read, building the Headers of the IPs in want alone, or of every
 // record when want is nil.
-func newHeaderDecoder(want map[netmodel.IP]struct{}) func([]byte) (HeaderRecord, error) {
+func newHeaderDecoder(want *netmodel.Set[netmodel.IP]) func([]byte) (HeaderRecord, error) {
 	hd := &headerDecoder{d: wireDecoder{strs: make(strTable)}, want: want}
 	return hd.decode
 }
@@ -458,11 +458,7 @@ func (hd *headerDecoder) unwanted(ip string) bool {
 }
 
 func (hd *headerDecoder) wanted(ip netmodel.IP) bool {
-	if hd.want == nil {
-		return true
-	}
-	_, ok := hd.want[ip]
-	return ok
+	return hd.want == nil || hd.want.Has(ip)
 }
 
 // readNDJSONFile opens one NDJSON+gzip corpus file and drives it

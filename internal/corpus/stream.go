@@ -56,10 +56,12 @@ type Stream struct {
 	// reads for the Headers of these IPs' records alone: OpenStream then
 	// still checks, counts and yields every record in order, but one
 	// whose IP is outside the set comes with nil Headers, its lists never
-	// built. Nil asks for every record's Headers. StreamOf and
-	// scanners.ScanStream ignore it; their batches are already built, so
-	// a consumer that keeps only some IPs filters them itself.
-	HeaderIPs map[netmodel.IP]struct{}
+	// built. The reads probe the set and never change it, so they may
+	// share it even when they run concurrently. Nil asks for every
+	// record's Headers. StreamOf and scanners.ScanStream ignore it; their
+	// batches are already built, so a consumer that keeps only some IPs
+	// filters them itself.
+	HeaderIPs *netmodel.Set[netmodel.IP]
 
 	Certs func(yield func([]CertRecord) error) error
 	HTTPS func(yield func([]HeaderRecord) error) error

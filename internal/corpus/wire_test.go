@@ -92,18 +92,18 @@ type wireCheck struct {
 	// The header decoder with a want set: one whose set is empty, and
 	// one whose set line refills with the IP the full decode returns.
 	headerNone, headerOwn func([]byte) (HeaderRecord, error)
-	own                   map[netmodel.IP]struct{}
+	own                   *netmodel.Set[netmodel.IP]
 }
 
 func newWireCheck() *wireCheck {
-	own := make(map[netmodel.IP]struct{})
+	own := &netmodel.Set[netmodel.IP]{}
 	return &wireCheck{
 		d:          &wireDecoder{strs: make(strTable)},
 		cert:       newCertDecoder(),
 		refCert:    referenceCertDecoder(),
 		header:     newHeaderDecoder(nil),
 		refHeader:  referenceHeaderDecoder(),
-		headerNone: newHeaderDecoder(map[netmodel.IP]struct{}{}),
+		headerNone: newHeaderDecoder(&netmodel.Set[netmodel.IP]{}),
 		headerOwn:  newHeaderDecoder(own),
 		own:        own,
 	}
@@ -159,9 +159,9 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	if werr == nil && !reflect.DeepEqual(wantHR, gotHR) {
 		t.Fatalf("header line %q:\nreference %#v\ndecoder   %#v", line, wantHR, gotHR)
 	}
-	clear(c.own)
+	*c.own = netmodel.Set[netmodel.IP]{}
 	if gerr == nil {
-		c.own[gotHR.IP] = struct{}{}
+		c.own.Add(gotHR.IP)
 	}
 	for _, f := range []struct {
 		set    string

@@ -1,6 +1,7 @@
 // Package netmodel provides the low-level network value types used across
-// offnetscope: IPv4 addresses, CIDR prefixes, bogon classification, and a
-// longest-prefix-match radix trie.
+// offnetscope: IPv4 addresses, CIDR prefixes, bogon classification, a
+// longest-prefix-match radix trie, and an open-addressed set of 32-bit
+// keys for month-sized sets of addresses and AS numbers.
 //
 // IPv4 addresses are represented as uint32 in host order so the simulator
 // can iterate over millions of addresses without allocation. The types are
