@@ -33,7 +33,8 @@ func benchSnapshot(b *testing.B) *corpus.Snapshot {
 // back through corpus.OpenStream with all three files drained —
 // gunzip, NDJSON decode and string interning, with each repeated
 // intermediate and root recognized by its raw bytes instead of decoded,
-// and header lists built for the snapshot's keyword IPs alone, as
+// leaf CNs and dNSNames built for keyword organizations alone, and
+// header lists built for the snapshot's keyword IPs alone, as
 // InferSnapshotStream asks.
 func BenchmarkCorpusDecode(b *testing.B) {
 	snap := benchSnapshot(b)
@@ -49,6 +50,8 @@ func BenchmarkCorpusDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		orgs := make(orgMatcher)
+		st.LeafNames = func(org string) bool { return orgs.match(org) != 0 }
 		st.HeaderIPs = keyword
 		n := 0
 		for _, err := range []error{

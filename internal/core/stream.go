@@ -22,7 +22,9 @@ import (
 // sets, and the headers of keyword-record IPs, the only header lists a
 // disk read builds (corpus.Stream.HeaderIPs): memory is O(chunk +
 // validated keyword records + the month's certificate and HTTP-only IPs
-// + the keyword IPs' header lists + the per-read intern table).
+// + the keyword IPs' header lists + the per-read intern table). A disk
+// read likewise builds the CN and dNSNames of keyword leaves alone
+// (corpus.Stream.LeafNames).
 //
 // The month-sized sets — certificate IPs, keyword IPs, HTTP-only IPs
 // and the certificate ASes behind TotalCertASes — are netmodel.Sets:
@@ -41,9 +43,11 @@ import (
 // InferSnapshotStream runs the full §4 inference over one snapshot's
 // record stream and captures the envelope inputs. On the calling
 // goroutine it reads the certificates, validating batches as they
-// arrive, then the HTTPS and HTTP headers of keyword-record IPs, which
-// it sets as the stream's HeaderIPs so that a disk read builds no other
-// header list. Each read runs to completion even after an earlier one
+// arrive, with the stream's LeafNames set to its §4.2 keyword test so
+// that a disk read builds the CN and dNSNames of keyword leaves alone,
+// then the HTTPS and HTTP headers of keyword-record IPs, which it sets
+// as the stream's HeaderIPs so that a disk read builds no other header
+// list. Each read runs to completion even after an earlier one
 // failed, so a stream's read accounting always finalizes. The error is
 // the first in certs → https → http order: record-level damage
 // accounting happened inside the stream per its ReadOptions, and a
@@ -73,6 +77,9 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 		httpOnly = &netmodel.Set[netmodel.IP]{}
 	)
 	valStart := time.Now()
+	// §4.2–4.5 read a leaf's CN and dNSNames only when its organization
+	// carries a keyword, so a disk read builds no others.
+	st.LeafNames = func(org string) bool { return orgs.match(org) != 0 }
 	errCerts := st.Certs(func(batch []corpus.CertRecord) error {
 		for i := range batch {
 			certList = append(certList, batch[i].IP)

@@ -27,7 +27,7 @@ func gzipped(t testing.TB, raw string) []byte {
 // chunk driver every corpus read uses and materializes the yielded
 // batches.
 func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *FileStats, error) {
-	return readChunked(input, opts, chunk, newCertDecoder())
+	return readChunked(input, opts, chunk, newCertDecoder(nil))
 }
 
 // readChunked runs an in-memory NDJSON+gzip stream through readChunks
@@ -94,11 +94,15 @@ func sameFileStats(a, b *FileStats) bool {
 // Every input additionally runs at chunk sizes 1, 7, and the default,
 // which must reproduce the single-batch records, stats, and error
 // exactly — the determinism contract that makes the chunk size an
-// execution knob rather than a semantic one. Each input is also read as
-// a header file at those chunk sizes, with every list built and with an
-// empty want set, which walks the lists of every record whose IP comes
-// first: both must give the single-batch full read's stats, error and
-// record IPs.
+// execution knob rather than a semantic one. At those chunk sizes each
+// input is also read as a certificate file with a names predicate,
+// which walks the names of leaves whose organization it declines: it
+// must give the single-batch full read's stats and error, and its
+// records but for the CN and dNSNames of leaves whose organization it
+// declines, which may be left empty. And each is read as
+// a header file, with every list built and with an empty want set,
+// which walks the lists of every record whose IP comes first: both must
+// give the single-batch full read's stats, error and record IPs.
 func FuzzCorpusRead(f *testing.F) {
 	valid := gzipped(f,
 		`{"ip":"1.2.3.4","chain":[{"serial":1,"subject_org":"Google LLC","key":1,"signed_by":2}]}`+"\n"+
@@ -123,6 +127,11 @@ func FuzzCorpusRead(f *testing.F) {
 	f.Add(gzipped(f, `{"ip":"1.2.3.4","headers":[{"Name":"Server","Value":"gws"}]}`+"\n"+
 		`{"ip":"1.2.3.5","headers":[{"Name":"Server","Value":5}]}`+"\n"+
 		`{"ip":"1.2.3.6","headers":[null,{"Name":"Via"},1]}`+"\n"))
+	// Certificate files: names before their organization, a declined
+	// leaf with a type error in its names, an accepted leaf.
+	f.Add(gzipped(f, `{"ip":"1.2.3.4","chain":[{"dns_names":["a"],"subject_org":"Google LLC"}]}`+"\n"+
+		`{"ip":"1.2.3.5","chain":[{"subject_org":"Acme","dns_names":["a",5]}]}`+"\n"+
+		`{"ip":"1.2.3.6","chain":[{"subject_org":"Google LLC","subject_cn":"g","dns_names":["g"]}]}`+"\n"))
 	f.Add(gzipped(f, `{"headers":[{"Name":"Server","Value":"gws"}],"ip":"1.2.3.4"}`+"\n"+
 		`{"ip":"1.2.3.5","headers":[{"Name":"a"}],"ip":"1.2.3.6"}`+"\n"+
 		`{"ip":"1.2.3.7","headers":[{"Name":"a"}],"ip":5}`+"\n"))
@@ -163,6 +172,30 @@ func FuzzCorpusRead(f *testing.F) {
 				}
 				if err == nil && !sameCertRecords(want, recs) {
 					t.Fatalf("chunk=%d decoded %d records, single batch %d", chunk, len(recs), len(want))
+				}
+			}
+
+			google := func(org string) bool { return strings.Contains(org, "Google") }
+			for _, chunk := range []int{1, 7, 0} {
+				recs, cfs, cerr := readChunked(input, opts, chunk, newCertDecoder(google))
+				if errString(cerr) != errString(err) {
+					t.Fatalf("names predicate, chunk=%d: error %v, single full batch %v", chunk, cerr, err)
+				}
+				if !sameFileStats(fs, cfs) {
+					t.Fatalf("names predicate, chunk=%d: stats %s, single full batch %s", chunk, cfs, fs)
+				}
+				if err != nil {
+					continue
+				}
+				if len(recs) != len(want) {
+					t.Fatalf("names predicate, chunk=%d: %d records, single full batch %d", chunk, len(recs), len(want))
+				}
+				for i := range recs {
+					// A leaf whose final organization the predicate accepts
+					// has its names built.
+					if same, walked := sameButLeafNames(recs[i], want[i]); !same || walked && google(want[i].Chain[0].Subject.Organization) {
+						t.Fatalf("names predicate, chunk=%d: record %d is %v, single full batch %v", chunk, i, certWire(recs[i]), certWire(want[i]))
+					}
 				}
 			}
 

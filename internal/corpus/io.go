@@ -426,24 +426,24 @@ func newHeaderDecoder(want *netmodel.Set[netmodel.IP]) func([]byte) (HeaderRecor
 }
 
 func (hd *headerDecoder) decode(line []byte) (HeaderRecord, error) {
-	var walk func(string) bool
+	var walk func([]byte) bool
 	if hd.want != nil {
 		walk = hd.unwanted
 	}
-	w, err := hd.d.decodeHeader(line, walk)
+	headers, err := hd.d.decodeHeader(line, walk)
 	if err == errIPAfterWalk {
-		w, err = hd.d.decodeHeader(line, nil)
+		headers, err = hd.d.decodeHeader(line, nil)
 	}
 	if err != nil {
 		return HeaderRecord{}, err
 	}
-	ip, err := netmodel.ParseIP(w.IP)
+	ip, err := netmodel.ParseIPBytes(hd.d.ip)
 	if err != nil {
 		return HeaderRecord{}, badRecord("ip", err)
 	}
 	rec := HeaderRecord{IP: ip}
 	if hd.wanted(ip) {
-		rec.Headers = slices.Clone(w.Headers)
+		rec.Headers = slices.Clone(headers)
 	}
 	return rec, nil
 }
@@ -452,8 +452,8 @@ func (hd *headerDecoder) decode(line []byte) (HeaderRecord, error) {
 // Headers are not built. An ip that does not parse is not unwanted: its
 // line decodes in full, so json damage later in it still wins over the
 // ip reason.
-func (hd *headerDecoder) unwanted(ip string) bool {
-	addr, err := netmodel.ParseIP(ip)
+func (hd *headerDecoder) unwanted(ip []byte) bool {
+	addr, err := netmodel.ParseIPBytes(ip)
 	return err == nil && !hd.wanted(addr)
 }
 

@@ -8,24 +8,34 @@ import (
 )
 
 // certDecoder decodes the certs.ndjson.gz lines of one file read into
-// CertRecords. Leaves decode in full. Every chain element after the leaf
-// goes through an issuerMemo, so an intermediate or root the read has
-// already decoded costs a map probe and one byte comparison.
+// CertRecords. Every chain element after the leaf goes through an
+// issuerMemo, so an intermediate or root the read has already decoded
+// costs a map probe and one byte comparison. Leaves decode in full,
+// except that with a names predicate set a leaf's subject CN and
+// dNSNames are built only when it accepts the leaf's organization, as
+// wireDecoder.cert has it, and are walked otherwise. A line whose
+// subject_org key comes after walked names decodes again in full, so a
+// line's verdict, skip reason, error text and byte offset do not depend
+// on the predicate.
 type certDecoder struct {
 	d       wireDecoder
 	w       wireCert        // the chain element being decoded
 	chain   certmodel.Chain // the record's chain, reused from record to record
 	issuers issuerMemo
+	names   func(org string) bool // nil: build every leaf's names
 }
 
 // newCertDecoder returns the certs.ndjson.gz line decoder for one file
-// read. Repeated strings intern by their raw bytes in a strTable, and
+// read, building the subject CN and dNSNames of the leaves whose
+// organization names accepts, or of every leaf when names is nil.
+// Repeated strings intern by their raw bytes in a strTable, and
 // repeated intermediates and roots in an issuerMemo, both spanning that
 // one read.
-func newCertDecoder() func([]byte) (CertRecord, error) {
+func newCertDecoder(names func(org string) bool) func([]byte) (CertRecord, error) {
 	cd := &certDecoder{
 		d:       wireDecoder{strs: make(strTable)},
 		issuers: issuerMemo{exact: make(map[string]*certmodel.Certificate), probe: make(map[string][]memoized)},
+		names:   names,
 	}
 	return cd.decode
 }
@@ -35,49 +45,54 @@ func newCertDecoder() func([]byte) (CertRecord, error) {
 var errRepeatedChain = errors.New("chain key repeated")
 
 func (cd *certDecoder) decode(line []byte) (CertRecord, error) {
-	ip, err := cd.record(line)
+	err := cd.record(line, cd.names)
+	if err == errOrgAfterWalk {
+		err = cd.record(line, nil)
+	}
 	if err == errRepeatedChain {
-		ip, err = cd.recordInPlace(line)
+		err = cd.recordInPlace(line)
 	}
 	if err != nil {
 		return CertRecord{}, err
 	}
-	addr, err := netmodel.ParseIP(ip)
+	addr, err := netmodel.ParseIPBytes(cd.d.ip)
 	if err != nil {
 		return CertRecord{}, badRecord("ip", err)
 	}
 	return CertRecord{IP: addr, Chain: append(make(certmodel.Chain, 0, len(cd.chain)), cd.chain...)}, nil
 }
 
-// record decodes line onto cd.chain through the memo and returns its
-// IP, or errRepeatedChain at a second chain key.
-func (cd *certDecoder) record(line []byte) (string, error) {
+// record decodes line onto cd.chain through the memo, asking names
+// about the leaf's organization, and leaves its IP in cd.d.ip; it stops
+// with errRepeatedChain at a second chain key.
+func (cd *certDecoder) record(line []byte, names func(string) bool) error {
 	cd.chain = cd.chain[:0]
 	chains := 0
 	return cd.d.record(line, "chain", nil, func(bool) error {
 		if chains++; chains > 1 {
 			return errRepeatedChain
 		}
-		return cd.chainValue()
+		return cd.chainValue(names)
 	})
 }
 
-// recordInPlace decodes line onto cd.chain without the memo. A chain key
-// that occurs again decodes, as encoding/json has it, into the elements
-// the earlier occurrences left, and only the memo-less decoder keeps
-// those.
-func (cd *certDecoder) recordInPlace(line []byte) (string, error) {
-	w, err := cd.d.decodeCert(line)
+// recordInPlace decodes line onto cd.chain without the memo, every leaf
+// in full. A chain key that occurs again decodes, as encoding/json has
+// it, into the elements the earlier occurrences left, and only the
+// memo-less decoder keeps those.
+func (cd *certDecoder) recordInPlace(line []byte) error {
+	chain, err := cd.d.decodeCert(line)
 	cd.chain = cd.chain[:0]
-	for i := range w.Chain {
-		cd.chain = append(cd.chain, fromWireCert(&w.Chain[i]))
+	for i := range chain {
+		cd.chain = append(cd.chain, fromWireCert(&chain[i]))
 	}
-	return w.IP, err
+	return err
 }
 
 // chainValue decodes the chain or null at the read position onto
-// cd.chain: the leaf in full, each later element through the memo.
-func (cd *certDecoder) chainValue() error {
+// cd.chain: the leaf in full but for the names that names declines, each
+// later element through the memo.
+func (cd *certDecoder) chainValue(names func(string) bool) error {
 	d := &cd.d
 	switch d.next() {
 	case 'n':
@@ -87,7 +102,7 @@ func (cd *certDecoder) chainValue() error {
 		return d.mismatch("array")
 	}
 	_, err := d.array(func(i int) error {
-		c, err := cd.element(i)
+		c, err := cd.element(i, names)
 		if err != nil {
 			return err
 		}
@@ -98,9 +113,10 @@ func (cd *certDecoder) chainValue() error {
 }
 
 // element decodes chain element i at the read position: the leaf in
-// full; a later element from the memo when the line continues with one
-// it holds, else in full and then memoized.
-func (cd *certDecoder) element(i int) (*certmodel.Certificate, error) {
+// full but for the names that names declines; a later element from the
+// memo when the line continues with one it holds, else in full and then
+// memoized.
+func (cd *certDecoder) element(i int, names func(string) bool) (*certmodel.Certificate, error) {
 	d := &cd.d
 	d.next()
 	start := d.off
@@ -109,9 +125,10 @@ func (cd *certDecoder) element(i int) (*certmodel.Certificate, error) {
 			d.off += n
 			return c, nil
 		}
+		names = nil
 	}
 	cd.w = wireCert{}
-	if err := d.cert(&cd.w); err != nil {
+	if err := d.cert(&cd.w, names); err != nil {
 		return nil, err
 	}
 	if i == 0 {

@@ -21,8 +21,9 @@ const DefaultChunkSize = 4096
 // materializing a Snapshot's record slices, each file is exposed as a
 // consume function that decodes the NDJSON stream in place and yields
 // fixed-size record batches. Memory stays bounded by the chunk size
-// (plus the per-read intern tables), however large the month is, and
-// with HeaderIPs set a header read builds no list outside it.
+// (plus the per-read intern tables), however large the month is; with
+// LeafNames set the certificate read builds no leaf names it declines,
+// and with HeaderIPs set a header read builds no list outside it.
 //
 // Contract, shared by every producer (OpenStream, StreamOf,
 // scanners.ScanStream):
@@ -51,6 +52,21 @@ type Stream struct {
 	// ScannedAt, when set, is the instant ScanTime validates against (a
 	// live scan's own moment). Zero means mid-month.
 	ScannedAt time.Time
+
+	// LeafNames, when set before Certs is called, asks that read for
+	// the subject CN and dNSNames of the leaves whose organization it
+	// accepts alone: OpenStream then still checks, counts and yields
+	// every record in order, with every other field of every chain
+	// element, but a leaf it declines comes with an empty CommonName and
+	// nil DNSNames, those values walked and never built. It is asked
+	// once per leaf, on the goroutine that runs Certs, at the leaf's
+	// first subject_cn or dns_names key, about the organization decoded
+	// so far ("" before any subject_org key); a line whose subject_org
+	// key comes after names it declined is decoded again in full. So a
+	// line's verdict, skip reason, error text and byte offset do not
+	// depend on it. Nil asks for every leaf's names. StreamOf and
+	// scanners.ScanStream ignore it: their chains are already built.
+	LeafNames func(org string) bool
 
 	// HeaderIPs, when set before HTTPS or HTTP is called, asks those
 	// reads for the Headers of these IPs' records alone: OpenStream then
@@ -142,7 +158,7 @@ func openStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOption
 	fin := &streamFinalizer{start: start, stats: stats, opts: opts, left: 3}
 	st := &Stream{Vendor: vendor, Snapshot: s, Stats: stats}
 	st.Certs = func(yield func([]CertRecord) error) error {
-		return fin.done(0, readNDJSONFile(filepath.Join(dir, certFS.Name), opts, certFS, chunk, newCertDecoder(), yield))
+		return fin.done(0, readNDJSONFile(filepath.Join(dir, certFS.Name), opts, certFS, chunk, newCertDecoder(st.LeafNames), yield))
 	}
 	st.HTTPS = func(yield func([]HeaderRecord) error) error {
 		return fin.done(1, readNDJSONFile(filepath.Join(dir, httpsFS.Name), opts, httpsFS, chunk, newHeaderDecoder(st.HeaderIPs), yield))

@@ -27,14 +27,17 @@ const maxDepth = 10000
 //
 // Syntax is checked as the line is parsed. A string that repeats within
 // a file read is looked up by its bytes in strs and copied only the
-// first time the read sees it; the IP, a certificate's subject CN and
-// its dNSNames, which seldom repeat, are copied outright.
+// first time the read sees it; a certificate's subject CN and its
+// dNSNames, which seldom repeat, are copied outright. The record's IP
+// is never a string: its bytes are kept in ip, reused from record to
+// record, for netmodel.ParseIPBytes.
 type wireDecoder struct {
 	data  []byte // the line being decoded
 	off   int    // read position in data
 	depth int    // objects and arrays open at off
 	strs  strTable
 	buf   []byte // unquoted bytes of the last string that needed unquoting
+	ip    []byte // the record's ip value, as the last decode left it
 
 	// The record slices, decoded into storage reused from record to
 	// record.
@@ -42,37 +45,36 @@ type wireDecoder struct {
 	headers list[hg.Header]
 }
 
-// decodeCert decodes one certs.ndjson.gz line. The record's Chain is a
-// view of the decoder's storage, valid until the next decode.
-func (d *wireDecoder) decodeCert(line []byte) (wireCertRecord, error) {
-	ip, chain, err := decodeRecord(d, line, "chain", &d.chain, d.cert, nil)
-	return wireCertRecord{IP: ip, Chain: chain}, err
+// decodeCert decodes one certs.ndjson.gz line, leaving the record's IP
+// in d.ip. The chain is a view of the decoder's storage, valid until the
+// next decode.
+func (d *wireDecoder) decodeCert(line []byte) ([]wireCert, error) {
+	return decodeRecord(d, line, "chain", &d.chain, func(c *wireCert) error { return d.cert(c, nil) }, nil)
 }
 
-// decodeHeader decodes one header-file line. The record's Headers is a
-// view of the decoder's storage, valid until the next decode. With walk
-// set, the lists of a line walk selects are checked but not stored, as
-// record has it.
-func (d *wireDecoder) decodeHeader(line []byte, walk func(ip string) bool) (wireHeaderRecord, error) {
-	ip, headers, err := decodeRecord(d, line, "headers", &d.headers, d.header, walk)
-	return wireHeaderRecord{IP: ip, Headers: headers}, err
+// decodeHeader decodes one header-file line, leaving the record's IP in
+// d.ip. The headers are a view of the decoder's storage, valid until the
+// next decode. With walk set, the lists of a line walk selects are
+// checked but not stored, as record has it.
+func (d *wireDecoder) decodeHeader(line []byte, walk func(ip []byte) bool) ([]hg.Header, error) {
+	return decodeRecord(d, line, "headers", &d.headers, d.header, walk)
 }
 
 // decodeRecord decodes a line holding a record object, or null: its IP
-// and the list under listKey, decoded into l unless walk selects the
-// line, which leaves the list nil.
-func decodeRecord[T any](d *wireDecoder, line []byte, listKey string, l *list[T], elem func(*T) error, walk func(ip string) bool) (string, []T, error) {
+// into d.ip and the list under listKey, decoded into l unless walk
+// selects the line, which leaves the list nil.
+func decodeRecord[T any](d *wireDecoder, line []byte, listKey string, l *list[T], elem func(*T) error, walk func(ip []byte) bool) ([]T, error) {
 	l.reset()
-	ip, err := d.record(line, listKey, walk, func(walking bool) error {
+	err := d.record(line, listKey, walk, func(walking bool) error {
 		if walking {
 			return decodeList(d, nil, elem)
 		}
 		return decodeList(d, l, elem)
 	})
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	return ip, l.value(), nil
+	return l.value(), nil
 }
 
 // errIPAfterWalk stops a decode at an ip key after a walked list: the
@@ -80,40 +82,45 @@ func decodeRecord[T any](d *wireDecoder, line []byte, listKey string, l *list[T]
 // again without walking. It never leaves headerDecoder.
 var errIPAfterWalk = errors.New("ip key after a walked list")
 
-// record decodes a line holding a record object, or null: it returns the
-// record's IP, and list decodes the value of each listKey key, with the
+// record decodes a line holding a record object, or null: it leaves the
+// record's IP in d.ip (empty before any ip key, and null leaves it as
+// it was), and list decodes the value of each listKey key, with the
 // decoder at it. walk, when set, is asked at the first listKey key about
-// the IP decoded so far ("" before any ip key). If it answers true,
-// list is told to walk that value and every later one, checking each
-// exactly as a decode would but storing nothing, and an ip key after
-// them stops the decode with errIPAfterWalk.
-func (d *wireDecoder) record(line []byte, listKey string, walk func(ip string) bool, list func(walking bool) error) (string, error) {
-	var ip string
+// the IP decoded so far. If it answers true, list is told to walk that
+// value and every later one, checking each exactly as a decode would
+// but storing nothing, and an ip key after them stops the decode with
+// errIPAfterWalk.
+func (d *wireDecoder) record(line []byte, listKey string, walk func(ip []byte) bool, list func(walking bool) error) error {
 	lists, walking := 0, false
 	d.data, d.off, d.depth = line, 0, 0
+	d.ip = d.ip[:0]
 	err := d.object(func(key []byte) error {
 		switch field(key, "ip", listKey) {
 		case "ip":
 			if walking {
 				return errIPAfterWalk
 			}
-			return d.copyValue(&ip)
+			b, ok, err := d.stringBytes()
+			if ok {
+				d.ip = append(d.ip[:0], b...)
+			}
+			return err
 		case listKey:
 			if lists++; lists == 1 && walk != nil {
-				walking = walk(ip)
+				walking = walk(d.ip)
 			}
 			return list(walking)
 		}
 		return d.skip()
 	})
 	if err != nil {
-		return "", err
+		return err
 	}
 	d.next()
 	if d.off < len(d.data) {
-		return "", d.syntaxError("after top-level value")
+		return d.syntaxError("after top-level value")
 	}
-	return ip, nil
+	return nil
 }
 
 // certFields are wireCert's JSON field names.
@@ -122,21 +129,46 @@ var certFields = []string{
 	"not_before", "not_after", "is_ca", "key", "signed_by", "forged",
 }
 
-func (d *wireDecoder) cert(c *wireCert) error {
+// errOrgAfterWalk stops a leaf's decode at a subject_org key after
+// walked names: the key may name an organization whose names must be
+// built, so the line is decoded again without walking. It never leaves
+// certDecoder.
+var errOrgAfterWalk = errors.New("subject_org key after walked names")
+
+// cert decodes a certificate object, or null, into c. names, when set,
+// is asked at the first subject_cn or dns_names key about the subject
+// organization decoded so far ("" before any subject_org key). If it
+// answers false, that value and every later subject_cn and dns_names
+// value are walked — checked exactly as a decode would, storing nothing,
+// so c keeps an empty CN and nil dNSNames — and a subject_org key after
+// them stops the decode with errOrgAfterWalk.
+func (d *wireDecoder) cert(c *wireCert, names func(org string) bool) error {
+	asked, walking := false, false
 	return d.object(func(key []byte) error {
-		switch field(key, certFields...) {
+		switch f := field(key, certFields...); f {
 		case "serial":
 			return d.uint64Value(&c.Serial)
 		case "subject_org":
+			if walking {
+				return errOrgAfterWalk
+			}
 			return d.stringValue(&c.SubjectOrg)
-		case "subject_cn":
-			return d.copyValue(&c.SubjectCN)
+		case "subject_cn", "dns_names":
+			if !asked && names != nil {
+				asked, walking = true, !names(c.SubjectOrg)
+			}
+			cn, dnsNames := &c.SubjectCN, &c.DNSNames
+			if walking {
+				cn, dnsNames = nil, nil
+			}
+			if f == "subject_cn" {
+				return d.copyValue(cn)
+			}
+			return decodeSlice(d, dnsNames, d.copyValue)
 		case "issuer_org":
 			return d.stringValue(&c.IssuerOrg)
 		case "issuer_cn":
 			return d.stringValue(&c.IssuerCN)
-		case "dns_names":
-			return decodeSlice(d, &c.DNSNames, d.copyValue)
 		case "not_before":
 			return d.int64Value(&c.NotBefore)
 		case "not_after":
@@ -277,15 +309,22 @@ func (d *wireDecoder) object(member func(key []byte) error) error {
 // growing and truncating the slice in place as encoding/json does: null
 // makes it nil, [] a non-nil empty slice, and an element within the
 // capacity of an earlier occurrence of the key is decoded into again,
-// not zeroed.
+// not zeroed. A nil s walks the value: it is checked as it would be
+// decoded, with elem given nil for each element, and nothing is stored.
 func decodeSlice[T any](d *wireDecoder, s *[]T, elem func(*T) error) error {
 	switch d.next() {
 	case 'n':
-		*s = nil
+		if s != nil {
+			*s = nil
+		}
 		return d.literal("null")
 	case '[':
 	default:
 		return d.mismatch("array")
+	}
+	if s == nil {
+		_, err := d.array(func(int) error { return elem(nil) })
+		return err
 	}
 	v := *s
 	n, err := d.array(func(i int) error {
@@ -411,9 +450,8 @@ func (d *wireDecoder) close() {
 }
 
 // copyValue decodes a string field that seldom repeats within a read —
-// the record's IP, a certificate's subject CN, a dNSName — into a copy
-// of its own: interning it would cost a table probe and entry for
-// nearly every one.
+// a certificate's subject CN, a dNSName — into a copy of its own:
+// interning it would cost a table probe and entry for nearly every one.
 func (d *wireDecoder) copyValue(dst *string) error { return d.decodeString(dst, nil) }
 
 // stringValue decodes a string field, interned in the read's table.
@@ -422,21 +460,26 @@ func (d *wireDecoder) stringValue(dst *string) error { return d.decodeString(dst
 // decodeString decodes a string into *dst through strs; null leaves *dst
 // untouched, and a nil dst checks the value and stores nothing.
 func (d *wireDecoder) decodeString(dst *string, strs strTable) error {
-	switch d.next() {
-	case 'n':
-		return d.literal("null")
-	case '"':
-	default:
-		return d.mismatch("string")
-	}
-	b, err := d.quoted()
-	if err != nil {
-		return err
-	}
-	if dst != nil {
+	b, ok, err := d.stringBytes()
+	if ok && dst != nil {
 		*dst = strs.intern(b)
 	}
-	return nil
+	return err
+}
+
+// stringBytes decodes the string or null at the read position: ok
+// reports a string, whose unquoted bytes b are valid until the next
+// string is decoded.
+func (d *wireDecoder) stringBytes() (b []byte, ok bool, err error) {
+	switch d.next() {
+	case 'n':
+		return nil, false, d.literal("null")
+	case '"':
+	default:
+		return nil, false, d.mismatch("string")
+	}
+	b, err = d.quoted()
+	return b, err == nil, err
 }
 
 func (d *wireDecoder) boolValue(dst *bool) error {

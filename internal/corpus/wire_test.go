@@ -81,6 +81,18 @@ func certWire(r CertRecord) wireCertRecord {
 	return w
 }
 
+// sameButLeafNames reports whether got is want but for the leaf's
+// subject CN and dNSNames, which got may have left empty ("" and nil)
+// where want has them, and whether it did.
+func sameButLeafNames(got, want CertRecord) (same, walked bool) {
+	g, w := certWire(got), certWire(want)
+	if len(g.Chain) > 0 && len(w.Chain) > 0 && g.Chain[0].SubjectCN == "" && g.Chain[0].DNSNames == nil {
+		walked = w.Chain[0].SubjectCN != "" || w.Chain[0].DNSNames != nil
+		g.Chain[0].SubjectCN, g.Chain[0].DNSNames = w.Chain[0].SubjectCN, w.Chain[0].DNSNames
+	}
+	return reflect.DeepEqual(g, w), walked
+}
+
 // wireCheck runs lines through the decoders under test and through the
 // references, each keeping its state from line to line as one file read
 // does.
@@ -93,20 +105,32 @@ type wireCheck struct {
 	// one whose set line refills with the IP the full decode returns.
 	headerNone, headerOwn func([]byte) (HeaderRecord, error)
 	own                   *netmodel.Set[netmodel.IP]
+
+	// The certificate decoder with a names predicate: one that declines
+	// every organization, and one that accepts only ownOrg, which line
+	// sets to the organization of the leaf the full decode returns (and
+	// ownLeaf false when it returns none).
+	certNone, certOwn func([]byte) (CertRecord, error)
+	ownOrg            string
+	ownLeaf           bool
+	walked            int // lines whose leaf names certNone walked
 }
 
 func newWireCheck() *wireCheck {
 	own := &netmodel.Set[netmodel.IP]{}
-	return &wireCheck{
+	c := &wireCheck{
 		d:          &wireDecoder{strs: make(strTable)},
-		cert:       newCertDecoder(),
+		cert:       newCertDecoder(nil),
 		refCert:    referenceCertDecoder(),
 		header:     newHeaderDecoder(nil),
 		refHeader:  referenceHeaderDecoder(),
 		headerNone: newHeaderDecoder(&netmodel.Set[netmodel.IP]{}),
 		headerOwn:  newHeaderDecoder(own),
 		own:        own,
+		certNone:   newCertDecoder(func(string) bool { return false }),
 	}
+	c.certOwn = newCertDecoder(func(org string) bool { return c.ownLeaf && org == c.ownOrg })
+	return c
 }
 
 // line decodes line with wireDecoder and with encoding/json, as both
@@ -118,12 +142,17 @@ func newWireCheck() *wireCheck {
 // decoder with a want set, which walks the lists of unwanted IPs, must
 // give the full decode's verdict, reason, error text and offset, and
 // its IP, with nil Headers when the set is empty and the full decode's
-// Headers when the set holds that IP.
+// Headers when the set holds that IP. So must the certificate decoder
+// with a names predicate, which walks the names of declined leaves: its
+// records are the full decode's when the predicate accepts the leaf's
+// own organization, and differ at most in a leaf CN and dNSNames left
+// empty when it declines every one.
 func (c *wireCheck) line(t *testing.T, line []byte) {
 	t.Helper()
 	var wantC wireCertRecord
 	jerr := json.Unmarshal(line, &wantC)
-	gotC, cerr := c.d.decodeCert(line)
+	chain, cerr := c.d.decodeCert(line)
+	gotC := wireCertRecord{IP: string(c.d.ip), Chain: chain}
 	if (jerr == nil) != (cerr == nil) {
 		t.Fatalf("cert record %q: encoding/json err %v, wireDecoder err %v", line, jerr, cerr)
 	}
@@ -132,7 +161,8 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	}
 	var wantH wireHeaderRecord
 	jerr = json.Unmarshal(line, &wantH)
-	gotH, derr := c.d.decodeHeader(line, nil)
+	headers, derr := c.d.decodeHeader(line, nil)
+	gotH := wireHeaderRecord{IP: string(c.d.ip), Headers: headers}
 	if (jerr == nil) != (derr == nil) {
 		t.Fatalf("header record %q: encoding/json err %v, wireDecoder err %v", line, jerr, derr)
 	}
@@ -151,6 +181,34 @@ func (c *wireCheck) line(t *testing.T, line []byte) {
 	if verdict(gerr) == "json" && errText(line, gerr) != errText(line, cerr) {
 		t.Fatalf("cert line %q: decoder %s, wireDecoder %s", line, errText(line, gerr), errText(line, cerr))
 	}
+	c.ownLeaf = gerr == nil && len(gotCR.Chain) > 0
+	if c.ownLeaf {
+		c.ownOrg = gotCR.Chain[0].Subject.Organization
+	}
+	for _, f := range []struct {
+		predicate string
+		decode    func([]byte) (CertRecord, error)
+		mayWalk   bool
+	}{
+		{"declining every organization", c.certNone, true},
+		{"accepting its own", c.certOwn, false},
+	} {
+		rec, ferr := f.decode(line)
+		if errText(line, ferr) != errText(line, gerr) {
+			t.Fatalf("cert line %q, predicate %s: %s, full decode %s", line, f.predicate, errText(line, ferr), errText(line, gerr))
+		}
+		if gerr != nil {
+			continue
+		}
+		same, walked := sameButLeafNames(rec, gotCR)
+		if !same || walked && !f.mayWalk {
+			t.Fatalf("cert line %q, predicate %s:\ngot  %#v\nwant %#v", line, f.predicate, certWire(rec), certWire(gotCR))
+		}
+		if walked {
+			c.walked++
+		}
+	}
+
 	wantHR, werr := c.refHeader(line)
 	gotHR, gerr := c.header(line)
 	if verdict(werr) != verdict(gerr) {
@@ -219,6 +277,33 @@ var wireSeeds = []struct{ line, verdict string }{
 	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testRoot + `]`, "json"},
 	{`{"ip":"1.2.3.4","chain":[{"serial":1},` + testIssuer + `,` + testRoot + `]} x`, "json"},
 	{`{"ip":"1.2.3.4.5","chain":[{"serial":1},` + testIssuer + `]}`, "ip"},
+	// Leaves a names predicate walks or decodes in full: the names
+	// before their organization; the organization repeated, declined
+	// then accepted and the reverse, with and without names between, or
+	// null; keys case-folded and escaped; names of the wrong type, or
+	// cut short, in a leaf whose organization is declined, with an
+	// organization after them; a repeated chain key, decoded in place
+	// without the memo. Two IPs need unquoting, one followed by a string
+	// that does too.
+	{`{"ip":"1.2.3.4","chain":[{"dns_names":["a.example"],"subject_cn":"a","subject_org":"Google LLC"},` + testIssuer + `]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","subject_cn":"a","subject_org":"Google LLC","dns_names":["g"]}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","subject_org":"Google LLC","subject_cn":"g","dns_names":["g"]}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Google LLC","dns_names":["g"],"subject_org":"Acme Corp","subject_cn":"a"}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Google LLC","subject_org":"Acme Corp","dns_names":["a"]}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Google LLC","subject_org":null,"dns_names":["g"]}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":null,"subject_cn":"x","dns_names":["x"]}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","subject_cn":"x","subject_org":null}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"Subject_Org":"Acme Corp","DNS_NAMES":["a"],"subject_\u006frg":"Google LLC"}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","dns_names":[1]}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","dns_names":"a"}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","subject_cn":["a"]}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","dns_names":["a",{}],"subject_org":"Google LLC"}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","dns_names":["a"],"subject_org":5}]}`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","dns_names":["a","b`, "json"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Acme Corp","dns_names":["a"]}],"chain":[{"dns_names":["b"]}]}`, "ok"},
+	{`{"ip":"1.2.3.4","chain":[{"subject_org":"Google LLC","subject_cn":"g"},` + testIssuer + `],"chain":[{"subject_org":"Acme Corp","dns_names":["b"]},{}]}`, "ok"},
+	{`{"ip":"\u0031.2.3.4","chain":[{"subject_org":"\u0041cme Corp","dns_names":["a"]}]}`, "ok"},
+	{`{"ip":"1.2.3.\u0034","headers":[{"Name":"\u0041","Value":"b"}]}`, "ok"},
 	// Keys: exact, case-folded as encoding/json folds them (ſ is s and
 	// the Kelvin sign K is k, the dotless ı is not i), and escaped.
 	{`{"ip":"1.2.3.4","chain":[{"serial":1,"key":2,"signed_by":3}]}`, "ok"},
@@ -326,6 +411,8 @@ var wireSeeds = []struct{ line, verdict string }{
 	{`{"ip":"1.2.3.4","x":{"a"}}`, "json"},
 	{`{"ip":"1.2.3.4"`, "json"},
 	{`{"ip":"01.2.3.4"}`, "ip"},
+	{`{"ip":"+1.2.3.4","chain":[{"serial":1}],"headers":[]}`, "ip"},
+	{`{"ip":"1.2.3.-0"}`, "ip"},
 	// Nesting: 10,000 levels are accepted, 10,001 are not.
 	{`{"ip":"1.2.3.4","x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, "ok"},
 	{`{"ip":"1.2.3.4","x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, "json"},
@@ -343,9 +430,12 @@ func TestWireDecoderMatchesEncodingJSON(t *testing.T) {
 	}
 	for _, s := range wireSeeds {
 		c.line(t, []byte(s.line))
-		if _, err := newCertDecoder()([]byte(s.line)); verdict(err) != s.verdict {
+		if _, err := newCertDecoder(nil)([]byte(s.line)); verdict(err) != s.verdict {
 			t.Errorf("cert line %.80q: verdict %s (%v), want %s", s.line, verdict(err), err, s.verdict)
 		}
+	}
+	if c.walked == 0 {
+		t.Error("no seed had leaf names walked")
 	}
 }
 
@@ -380,6 +470,47 @@ func TestWireDecoderOnWrittenCorpus(t *testing.T) {
 	}
 	if want := len(snap.Certs) + len(snap.HTTPS) + len(snap.HTTP); lines != want {
 		t.Fatalf("compared %d lines, want %d", lines, want)
+	}
+}
+
+// TestFilteredLinesAllocate pins what a read with both filters set
+// saves. A certificate line whose leaf organization the names predicate
+// declines allocates its chain slice and its leaf alone: its IP is
+// parsed in place, its strings were interned and its issuers memoized
+// by the line before it, and its leaf's names are walked. A header line
+// of an IP outside the want set allocates nothing.
+func TestFilteredLinesAllocate(t *testing.T) {
+	certLine := []byte(`{"ip":"1.16.1.0","chain":[{"serial":9113963748341723261,"subject_org":"Acme Hosting","subject_cn":"www.acme.example",` +
+		`"issuer_org":"Test CA","issuer_cn":"Test CA Intermediate","dns_names":["www.acme.example","acme.example"],` +
+		`"not_before":1615420800,"not_after":1623196800,"key":4193195951804491124,"signed_by":12},` + testIssuer + `,` + testRoot + `]}`)
+	headerLine := []byte(`{"ip":"1.16.1.1","headers":[{"Name":"Server","Value":"nginx"},{"Name":"Content-Length","Value":"4558"}]}`)
+	want := netmodel.NewSet[netmodel.IP](1)
+	want.Add(netmodel.MustParseIP("1.16.1.0"))
+	cert := newCertDecoder(func(org string) bool { return strings.Contains(org, "Google") })
+	header := newHeaderDecoder(want)
+	var (
+		rec  CertRecord
+		hrec HeaderRecord
+		err  error
+	)
+	for _, c := range []struct {
+		line   string
+		decode func()
+		allocs float64
+	}{
+		{"declined certificate line", func() { rec, err = cert(certLine) }, 2},
+		{"unwanted header line", func() { hrec, err = header(headerLine) }, 0},
+	} {
+		got := testing.AllocsPerRun(100, c.decode)
+		if err != nil {
+			t.Fatalf("%s: %v", c.line, err)
+		}
+		if got != c.allocs {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.line, got, c.allocs)
+		}
+	}
+	if leaf := rec.Chain.Leaf(); len(rec.Chain) != 3 || leaf.Subject.CommonName != "" || leaf.DNSNames != nil || hrec.Headers != nil {
+		t.Fatalf("built what the filters decline: %d chain elements, leaf CN %q and dNSNames %q, headers %v", len(rec.Chain), leaf.Subject.CommonName, leaf.DNSNames, hrec.Headers)
 	}
 }
 

@@ -23,35 +23,52 @@ func MakeIP(a, b, c, d byte) IP {
 	return IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseIP parses a dotted-quad IPv4 address. It rejects anything that is
-// not exactly four decimal octets in 0-255.
-func ParseIP(s string) (IP, error) {
+// ParseIP parses a dotted-quad IPv4 address: exactly four octets, each
+// one to three ASCII digits without a sign, in 0-255, with no leading
+// zero — the addresses net/netip.ParseAddr reads as IPv4.
+func ParseIP(s string) (IP, error) { return parseIP(s) }
+
+// ParseIPBytes is ParseIP for an address held in bytes, such as a
+// decoder's buffer: it allocates only to report an error.
+func ParseIPBytes(b []byte) (IP, error) { return parseIP(b) }
+
+// parseIP is the one digit loop behind ParseIP and ParseIPBytes. It
+// checks the octets in order, so the first bad one names the error.
+func parseIP[S string | []byte](s S) (IP, error) {
 	var ip uint32
-	rest := s
-	for i := 0; i < 4; i++ {
-		var part string
-		if i < 3 {
-			dot := strings.IndexByte(rest, '.')
-			if dot < 0 {
-				return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", s)
+	i := 0
+	for octet := 0; octet < 4; octet++ {
+		end := len(s)
+		if octet < 3 {
+			end = i
+			for end < len(s) && s[end] != '.' {
+				end++
 			}
-			part, rest = rest[:dot], rest[dot+1:]
-		} else {
-			part = rest
+			if end == len(s) {
+				return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", string(s))
+			}
 		}
-		if part == "" || len(part) > 3 {
-			return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", s)
+		if end == i || end-i > 3 {
+			return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", string(s))
 		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 || n > 255 {
-			return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", s)
+		n := uint32(0)
+		for j := i; j < end; j++ {
+			d := uint32(s[j] - '0')
+			if d > 9 {
+				return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", string(s))
+			}
+			n = n*10 + d
+		}
+		if n > 255 {
+			return 0, fmt.Errorf("netmodel: invalid IPv4 address %q", string(s))
 		}
 		// Reject leading zeros such as "01" which are ambiguous (octal in
 		// some legacy parsers).
-		if len(part) > 1 && part[0] == '0' {
-			return 0, fmt.Errorf("netmodel: invalid IPv4 address %q (leading zero)", s)
+		if end-i > 1 && s[i] == '0' {
+			return 0, fmt.Errorf("netmodel: invalid IPv4 address %q (leading zero)", string(s))
 		}
-		ip = ip<<8 | uint32(n)
+		ip = ip<<8 | n
+		i = end + 1
 	}
 	return IP(ip), nil
 }

@@ -71,7 +71,7 @@ func TestParsePrefix(t *testing.T) {
 }
 
 func TestParsePrefixRejectsInvalid(t *testing.T) {
-	bad := []string{"", "10.0.0.0", "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/x", "300.0.0.0/8"}
+	bad := []string{"", "10.0.0.0", "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/x", "300.0.0.0/8", "+10.0.0.0/8"}
 	for _, s := range bad {
 		if _, err := ParsePrefix(s); err == nil {
 			t.Errorf("ParsePrefix(%q) unexpectedly succeeded", s)
